@@ -6,11 +6,11 @@ restricted to that window and record the worst relative residual.  The
 output is CSV (identity, u_lo, u_hi, samples, worst_residual), suitable for
 plotting residual growth against |q| = |u|**2.
 
-The interesting regime is |u| -> 0.9: truncation at the default policy
-starts to dominate and the survey shows which identities lose digits first
-(the ones mixing u**(1/2) arguments and quotients of near-cancelling theta
-values), while everything stays comfortably below 1e-9 inside the default
-sampling window |u| <= 0.75.
+The interesting regime is |u| -> 0.9: truncation at the fixed stopping
+rule starts to dominate and the survey shows which identities lose digits
+first (the ones mixing u**(1/2) arguments and quotients of near-cancelling
+theta values), while everything stays comfortably below 1e-9 inside the
+default sampling window |u| <= 0.75.
 
 Usage:
     python scripts/residual_survey.py [--samples 40] [--seed 0]

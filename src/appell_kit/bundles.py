@@ -29,12 +29,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from appell_kit.numeric import (
-    DEFAULT_POLICY,
     DomainError,
     EvalPoint,
     Nome,
     ResidualReport,
-    TruncationPolicy,
     kappa,
     near_power_orbit,
     theta,
@@ -172,32 +170,30 @@ def tensor(factor: FactorOfAutomorphy, scalar: FactorOfAutomorphy) -> FactorOfAu
 # ---------------------------------------------------------------------------
 
 
-def theta_section(u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> SectionCandidate:
-    return SectionCandidate(1, "theta", lambda z: (theta(z, u, pol),))
+def theta_section(u: complex) -> SectionCandidate:
+    return SectionCandidate(1, "theta", lambda z: (theta(z, u),))
 
 
-def kappa_theta_section(
-    a: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY
-) -> SectionCandidate:
+def kappa_theta_section(a: complex, u: complex) -> SectionCandidate:
     """(kappa(a, z), theta(z)): a section of F_a by the defining relation."""
 
     def ev(z: complex) -> tuple[complex, ...]:
-        return (kappa(a, z, u, pol), theta(z, u, pol))
+        return (kappa(a, z, u), theta(z, u))
 
     return SectionCandidate(2, f"(kappa[{a}], theta)", ev)
 
 
-def push_section(u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> SectionCandidate:
+def push_section(u: complex) -> SectionCandidate:
     """(-theta2(-u z), -theta2(-z/u)): a section of the pushforward factor P."""
 
     def ev(z: complex) -> tuple[complex, ...]:
-        return (-theta2(-u * z, u, pol), -theta2(-z / u, u, pol))
+        return (-theta2(-u * z, u), -theta2(-z / u, u))
 
     return SectionCandidate(2, "push-theta2", ev)
 
 
 def basis_sections(
-    a: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY
+    a: complex, u: complex
 ) -> tuple[SectionCandidate, SectionCandidate, SectionCandidate]:
     """The three-element section basis (v0, v1, v-1) of tensor(F_a, L):
 
@@ -207,15 +203,15 @@ def basis_sections(
     """
 
     def v0(z: complex) -> tuple[complex, ...]:
-        return (theta(z / a, u, pol), 0.0j)
+        return (theta(z / a, u), 0.0j)
 
     def v1(z: complex) -> tuple[complex, ...]:
-        th = theta(z, u, pol)
-        return (th * kappa(a, z, u, pol), th * th)
+        th = theta(z, u)
+        return (th * kappa(a, z, u), th * th)
 
     def vm1(z: complex) -> tuple[complex, ...]:
-        th = theta(-z, u, pol)
-        return (th * kappa(-a, -z, u, pol), -th * th)
+        th = theta(-z, u)
+        return (th * kappa(-a, -z, u), -th * th)
 
     return (
         SectionCandidate(2, f"v0[{a}]", v0),
@@ -251,35 +247,33 @@ def check_section(
 # ---------------------------------------------------------------------------
 
 
-def c_a_theta(a: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def c_a_theta(a: complex, u: complex) -> complex:
     """c_a = theta(1)**2 theta(-1)**2 theta(u)**2 /
     (4 a theta(-a/u) theta(-u a)), the theta-null form."""
-    num = (
-        theta(1, u, pol) ** 2 * theta(-1, u, pol) ** 2 * theta(u, u, pol) ** 2
-    )
-    return num / (4 * a * theta(-a / u, u, pol) * theta(-u * a, u, pol))
+    num = theta(1, u) ** 2 * theta(-1, u) ** 2 * theta(u, u) ** 2
+    return num / (4 * a * theta(-a / u, u) * theta(-u * a, u))
 
 
-def c_a_kappa(a: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def c_a_kappa(a: complex, u: complex) -> complex:
     """c_a = kappa(a, -u) kappa(1/a, -u) / a, the kappa special-value form."""
-    return kappa(a, -u, u, pol) * kappa(1 / a, -u, u, pol) / a
+    return kappa(a, -u, u) * kappa(1 / a, -u, u) / a
 
 
-def lambda_constant(u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def lambda_constant(u: complex) -> complex:
     """lambda = theta2(1) theta2(q) / theta(u), the normalizing constant of
     the gauge from the pushforward factor."""
     q = u * u
-    return theta2(1, u, pol) * theta2(q, u, pol) / theta(u, u, pol)
+    return theta2(1, u) * theta2(q, u) / theta(u, u)
 
 
-def c_constant_theta(u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def c_constant_theta(u: complex) -> complex:
     """c = lambda theta(1) theta(-1)."""
-    return lambda_constant(u, pol) * theta(1, u, pol) * theta(-1, u, pol)
+    return lambda_constant(u) * theta(1, u) * theta(-1, u)
 
 
-def c_constant_kappa(u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def c_constant_kappa(u: complex) -> complex:
     """c = -2 lambda kappa(-1, -1/u) (equivalently +2 lambda kappa(-1, -u))."""
-    return -2.0 * lambda_constant(u, pol) * kappa(-1, -1 / u, u, pol)
+    return -2.0 * lambda_constant(u) * kappa(-1, -1 / u, u)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +281,7 @@ def c_constant_kappa(u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> comp
 # ---------------------------------------------------------------------------
 
 
-def build_B(
-    a: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY
-) -> GaugeMatrix:
+def build_B(a: complex, u: complex) -> GaugeMatrix:
     """Gauge matrix from F'_a to F_a:
 
         B = [[kappa(a,z), (c_a - kappa(a,z) kappa(1/a,z)/a) / theta(z)],
@@ -299,12 +291,12 @@ def build_B(
     numerator vanishes wherever theta does."""
     if near_power_orbit(a, u, sign=1, parity=0, tol=1e-6):
         raise DomainError(f"parameter a = {a} too close to the pole orbit q**Z")
-    ca = c_a_theta(a, u, pol)
+    ca = c_a_theta(a, u)
 
     def ev(z: complex) -> Matrix:
-        ka = kappa(a, z, u, pol)
-        ki = kappa(1 / a, z, u, pol)
-        th = theta(z, u, pol)
+        ka = kappa(a, z, u)
+        ki = kappa(1 / a, z, u)
+        th = theta(z, u)
         return ((ka, (ca - ka * ki / a) / th), (th, -ki / a))
 
     return GaugeMatrix(
@@ -312,7 +304,7 @@ def build_B(
     )
 
 
-def build_C(u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> GaugeMatrix:
+def build_C(u: complex) -> GaugeMatrix:
     """Gauge matrix from the pushforward factor P to F'_1:
 
         C = [[lambda (theta(1)theta(-1)/2 - kappa(-1,-z)) / theta2(-u z),
@@ -320,14 +312,14 @@ def build_C(u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> GaugeMatrix:
              [theta2(-z/u), -theta2(-u z)]]
 
     with det C = -c identically; both ratio entries are holomorphic."""
-    lam = lambda_constant(u, pol)
-    half = 0.5 * theta(1, u, pol) * theta(-1, u, pol)
-    c = c_constant_theta(u, pol)
+    lam = lambda_constant(u)
+    half = 0.5 * theta(1, u) * theta(-1, u)
+    c = c_constant_theta(u)
 
     def ev(z: complex) -> Matrix:
-        k = kappa(-1, -z, u, pol)
-        t_up = theta2(-u * z, u, pol)
-        t_dn = theta2(-z / u, u, pol)
+        k = kappa(-1, -z, u)
+        t_up = theta2(-u * z, u)
+        t_dn = theta2(-z / u, u)
         return (
             (lam * (half - k) / t_up, lam * (half + k) / t_dn),
             (t_dn, -t_up),
@@ -371,7 +363,7 @@ def determinant_spread(gauge: GaugeMatrix, points: Sequence[complex]) -> float:
 
 
 def bezout_pair(
-    u: complex, pol: TruncationPolicy = DEFAULT_POLICY
+    u: complex,
 ) -> tuple[Callable[[complex], complex], Callable[[complex], complex]]:
     """Holomorphic (phi1, phi2) with
 
@@ -379,27 +371,25 @@ def bezout_pair(
 
     Both are rescaled entries of the gauge matrix C evaluated at z = -u w;
     the theta2 denominators cancel against zeros of the numerators."""
-    lam = lambda_constant(u, pol)
-    half = 0.5 * theta(1, u, pol) * theta(-1, u, pol)
-    c = c_constant_theta(u, pol)
+    lam = lambda_constant(u)
+    half = 0.5 * theta(1, u) * theta(-1, u)
+    c = c_constant_theta(u)
     q = u * u
 
     def phi1(w: complex) -> complex:
-        return lam * (half + kappa(-1, u * w, u, pol)) / (c * theta2(w, u, pol))
+        return lam * (half + kappa(-1, u * w, u)) / (c * theta2(w, u))
 
     def phi2(w: complex) -> complex:
-        return -lam * (half - kappa(-1, u * w, u, pol)) / (c * theta2(q * w, u, pol))
+        return -lam * (half - kappa(-1, u * w, u)) / (c * theta2(q * w, u))
 
     return phi1, phi2
 
 
-def bezout_residual(
-    u: complex, w: complex, pol: TruncationPolicy = DEFAULT_POLICY
-) -> float:
+def bezout_residual(u: complex, w: complex) -> float:
     """|phi1(w) theta2(w) - phi2(w) theta2(q w) - 1| at one point."""
-    phi1, phi2 = bezout_pair(u, pol)
+    phi1, phi2 = bezout_pair(u)
     q = u * u
-    value = phi1(w) * theta2(w, u, pol) - phi2(w) * theta2(q * w, u, pol)
+    value = phi1(w) * theta2(w, u) - phi2(w) * theta2(q * w, u)
     return abs(value - 1.0)
 
 
@@ -408,30 +398,28 @@ def bezout_residual(
 # ---------------------------------------------------------------------------
 
 
-def mu_lambda(b: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def mu_lambda(b: complex, u: complex) -> complex:
     """Coefficient lambda_b = theta(u/b) theta(u b) / theta(u)**2."""
-    return theta(u / b, u, pol) * theta(u * b, u, pol) / theta(u, u, pol) ** 2
+    return theta(u / b, u) * theta(u * b, u) / theta(u, u) ** 2
 
 
-def mu_nu(
-    a: complex, b: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY
-) -> complex:
+def mu_nu(a: complex, b: complex, u: complex) -> complex:
     """Coefficient nu_{a,b} = theta(1) theta(u b) theta(-u b) theta(-u/b)
     theta(b) theta(a b) / (2 theta(u) theta(-u/a) theta(a b/u) theta(-a b**2))."""
     num = (
-        theta(1, u, pol)
-        * theta(u * b, u, pol)
-        * theta(-u * b, u, pol)
-        * theta(-u / b, u, pol)
-        * theta(b, u, pol)
-        * theta(a * b, u, pol)
+        theta(1, u)
+        * theta(u * b, u)
+        * theta(-u * b, u)
+        * theta(-u / b, u)
+        * theta(b, u)
+        * theta(a * b, u)
     )
     den = (
         2.0
-        * theta(u, u, pol)
-        * theta(-u / a, u, pol)
-        * theta(a * b / u, u, pol)
-        * theta(-a * b * b, u, pol)
+        * theta(u, u)
+        * theta(-u / a, u)
+        * theta(a * b / u, u)
+        * theta(-a * b * b, u)
     )
     return num / den
 
@@ -450,11 +438,7 @@ def mu_sample_ok(a: complex, b: complex, u: complex, tol: float = 1e-3) -> bool:
 
 
 def mu_expansion_residual(
-    a: complex,
-    b: complex,
-    u: complex,
-    zs: Sequence[complex],
-    pol: TruncationPolicy = DEFAULT_POLICY,
+    a: complex, b: complex, u: complex, zs: Sequence[complex]
 ) -> ResidualReport:
     """Check, componentwise at each z, that the b-translated section
 
@@ -469,15 +453,15 @@ def mu_expansion_residual(
         raise DomainError(
             f"(a, b) = ({a}, {b}) violates the mu-expansion sampling guard"
         )
-    lam_p = mu_lambda(b, u, pol)
-    lam_m = mu_lambda(-b, u, pol)
-    nu_diff = mu_nu(a, b, u, pol) - mu_nu(a, -b, u, pol)
-    v0, v1, vm1 = basis_sections(a * b, u, pol)
+    lam_p = mu_lambda(b, u)
+    lam_m = mu_lambda(-b, u)
+    nu_diff = mu_nu(a, b, u) - mu_nu(a, -b, u)
+    v0, v1, vm1 = basis_sections(a * b, u)
     pairs: list[tuple[complex, complex]] = []
     for z in zs:
         w = (
-            theta(z / b, u, pol) * kappa(a, b * z, u, pol) / b,
-            theta(z / b, u, pol) * theta(b * z, u, pol),
+            theta(z / b, u) * kappa(a, b * z, u) / b,
+            theta(z / b, u) * theta(b * z, u),
         )
         x0, x1, xm1 = v0.evaluator(z), v1.evaluator(z), vm1.evaluator(z)
         rhs = tuple(

@@ -23,6 +23,7 @@ from typing import Sequence
 from appell_kit import bundles, identities, modular, qexact
 from appell_kit.numeric import (
     DomainError,
+    NonconvergenceError,
     kappa,
     kappa_bar,
     near_power_orbit,
@@ -540,7 +541,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (NonconvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)

@@ -24,13 +24,13 @@ from typing import Callable
 
 from appell_kit.modular import kappa0
 from appell_kit.numeric import (
-    DEFAULT_POLICY,
+    MAX_TERMS,
+    TERM_EPS,
     DomainError,
     EvalPoint,
     Nome,
     NonconvergenceError,
     ResidualReport,
-    TruncationPolicy,
     dtheta_dz,
     kappa,
     kappa_bar,
@@ -46,7 +46,7 @@ from appell_kit.numeric import (
 #: condition number of every registry formula below ~1e3.
 GUARD_TOL = 1e-3
 
-PairFn = Callable[[EvalPoint, Nome, TruncationPolicy], list[tuple[complex, complex]]]
+PairFn = Callable[[EvalPoint, Nome], list[tuple[complex, complex]]]
 GuardFn = Callable[[dict[str, complex], complex], bool]
 
 
@@ -94,17 +94,17 @@ class IdentityDef:
     pairs: PairFn
 
 
-def _half_nome_series(sign: int, z: complex, u: complex, pol: TruncationPolicy) -> complex:
+def _half_nome_series(sign: int, z: complex, u: complex) -> complex:
     """The one-sided expansion of kappa(-sign*u, z):
     sum_{n>=0} u**(n**2+2n) / (1 + sign*u**(2n+1)) * (z**-n + sign*z**(n+1)).
 
     sign=-1 gives kappa(u, z) (all minus signs), sign=+1 gives kappa(-u, z)
     (all plus signs).  Denominators stay away from 0 for |u| < 1, so only
     the usual geometric truncation applies."""
-    eps, n_max = pol.eps_term, pol.n_max
+    eps = TERM_EPS
     total = 0.0 + 0.0j
     scale = 1.0
-    for n in range(n_max + 1):
+    for n in range(MAX_TERMS + 1):
         base = u ** (n * n + 2 * n)
         term = base / (1.0 + sign * u ** (2 * n + 1)) * (z ** (-n) + sign * z ** (n + 1))
         mag = abs(base) * max(abs(z) ** (-n), abs(z) ** (n + 1))
@@ -112,7 +112,9 @@ def _half_nome_series(sign: int, z: complex, u: complex, pol: TruncationPolicy) 
             return total
         total += term
         scale = max(scale, mag)
-    raise NonconvergenceError("half-nome series did not converge within n_max terms")
+    raise NonconvergenceError(
+        f"half-nome series did not converge within {MAX_TERMS} terms"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -121,232 +123,202 @@ def _half_nome_series(sign: int, z: complex, u: complex, pol: TruncationPolicy) 
 # ---------------------------------------------------------------------------
 
 
-def _pairs_def(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_def(p: EvalPoint, nome: Nome):
     a, z, u = p["a"], p["z"], nome.u
-    return [(kappa(a, u * u * z, u, pol), a * kappa(a, z, u, pol) + theta(z, u, pol))]
+    return [(kappa(a, u * u * z, u), a * kappa(a, z, u) + theta(z, u))]
 
 
-def _pairs_inv(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_inv(p: EvalPoint, nome: Nome):
     a, z, u = p["a"], p["z"], nome.u
-    return [(kappa(a, z, u, pol), -kappa(1 / a, u * u / z, u, pol) / a)]
+    return [(kappa(a, z, u), -kappa(1 / a, u * u / z, u) / a)]
 
 
-def _pairs_def2(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_def2(p: EvalPoint, nome: Nome):
     a, z, u = p["a"], p["z"], nome.u
     q = u * u
-    lhs = kappa(q * a, z, u, pol)
+    lhs = kappa(q * a, z, u)
     return [
-        (lhs, z * kappa(a, q * z, u, pol) / u),
-        (lhs, (a * z * kappa(a, z, u, pol) + z * theta(z, u, pol)) / u),
+        (lhs, z * kappa(a, q * z, u) / u),
+        (lhs, (a * z * kappa(a, z, u) + z * theta(z, u)) / u),
     ]
 
 
-def _pairs_sym(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_sym(p: EvalPoint, nome: Nome):
     a, z, u = p["a"], p["z"], nome.u
-    return [
-        (a * kappa_bar(a, z, u, pol), -u * z * kappa_bar(-u * z, -a / u, u, pol))
-    ]
+    return [(a * kappa_bar(a, z, u), -u * z * kappa_bar(-u * z, -a / u, u))]
 
 
-def _pairs_sqrt(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_sqrt(p: EvalPoint, nome: Nome):
     z, v, u = p["z"], p["v"], nome.u
     pairs = []
     for s in (p["s"], -p["s"]):
         a = s * s
-        lhs = kappa_bar(a * z, 1 / z, u, pol)
-        c0 = vartheta0(1j * v * s * z, v, pol) / vartheta0(1j, v, pol)
-        c1 = vartheta1(1j * v * s * z, v, pol) / vartheta1(1j * v * v, v, pol)
-        rhs = c0 * kappa_bar(s / v, v * s, u, pol) + c1 * kappa_bar(v * s, s / v, u, pol)
+        lhs = kappa_bar(a * z, 1 / z, u)
+        c0 = vartheta0(1j * v * s * z, v) / vartheta0(1j, v)
+        c1 = vartheta1(1j * v * s * z, v) / vartheta1(1j * v * v, v)
+        rhs = c0 * kappa_bar(s / v, v * s, u) + c1 * kappa_bar(v * s, s / v, u)
         pairs.append((lhs, rhs))
     return pairs
 
 
-def _pairs_addf(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_addf(p: EvalPoint, nome: Nome):
     a, z, v, u = p["a"], p["z"], p["v"], nome.u
-    lhs = theta(z * a, u, pol) * theta(z / a, u, pol)
-    rhs = vartheta0(a, v, pol) * vartheta0(z, v, pol) + vartheta1(a, v, pol) * vartheta1(
-        z, v, pol
-    )
+    lhs = theta(z * a, u) * theta(z / a, u)
+    rhs = vartheta0(a, v) * vartheta0(z, v) + vartheta1(a, v) * vartheta1(z, v)
     return [(lhs, rhs)]
 
 
-def _hadd_lhs(a, b, z, u, pol):
-    return theta(b * z, u, pol) * kappa(a * b, z, u, pol) - theta(z, u, pol) * kappa(
-        a, b * z, u, pol
-    ) / b
+def _hadd_lhs(a, b, z, u):
+    return theta(b * z, u) * kappa(a * b, z, u) - theta(z, u) * kappa(a, b * z, u) / b
 
 
-def _pairs_hadd(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_hadd(p: EvalPoint, nome: Nome):
     a, b, z, u = p["a"], p["b"], p["z"], nome.u
-    rhs = (
-        theta(-u * b, u, pol)
-        * theta(z / a, u, pol)
-        / theta(-a / u, u, pol)
-        * kappa(a * b, -u, u, pol)
-    )
-    return [(_hadd_lhs(a, b, z, u, pol), rhs)]
+    rhs = theta(-u * b, u) * theta(z / a, u) / theta(-a / u, u) * kappa(a * b, -u, u)
+    return [(_hadd_lhs(a, b, z, u), rhs)]
 
 
-def _pairs_sp1(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_sp1(p: EvalPoint, nome: Nome):
     a, u = p["a"], nome.u
-    rhs = (
-        theta(1, u, pol)
-        * theta(-1, u, pol)
-        * theta(u, u, pol)
-        / (2 * theta(-a / u, u, pol))
-    )
-    return [(kappa(a, -u, u, pol), rhs)]
+    rhs = theta(1, u) * theta(-1, u) * theta(u, u) / (2 * theta(-a / u, u))
+    return [(kappa(a, -u, u), rhs)]
 
 
-def _pairs_hadd2(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_hadd2(p: EvalPoint, nome: Nome):
     a, b, z, u = p["a"], p["b"], p["z"], nome.u
     rhs = (
-        theta(1, u, pol)
-        * theta(-1, u, pol)
-        * theta(u, u, pol)
-        * theta(-u * b, u, pol)
-        * theta(z / a, u, pol)
-        / (2 * theta(-a / u, u, pol) * theta(-a * b / u, u, pol))
+        theta(1, u)
+        * theta(-1, u)
+        * theta(u, u)
+        * theta(-u * b, u)
+        * theta(z / a, u)
+        / (2 * theta(-a / u, u) * theta(-a * b / u, u))
     )
-    return [(_hadd_lhs(a, b, z, u, pol), rhs)]
+    return [(_hadd_lhs(a, b, z, u), rhs)]
 
 
-def _pairs_hadd3(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_hadd3(p: EvalPoint, nome: Nome):
     a, z, u = p["a"], p["z"], nome.u
-    lhs = kappa(a, z, u, pol)
-    rhs = (u / a) * theta(z, u, pol) / theta(a * z / u, u, pol) * kappa(
-        u, a * z / u, u, pol
-    ) + theta(1, u, pol) * theta(u, u, pol) * theta(-a, u, pol) * theta(
-        z / u, u, pol
-    ) / (2 * theta(-a / u, u, pol) * theta(a * z / u, u, pol))
+    lhs = kappa(a, z, u)
+    rhs = (u / a) * theta(z, u) / theta(a * z / u, u) * kappa(u, a * z / u, u) + (
+        theta(1, u) * theta(u, u) * theta(-a, u) * theta(z / u, u)
+    ) / (2 * theta(-a / u, u) * theta(a * z / u, u))
     return [(lhs, rhs)]
 
 
-def _pairs_sp2(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_sp2(p: EvalPoint, nome: Nome):
     u = nome.u
-    return [(kappa(-u, -u, u, pol), 0.5 * theta(-1, u, pol) * theta(u, u, pol))]
+    return [(kappa(-u, -u, u), 0.5 * theta(-1, u) * theta(u, u))]
 
 
-def _pairs_sp3(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_sp3(p: EvalPoint, nome: Nome):
     u = nome.u
-    return [(kappa(-1, -u, u, pol), 0.5 * theta(1, u, pol) * theta(-1, u, pol))]
+    return [(kappa(-1, -u, u), 0.5 * theta(1, u) * theta(-1, u))]
 
 
-def _pairs_sp4(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_sp4(p: EvalPoint, nome: Nome):
     u = nome.u
     return [
-        (kappa(-1, 1, u, pol), 0.5 * theta(1, u, pol)),
-        (kappa(-1, -1, u, pol), 0.5 * theta(-1, u, pol)),
+        (kappa(-1, 1, u), 0.5 * theta(1, u)),
+        (kappa(-1, -1, u), 0.5 * theta(-1, u)),
     ]
 
 
-def _pairs_sp5(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_sp5(p: EvalPoint, nome: Nome):
     u = nome.u
-    half = 0.5 * theta(u, u, pol)
-    return [(kappa(u, u, u, pol), half), (kappa(-u, u, u, pol), half)]
+    half = 0.5 * theta(u, u)
+    return [(kappa(u, u, u), half), (kappa(-u, u, u), half)]
 
 
-def _pairs_halfser_p(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_halfser_p(p: EvalPoint, nome: Nome):
     z, u = p["z"], nome.u
-    return [(kappa(u, z, u, pol), _half_nome_series(-1, z, u, pol))]
+    return [(kappa(u, z, u), _half_nome_series(-1, z, u))]
 
 
-def _pairs_halfser_m(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_halfser_m(p: EvalPoint, nome: Nome):
     z, u = p["z"], nome.u
-    return [(kappa(-u, z, u, pol), _half_nome_series(1, z, u, pol))]
+    return [(kappa(-u, z, u), _half_nome_series(1, z, u))]
 
 
-def _pairs_id4(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_id4(p: EvalPoint, nome: Nome):
     b, u = p["b"], nome.u
-    lhs = 2 * kappa(u / b, u * b, u, pol)
-    rhs = theta(b / u, u, pol) + theta(1, u, pol) * theta(b, u, pol) * theta(
-        -u / b, u, pol
-    ) / theta(-b, u, pol)
+    lhs = 2 * kappa(u / b, u * b, u)
+    rhs = theta(b / u, u) + theta(1, u) * theta(b, u) * theta(-u / b, u) / theta(-b, u)
     return [(lhs, rhs)]
 
 
-def _pairs_id5sum(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_id5sum(p: EvalPoint, nome: Nome):
     b, u = p["b"], nome.u
-    rhs = (
-        theta(u, u, pol)
-        * theta(b / u, u, pol)
-        * theta(-b / u, u, pol)
-        / (2 * theta(-b, u, pol))
-    )
-    return [(kappa(u / b, b, u, pol), rhs)]
+    rhs = theta(u, u) * theta(b / u, u) * theta(-b / u, u) / (2 * theta(-b, u))
+    return [(kappa(u / b, b, u), rhs)]
 
 
-def _pairs_id5prod(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_id5prod(p: EvalPoint, nome: Nome):
     b, u = p["b"], nome.u
     q = u * u
     rhs = (
-        qpochhammer(q, q, pol) ** 2
-        * qpochhammer(-q, q, pol) ** 2
-        * qpochhammer(-b, q, pol)
-        * qpochhammer(-q / b, q, pol)
-        * qpochhammer(b, q, pol)
-        * qpochhammer(q / b, q, pol)
-    ) / (qpochhammer(u * b, q, pol) * qpochhammer(u / b, q, pol))
-    return [(kappa(u / b, b, u, pol), rhs)]
+        qpochhammer(q, q) ** 2
+        * qpochhammer(-q, q) ** 2
+        * qpochhammer(-b, q)
+        * qpochhammer(-q / b, q)
+        * qpochhammer(b, q)
+        * qpochhammer(q / b, q)
+    ) / (qpochhammer(u * b, q) * qpochhammer(u / b, q))
+    return [(kappa(u / b, b, u), rhs)]
 
 
-def _pairs_id55(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_id55(p: EvalPoint, nome: Nome):
     a, z, u = p["a"], p["z"], nome.u
-    lhs = theta(-z, u, pol) * kappa(a, z, u, pol) + theta(z, u, pol) * kappa(
-        -a, -z, u, pol
-    )
+    lhs = theta(-z, u) * kappa(a, z, u) + theta(z, u) * kappa(-a, -z, u)
     rhs = (
-        theta(u, u, pol) ** 2
-        * theta(1, u, pol)
-        * theta(-1, u, pol)
-        * theta(-z / a, u, pol)
-        / (2 * theta(u / a, u, pol) * theta(-u / a, u, pol))
+        theta(u, u) ** 2
+        * theta(1, u)
+        * theta(-1, u)
+        * theta(-z / a, u)
+        / (2 * theta(u / a, u) * theta(-u / a, u))
     )
     return [(lhs, rhs)]
 
 
-def _pairs_id6(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_id6(p: EvalPoint, nome: Nome):
     b, u = p["b"], nome.u
-    lhs = theta(u, u, pol) ** 2 * theta(-b, u, pol) * kappa(u / b, -b, u, pol)
-    rhs = theta(u / b, u, pol) ** 2 * theta(-1, u, pol) * kappa(u, -1, u, pol) + theta(
-        -u / b, u, pol
-    ) ** 2 * theta(1, u, pol) * kappa(-u, 1, u, pol)
-    return [(lhs, rhs)]
-
-
-def _pairs_for1(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
-    u = nome.u
-    lhs = theta(1, u, pol) * kappa(u, -1, u, pol) + theta(-1, u, pol) * kappa(
-        -u, 1, u, pol
-    )
-    return [(lhs, 0.5 * theta(u, u, pol) ** 3)]
-
-
-def _pairs_for2(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
-    u = nome.u
-    lhs = theta(u, u, pol) ** 3 * kappa(-1, u, u, pol)
-    rhs = theta(-1, u, pol) ** 3 * kappa(u, -1, u, pol) + theta(1, u, pol) ** 3 * kappa(
-        -u, 1, u, pol
+    lhs = theta(u, u) ** 2 * theta(-b, u) * kappa(u / b, -b, u)
+    rhs = (
+        theta(u / b, u) ** 2 * theta(-1, u) * kappa(u, -1, u)
+        + theta(-u / b, u) ** 2 * theta(1, u) * kappa(-u, 1, u)
     )
     return [(lhs, rhs)]
 
 
-def _pairs_jac(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_for1(p: EvalPoint, nome: Nome):
     u = nome.u
-    lhs = dtheta_dz(-1 / u, u, pol) / u
-    rhs = 0.5 * theta(1, u, pol) * theta(-1, u, pol) * theta(u, u, pol)
+    lhs = theta(1, u) * kappa(u, -1, u) + theta(-1, u) * kappa(-u, 1, u)
+    return [(lhs, 0.5 * theta(u, u) ** 3)]
+
+
+def _pairs_for2(p: EvalPoint, nome: Nome):
+    u = nome.u
+    lhs = theta(u, u) ** 3 * kappa(-1, u, u)
+    rhs = theta(-1, u) ** 3 * kappa(u, -1, u) + theta(1, u) ** 3 * kappa(-u, 1, u)
     return [(lhs, rhs)]
 
 
-def _pairs_quasi(p: EvalPoint, nome: Nome, pol: TruncationPolicy):
+def _pairs_jac(p: EvalPoint, nome: Nome):
+    u = nome.u
+    lhs = dtheta_dz(-1 / u, u) / u
+    rhs = 0.5 * theta(1, u) * theta(-1, u) * theta(u, u)
+    return [(lhs, rhs)]
+
+
+def _pairs_quasi(p: EvalPoint, nome: Nome):
     u = nome.u
     tau = cmath.log(u) / (1j * math.pi)
     x0 = (tau + 1.0) / 2.0
-    base = kappa0(x0, tau, pol)
+    base = kappa0(x0, tau)
     pairs = []
     for m in range(-2, 3):
         for n in range(-2, 3):
-            lhs = kappa0(x0 + m + n * tau, tau, pol)
+            lhs = kappa0(x0 + m + n * tau, tau)
             rhs = cmath.exp(1j * math.pi * n * (tau + 1.0)) * base
             pairs.append((lhs, rhs))
     return pairs
@@ -620,12 +592,7 @@ def get_identity(identity_id: str) -> IdentityDef:
         ) from None
 
 
-def identity_residual(
-    identity_id: str,
-    point: EvalPoint,
-    nome: Nome,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> ResidualReport:
+def identity_residual(identity_id: str, point: EvalPoint, nome: Nome) -> ResidualReport:
     """Evaluate both sides of the named identity at (point, nome) and report
     the worst relative residual among its (lhs, rhs) pairs.
 
@@ -637,7 +604,7 @@ def identity_residual(
         raise DomainError(
             f"point {bindings} violates the sampling guard of {identity_id}"
         )
-    pairs = ident.pairs(point, nome, pol)
+    pairs = ident.pairs(point, nome)
     return ResidualReport.from_pairs(identity_id, point, nome, pairs)
 
 
@@ -678,29 +645,22 @@ def sample_points(
 
 
 def max_residual_over_samples(
-    identity_id: str,
-    count: int = 100,
-    seed: int = 0,
-    pol: TruncationPolicy = DEFAULT_POLICY,
+    identity_id: str, count: int = 100, seed: int = 0
 ) -> ResidualReport:
     """Worst-case ResidualReport for the identity over deterministic samples."""
     ident = get_identity(identity_id)
     worst: ResidualReport | None = None
     for point, nome in sample_points(ident.domain, count, seed):
-        report = identity_residual(identity_id, point, nome, pol)
+        report = identity_residual(identity_id, point, nome)
         if worst is None or report.rel_residual > worst.rel_residual:
             worst = report
     assert worst is not None
     return worst
 
 
-def verify_registry(
-    count: int = 100,
-    seed: int = 0,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> dict[str, ResidualReport]:
+def verify_registry(count: int = 100, seed: int = 0) -> dict[str, ResidualReport]:
     """Worst residual per registry identity, keyed by identifier (sorted)."""
     return {
-        identity_id: max_residual_over_samples(identity_id, count, seed, pol)
+        identity_id: max_residual_over_samples(identity_id, count, seed)
         for identity_id in registry_ids()
     }

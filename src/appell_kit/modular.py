@@ -32,14 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from appell_kit.numeric import (
-    DEFAULT_POLICY,
-    DomainError,
-    TruncationPolicy,
-    kappa,
-    theta,
-    theta_scale,
-)
+from appell_kit.numeric import DomainError, kappa, theta, theta_scale
 
 #: Convergence guard for divisibility checks: both tau and gamma.tau must
 #: satisfy Im tau >= MIN_IM_TAU, i.e. |u| <= exp(-0.1*pi) ~ 0.73, which keeps
@@ -204,13 +197,13 @@ def _nome_from_tau(tau: complex) -> complex:
     return u
 
 
-def theta_additive(x: complex, tau: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta_additive(x: complex, tau: complex) -> complex:
     """theta in additive coordinates: theta(exp(2*pi*i*x), exp(pi*i*tau))."""
     u = _nome_from_tau(tau)
-    return theta(cmath.exp(2j * math.pi * x), u, pol)
+    return theta(cmath.exp(2j * math.pi * x), u)
 
 
-def kappa0(x: complex, tau: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def kappa0(x: complex, tau: complex) -> complex:
     """The normalized Appell value exp(3*pi*i*tau/4) * kappa(a, z, u) at the
     2-torsion parameter a = exp(pi*i*(tau+1)) = -u, z = exp(2*pi*i*x).
 
@@ -218,7 +211,7 @@ def kappa0(x: complex, tau: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> 
     guards apply."""
     u = _nome_from_tau(tau)
     z = cmath.exp(2j * math.pi * x)
-    return cmath.exp(0.75j * math.pi * tau) * kappa(-u, z, u, pol)
+    return cmath.exp(0.75j * math.pi * tau) * kappa(-u, z, u)
 
 
 def gamma_zero_index(gamma: GammaElement, index: ThetaZeroIndex) -> ThetaZeroIndex:
@@ -240,9 +233,7 @@ def gamma_zero_index(gamma: GammaElement, index: ThetaZeroIndex) -> ThetaZeroInd
     return ThetaZeroIndex(m2, n2)
 
 
-def kappa0_at_zero(
-    index: ThetaZeroIndex, tau: complex, pol: TruncationPolicy = DEFAULT_POLICY
-) -> complex:
+def kappa0_at_zero(index: ThetaZeroIndex, tau: complex) -> complex:
     """kappa0 at the theta zero (tau+1)/2 + m + n*tau, evaluated through the
     quasi-periodicity law kappa0(x0 + m + n*tau) = exp(pi*i*n*(tau+1))
     * kappa0(x0).
@@ -253,7 +244,7 @@ def kappa0_at_zero(
     precision to cancellation, so raw evaluation is useless beyond |n| ~ 4."""
     x0 = (tau + 1.0) / 2.0
     phase = cmath.exp(1j * math.pi * index.n * (tau + 1.0))
-    return phase * kappa0(x0, tau, pol)
+    return phase * kappa0(x0, tau)
 
 
 def _require_divisibility_domain(gamma: GammaElement, tau: complex) -> complex:
@@ -272,12 +263,7 @@ def _require_divisibility_domain(gamma: GammaElement, tau: complex) -> complex:
     return gtau
 
 
-def modular_defect(
-    gamma: GammaElement,
-    x: complex,
-    tau: complex,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
+def modular_defect(gamma: GammaElement, x: complex, tau: complex) -> complex:
     """D(x) = kappa0(x/(c tau+d), gamma.tau) - zeta_sq^-1 chi^-1 (c tau+d)
     exp(pi*i*(1/(c tau+d) - 1) x) kappa0(x, tau).
 
@@ -285,13 +271,13 @@ def modular_defect(
     multiple of theta(x, tau)."""
     gtau = _require_divisibility_domain(gamma, tau)
     denom = gamma.c * tau + gamma.d
-    lead = kappa0(x / denom, gtau, pol)
+    lead = kappa0(x / denom, gtau)
     trail = (
         1.0
         / (zeta_sq(gamma) * chi(gamma))
         * denom
         * cmath.exp(1j * math.pi * (1.0 / denom - 1.0) * x)
-        * kappa0(x, tau, pol)
+        * kappa0(x, tau)
     )
     return lead - trail
 
@@ -300,7 +286,6 @@ def divisibility_residual(
     gamma: GammaElement,
     tau: complex,
     zeros: tuple[ThetaZeroIndex, ...] | None = None,
-    pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """Max over the zero grid of |D(x)| / max(1, |terms|), where x runs over
     theta zeros (tau+1)/2 + m + n*tau.  Small residuals witness divisibility
@@ -317,8 +302,8 @@ def divisibility_residual(
         zeros = zero_grid(1)
     denom = gamma.c * tau + gamma.d
     char = 1.0 / (zeta_sq(gamma) * chi(gamma))
-    base_lead = kappa0((gtau + 1.0) / 2.0, gtau, pol)
-    base_trail = kappa0((tau + 1.0) / 2.0, tau, pol)
+    base_lead = kappa0((gtau + 1.0) / 2.0, gtau)
+    base_trail = kappa0((tau + 1.0) / 2.0, tau)
     worst = 0.0
     for index in zeros:
         x = theta_zero(index, tau)
@@ -336,12 +321,7 @@ def divisibility_residual(
     return worst
 
 
-def phi_gamma(
-    gamma: GammaElement,
-    x: complex,
-    tau: complex,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
+def phi_gamma(gamma: GammaElement, x: complex, tau: complex) -> complex:
     """The quotient exp(-3*pi*i*gamma.tau/4) * D(x) / theta(x, tau): the
     unique value completing the transformation law of kappa0 at (x, tau).
 
@@ -349,11 +329,11 @@ def phi_gamma(
     gtau = _require_divisibility_domain(gamma, tau)
     u = _nome_from_tau(tau)
     z = cmath.exp(2j * math.pi * x)
-    th = theta(z, u, pol)
-    floor = 1e-6 * theta_scale(z, u, pol)
+    th = theta(z, u)
+    floor = 1e-6 * theta_scale(z, u)
     if abs(th) <= floor:
         raise DomainError(
             f"theta(x, tau) = {th:.3e} is within 1e-6 of its scale {floor:.3e}; "
             "x is too close to a theta zero for the quotient"
         )
-    return modular_defect(gamma, x, tau, pol) * cmath.exp(-0.75j * math.pi * gtau) / th
+    return modular_defect(gamma, x, tau) * cmath.exp(-0.75j * math.pi * gtau) / th

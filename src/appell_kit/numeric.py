@@ -7,17 +7,26 @@ time.  The quarter-nome variants (vartheta0, vartheta1) take their own
 nome argument v with q = v**4 for the same reason.
 
 All series are bilateral sums over n in Z, summed symmetrically outward
-from n = 0 with a term-size stopping rule controlled by TruncationPolicy.
+from n = 0.  They converge absolutely for every 0 < |u| < 1, so truncation
+is a fixed stopping rule rather than a parameter: a series stops once its
+next terms fall below TERM_EPS times the largest term seen, and gives up
+with NonconvergenceError after MAX_TERMS terms.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+import math
+from dataclasses import dataclass
+from typing import Mapping
 
 
 POLE_GUARD = 1e-8
+
+#: Stopping rule of every series: relative size of the first neglected
+#: terms, and the number of terms after which a series is refused.
+TERM_EPS = 1e-16
+MAX_TERMS = 200
 
 
 class DomainError(ValueError):
@@ -29,25 +38,7 @@ class PoleProximityError(DomainError):
 
 
 class NonconvergenceError(ArithmeticError):
-    """A series failed to meet the truncation policy within n_max terms."""
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Stopping rule for the bilateral series: terms are added until the
-    next term magnitude falls below eps_term times the running scale."""
-
-    eps_term: float = 1e-16
-    n_max: int = 200
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps_term < 1.0):
-            raise DomainError("eps_term must lie in (0, 1)")
-        if self.n_max < 4:
-            raise DomainError("n_max must be at least 4")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+    """A series did not meet the stopping rule within its term budget."""
 
 
 @dataclass(frozen=True)
@@ -145,14 +136,14 @@ def _check_finite(total: complex, name: str) -> complex:
     return total
 
 
-def theta(z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta(z: complex, u: complex) -> complex:
     """Theta series sum_n u**(n*n) * z**n at nome q = u**2.
 
     Quasi-periodic: theta(q*z) = theta(z)/(u*z); zeros lie on -u * q**Z.
     """
     _require_nome(u)
     _require_nonzero(z, "z")
-    eps, n_max = pol.eps_term, pol.n_max
+    eps = TERM_EPS
     total = 1.0 + 0.0j
     scale = 1.0
     u_sq = u * u
@@ -160,7 +151,7 @@ def theta(z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> com
     odd = u
     zp = 1.0 + 0.0j
     zm = 1.0 + 0.0j
-    for n in range(1, n_max + 1):
+    for n in range(1, MAX_TERMS + 1):
         pw *= odd
         odd *= u_sq
         zp *= z
@@ -176,30 +167,30 @@ def theta(z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> com
             scale = ap
         if am > scale:
             scale = am
-    raise NonconvergenceError("theta did not converge within n_max terms")
+    raise NonconvergenceError(f"theta did not converge within {MAX_TERMS} terms")
 
 
-def theta_scale(z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> float:
+def theta_scale(z: complex, u: complex) -> float:
     """Sum of absolute term magnitudes of theta(z, u); the natural scale
     for deciding whether a computed theta value is suspiciously small."""
-    return theta(abs(z), abs(u), pol).real
+    return theta(abs(z), abs(u)).real
 
 
-def theta2(z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta2(z: complex, u: complex) -> complex:
     """Theta series at the squared nome: sum_n u**(2*n*n) * z**n = theta(z, u**2)."""
     _require_nome(u)
-    return theta(z, u * u, pol)
+    return theta(z, u * u)
 
 
-def vartheta0(z: complex, v: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def vartheta0(z: complex, v: complex) -> complex:
     """Even half-period theta sum_n q**(n*n) * z**(2n) at q = v**4."""
     _require_nome(v)
     _require_nonzero(z, "z")
     v_sq = v * v
-    return theta(z * z, v_sq * v_sq, pol)
+    return theta(z * z, v_sq * v_sq)
 
 
-def vartheta1(z: complex, v: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def vartheta1(z: complex, v: complex) -> complex:
     """Odd half-period theta sum_n v**((2n+1)**2) * z**(2n+1) at q = v**4.
 
     Terms for n and -(n+1) share the exponent (2n+1)**2, so the sum runs
@@ -207,7 +198,7 @@ def vartheta1(z: complex, v: complex, pol: TruncationPolicy = DEFAULT_POLICY) ->
     """
     _require_nome(v)
     _require_nonzero(z, "z")
-    eps, n_max = pol.eps_term, pol.n_max
+    eps = TERM_EPS
     total = 0.0 + 0.0j
     scale = 0.0
     pw = v  # v**((2m+1)**2), advanced by v**(8m+8)
@@ -216,7 +207,7 @@ def vartheta1(z: complex, v: complex, pol: TruncationPolicy = DEFAULT_POLICY) ->
     zp = z
     zm = 1.0 / z
     z_sq = z * z
-    for m in range(0, n_max + 1):
+    for m in range(0, MAX_TERMS + 1):
         tp = pw * zp
         tm = pw * zm
         ap = abs(tp)
@@ -232,17 +223,17 @@ def vartheta1(z: complex, v: complex, pol: TruncationPolicy = DEFAULT_POLICY) ->
         step *= v8
         zp *= z_sq
         zm /= z_sq
-    raise NonconvergenceError("vartheta1 did not converge within n_max terms")
+    raise NonconvergenceError(f"vartheta1 did not converge within {MAX_TERMS} terms")
 
 
-def dtheta_dz(z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def dtheta_dz(z: complex, u: complex) -> complex:
     """Argument derivative sum_n n * u**(n*n) * z**(n-1) of theta.
 
     The n and -n terms are paired so dtheta_dz(1, u) cancels exactly.
     """
     _require_nome(u)
     _require_nonzero(z, "z")
-    eps, n_max = pol.eps_term, pol.n_max
+    eps = TERM_EPS
     total = 0.0 + 0.0j
     scale = 0.0
     u_sq = u * u
@@ -250,7 +241,7 @@ def dtheta_dz(z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) ->
     odd = u
     zp = 1.0 + 0.0j  # z**(n-1)
     zm = 1.0 / (z * z)  # z**(-n-1)
-    for n in range(1, n_max + 1):
+    for n in range(1, MAX_TERMS + 1):
         pw *= odd
         odd *= u_sq
         tp = n * pw * zp
@@ -266,10 +257,10 @@ def dtheta_dz(z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) ->
             scale = am
         zp *= z
         zm /= z
-    raise NonconvergenceError("dtheta_dz did not converge within n_max terms")
+    raise NonconvergenceError(f"dtheta_dz did not converge within {MAX_TERMS} terms")
 
 
-def kappa(a: complex, z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def kappa(a: complex, z: complex, u: complex) -> complex:
     """Appell-Lerch sum sum_n u**(n*n) * z**n / (u**(2n) - a) at q = u**2.
 
     Poles in the parameter a sit on q**Z; every denominator actually used
@@ -278,7 +269,7 @@ def kappa(a: complex, z: complex, u: complex, pol: TruncationPolicy = DEFAULT_PO
     _require_nome(u)
     _require_nonzero(z, "z")
     _require_nonzero(a, "a")
-    eps, n_max = pol.eps_term, pol.n_max
+    eps = TERM_EPS
     guard = POLE_GUARD * max(1.0, abs(a))
     d0 = 1.0 - a
     if abs(d0) < guard:
@@ -292,7 +283,7 @@ def kappa(a: complex, z: complex, u: complex, pol: TruncationPolicy = DEFAULT_PO
     um = 1.0 + 0.0j  # u**(-2n)
     zp = 1.0 + 0.0j
     zm = 1.0 + 0.0j
-    for n in range(1, n_max + 1):
+    for n in range(1, MAX_TERMS + 1):
         pw *= odd
         odd *= u_sq
         up *= u_sq
@@ -316,29 +307,49 @@ def kappa(a: complex, z: complex, u: complex, pol: TruncationPolicy = DEFAULT_PO
             scale = ap
         if am > scale:
             scale = am
-    raise NonconvergenceError("kappa did not converge within n_max terms")
+    raise NonconvergenceError(f"kappa did not converge within {MAX_TERMS} terms")
 
 
-def kappa_bar(a: complex, z: complex, u: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def kappa_bar(a: complex, z: complex, u: complex) -> complex:
     """Normalized variant theta(-a/u) * kappa(a, z): holomorphic in a across
     the kappa poles, but still guarded numerically by POLE_GUARD."""
-    return theta(-a / u, u, pol) * kappa(a, z, u, pol)
+    return theta(-a / u, u) * kappa(a, z, u)
 
 
-def qpochhammer(x: complex, q: complex, pol: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qpochhammer(x: complex, q: complex) -> complex:
     """Infinite product prod_{k>=0} (1 - x * q**k), truncated once
-    |x * q**k| < eps_term."""
+    |x * q**k| < TERM_EPS.
+
+    The factor terms shrink geometrically, so the factor budget comes from
+    the inputs: |x| * |q|**k falls below TERM_EPS once k reaches
+    log(TERM_EPS / |x|) / log|q|, plus a margin for rounding in the running
+    power.  A budget above MAX_TERMS**2 factors is refused at once: such a
+    |q| lies closer to 1 than theta's own term budget reaches."""
     if not abs(q) < 1.0:
         raise DomainError(f"qpochhammer requires |q| < 1, got |q| = {abs(q)}")
-    eps, n_max = pol.eps_term, pol.n_max
-    prod = 1.0 + 0.0j
     f = complex(x)
-    for _ in range(n_max + 1):
+    if not cmath.isfinite(f):
+        raise DomainError(f"qpochhammer requires a finite x, got {x}")
+    eps = TERM_EPS
+    r, rq = abs(f), abs(q)
+    if r < eps or rq == 0.0:
+        budget = 1
+    else:
+        budget = math.ceil((math.log(eps) - math.log(r)) / math.log(rq)) + 2
+    if budget > MAX_TERMS * MAX_TERMS:
+        raise NonconvergenceError(
+            f"qpochhammer needs {budget} factors at |q| = {rq}, "
+            f"more than {MAX_TERMS * MAX_TERMS}"
+        )
+    prod = 1.0 + 0.0j
+    for _ in range(budget + 1):
         if abs(f) < eps:
             return _check_finite(prod, "qpochhammer")
         prod *= 1.0 - f
         f *= q
-    raise NonconvergenceError("qpochhammer did not converge within n_max factors")
+    raise NonconvergenceError(
+        f"qpochhammer did not converge within {budget} factors"
+    )
 
 
 def near_power_orbit(

@@ -158,6 +158,13 @@ def test_eval_bad_complex_literal(capsys):
     assert code == 2
 
 
+def test_eval_nonconvergence_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "theta", "--z", "5", "--u", "0.999")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_qseries_triangular_counts(capsys):
     code, out, _ = run_cli(capsys, "qseries", "t3", "--order", "7")
     assert code == 0

@@ -11,18 +11,17 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from appell_kit.numeric import (
-    DEFAULT_POLICY,
     DomainError,
     EvalPoint,
     Nome,
     NonconvergenceError,
     PoleProximityError,
     ResidualReport,
-    TruncationPolicy,
     dtheta_dz,
     kappa,
     kappa_bar,
@@ -110,15 +109,31 @@ def test_dtheta_dz_finite_difference():
     assert abs(dtheta_dz(z, u) - fd) <= 1e-6
 
 
-def test_truncation_policy_stability():
-    """Tightening n_max or loosening eps within reason must not move values."""
-    z, u = 1.4 - 0.3j, 0.55
-    loose = theta(z, u, TruncationPolicy(eps_term=1e-14, n_max=150))
-    tight = theta(z, u, TruncationPolicy(eps_term=1e-16, n_max=400))
-    assert abs(loose - tight) <= 1e-11 * max(1.0, abs(tight))
-    k_loose = kappa(0.7 + 0.4j, z, u, TruncationPolicy(eps_term=1e-14, n_max=150))
-    k_tight = kappa(0.7 + 0.4j, z, u, TruncationPolicy(eps_term=1e-16, n_max=400))
-    assert abs(k_loose - k_tight) <= 1e-11 * max(1.0, abs(k_tight))
+def _reference_sum(term, n_range=80):
+    """50-digit sum of term(n) over |n| <= n_range, and the sum of |term(n)|."""
+    with mpmath.workdps(50):
+        terms = [term(n) for n in range(-n_range, n_range + 1)]
+        return complex(mpmath.fsum(terms)), float(mpmath.fsum(abs(t) for t in terms))
+
+
+def test_truncation_forward_error():
+    """The stopping rule loses nothing measurable: theta and kappa agree with
+    a direct 50-digit sum, error scaled by the sum of term magnitudes."""
+    z, u, a = 1.4 - 0.3j, 0.55, 0.7 + 0.4j
+    mz, mu, ma = mpmath.mpc(z), mpmath.mpf(u), mpmath.mpc(a)
+    ref, scale = _reference_sum(lambda n: mu ** (n * n) * mz**n)
+    assert abs(theta(z, u) - ref) <= 1e-12 * scale
+    ref, scale = _reference_sum(lambda n: mu ** (n * n) * mz**n / (mu ** (2 * n) - ma))
+    assert abs(kappa(a, z, u) - ref) <= 1e-12 * scale
+
+
+def test_qpochhammer_factor_budget_follows_nome():
+    """At |q| = 0.9025 the product needs about 360 factors, more than the
+    series term budget; the value matches a direct 50-digit product."""
+    x, q = 2, 0.9025
+    with mpmath.workdps(50):
+        ref = complex(mpmath.fprod(1 - x * mpmath.mpf(q) ** k for k in range(1000)))
+    assert abs(qpochhammer(x, q) - ref) <= 1e-12 * abs(ref)
 
 
 def test_kappa_pole_guard_trips():
@@ -152,18 +167,18 @@ def test_domain_validation_errors():
     with pytest.raises(DomainError):
         qpochhammer(0.5, 1.2)
     with pytest.raises(DomainError):
+        qpochhammer(float("inf"), 0.5)
+    with pytest.raises(DomainError):
         Nome(1.2)
     with pytest.raises(DomainError):
         EvalPoint({"a": 0.0})
-    with pytest.raises(DomainError):
-        TruncationPolicy(eps_term=2.0)
-    with pytest.raises(DomainError):
-        TruncationPolicy(n_max=2)
 
 
 def test_nonconvergence_raises():
     with pytest.raises(NonconvergenceError):
-        theta(1.0, 0.97, TruncationPolicy(eps_term=1e-16, n_max=10))
+        theta(1.0, 0.9999)
+    with pytest.raises(NonconvergenceError):
+        qpochhammer(0.5, 0.99999999)  # would need about 3.6e9 factors
 
 
 def test_residual_report_picks_worst_pair():
