@@ -12,6 +12,11 @@ first (the ones mixing u**(1/2) arguments and quotients of near-cancelling
 theta values), while everything stays comfortably below 1e-9 inside the
 default sampling window |u| <= 0.75.
 
+A window that the kernel or the sampler refuses (a DomainError, which
+includes NonReachableGuardError, or a NonconvergenceError) becomes a row
+whose worst_residual is ``refused``; the reason goes to stderr and the
+survey carries on.
+
 Usage:
     python scripts/residual_survey.py [--samples 40] [--seed 0]
         [--windows 0.05:0.75:7] [--ids DEF,INV,...] [--out survey.csv]
@@ -22,17 +27,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 
 from appell_kit import identities
-
-
-@dataclass(frozen=True)
-class SurveyConfig:
-    ids: tuple[str, ...]
-    windows: tuple[tuple[float, float], ...]
-    samples: int = 40
-    seed: int = 0
+from appell_kit.numeric import DomainError, NonconvergenceError
 
 
 def parse_windows(spec: str) -> tuple[tuple[float, float], ...]:
@@ -45,19 +42,22 @@ def parse_windows(spec: str) -> tuple[tuple[float, float], ...]:
     return tuple((lo + k * step, lo + (k + 1) * step) for k in range(n))
 
 
-def survey_rows(config: SurveyConfig):
-    """Yield (identity_id, u_lo, u_hi, samples, worst_residual) tuples."""
-    for identity_id in config.ids:
+def survey_rows(ids, windows, samples: int, seed: int):
+    """Yield (identity_id, u_lo, u_hi, samples, worst_residual, refusal)
+    tuples; a refused window has worst_residual None and its exception."""
+    for identity_id in ids:
         ident = identities.get_identity(identity_id)
-        for lo, hi in config.windows:
+        for lo, hi in windows:
             domain = dataclasses.replace(ident.domain, u_abs_range=(lo, hi))
             worst = 0.0
-            for point, nome in identities.sample_points(
-                domain, config.samples, config.seed
-            ):
-                report = identities.identity_residual(identity_id, point, nome)
-                worst = max(worst, report.rel_residual)
-            yield identity_id, lo, hi, config.samples, worst
+            try:
+                for point, nome in identities.sample_points(domain, samples, seed):
+                    report = identities.identity_residual(identity_id, point, nome)
+                    worst = max(worst, report.rel_residual)
+            except (DomainError, NonconvergenceError) as exc:
+                yield identity_id, lo, hi, samples, None, exc
+            else:
+                yield identity_id, lo, hi, samples, worst, None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,12 +73,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     ids = tuple(args.ids.split(",")) if args.ids else identities.registry_ids()
-    config = SurveyConfig(
-        ids=ids, windows=args.windows, samples=args.samples, seed=args.seed
-    )
     lines = ["identity,u_lo,u_hi,samples,worst_residual"]
-    for identity_id, lo, hi, samples, worst in survey_rows(config):
-        lines.append(f"{identity_id},{lo:.4f},{hi:.4f},{samples},{worst:.6e}")
+    rows = survey_rows(ids, args.windows, args.samples, args.seed)
+    for identity_id, lo, hi, samples, worst, refusal in rows:
+        if refusal is not None:
+            print(f"{identity_id} [{lo:.4f}, {hi:.4f}] refused: {refusal}", file=sys.stderr)
+        cell = "refused" if worst is None else f"{worst:.6e}"
+        lines.append(f"{identity_id},{lo:.4f},{hi:.4f},{samples},{cell}")
     text = "\n".join(lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -22,8 +22,6 @@ tensor(F_{ab}, L) factor in the explicit three-element section basis
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,6 +31,8 @@ from appell_kit.numeric import (
     EvalPoint,
     Nome,
     ResidualReport,
+    annulus_point,
+    guarded_sample,
     kappa,
     near_power_orbit,
     theta,
@@ -483,15 +483,9 @@ def sample_z_points(
     theta(z) and the theta2 gauge denominators vanish."""
     rng = random.Random(seed)
     lo, hi = radius_range
-    out: list[complex] = []
-    while len(out) < count:
-        z = cmath.rect(
-            math.exp(rng.uniform(math.log(lo), math.log(hi))),
-            rng.uniform(0.0, 2.0 * math.pi),
-        )
-        if near_power_orbit(z, u, sign=-1, parity=1, tol=1e-3):
-            continue
-        if near_power_orbit(z, u, sign=1, parity=1, tol=1e-3):
-            continue
-        out.append(z)
-    return out
+    return guarded_sample(
+        lambda: annulus_point(rng, lo, hi),
+        lambda z: not near_power_orbit(z, u, sign=-1, parity=1, tol=1e-3)
+        and not near_power_orbit(z, u, sign=1, parity=1, tol=1e-3),
+        count,
+    )

@@ -11,7 +11,6 @@ domain error (bad arguments, parameters outside the numeric domain).
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -24,6 +23,8 @@ from appell_kit import bundles, identities, modular, qexact
 from appell_kit.numeric import (
     DomainError,
     NonconvergenceError,
+    annulus_point,
+    guarded_sample,
     kappa,
     kappa_bar,
     near_power_orbit,
@@ -57,11 +58,36 @@ def format_value(value: complex) -> str:
     return f"{re:.15g}{sign}{abs(im):.15g}j"
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, like a domain error, and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _default_seed() -> int:
     try:
         return int(os.environ.get("APPELL_KIT_SEED", "0"))
     except ValueError:
         return 0
+
+
+def _emit_json(payload: dict, out_path: str | None) -> None:
+    _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), out_path)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -73,24 +99,25 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _record(
-    record_id: str, kind: str, worst: float, tolerance: float, detail: str = ""
+    record_id: str,
+    kind: str,
+    worst: float | None,
+    tolerance: float | None,
+    detail: str = "",
+    passed: bool | None = None,
 ) -> dict:
+    """One report row.  A measured record passes when its worst residual is
+    below tolerance; a non-finite worst (no valid evaluation) is written as
+    null and fails.  Exact records carry no worst and state ``passed``."""
+    if worst is not None and not math.isfinite(worst):
+        worst, passed = None, False
+    elif passed is None:
+        passed = worst < tolerance
     return {
         "record_id": record_id,
         "kind": kind,
         "worst": worst,
         "tolerance": tolerance,
-        "passed": worst < tolerance,
-        "detail": detail,
-    }
-
-
-def _exact_record(record_id: str, passed: bool, detail: str) -> dict:
-    return {
-        "record_id": record_id,
-        "kind": "exact-coefficients",
-        "worst": None,
-        "tolerance": None,
         "passed": passed,
         "detail": detail,
     }
@@ -120,51 +147,32 @@ def _numeric_records(
 
 
 def _exact_records(exact_order: int) -> list[dict]:
-    records = []
-    for name, check in (("FOR1_EXACT", qexact.check_for1_exact), ("FOR2_EXACT", qexact.check_for2_exact)):
-        mismatch = check(exact_order)
-        records.append(
-            _exact_record(
-                name,
-                mismatch is None,
-                f"coefficients through u**{exact_order - 1} agree"
-                if mismatch is None
-                else f"first mismatch at exponent {mismatch}",
-            )
-        )
     q_order = exact_order // 2
-    cube = qexact.triangular_gf(q_order + 1) ** 3
-    for name, series in (
-        ("TRIANGULAR_DOUBLE_SUM", qexact.as_q_series(qexact.double_sum_series(2 * q_order + 2))),
-        ("TRIANGULAR_ANDREWS", qexact.as_q_series(qexact.andrews_series(2 * q_order + 2))),
-    ):
-        mismatch = cube.agrees_with(series)
-        records.append(
-            _exact_record(
-                name,
-                mismatch is None,
-                f"matches the cubed generating function through q**{q_order}"
-                if mismatch is None
-                else f"first mismatch at exponent {mismatch}",
-            )
-        )
-    counts = qexact.triangular_counts_bruteforce(q_order)
-    series_counts = tuple(int(cube.coefficient(m)) for m in range(q_order + 1))
-    records.append(
-        _exact_record(
-            "TRIANGULAR_COUNTS",
-            series_counts == counts.counts,
-            f"series coefficients equal brute-force triple counts through {q_order}",
-        )
+    agree = f"coefficients through u**{exact_order - 1} agree"
+    outcomes = [
+        ("FOR1_EXACT", qexact.check_for1_exact(exact_order), agree),
+        ("FOR2_EXACT", qexact.check_for2_exact(exact_order), agree),
+    ]
+    cube, _ = _qseries_build("t3", q_order)
+    for name, route in (("TRIANGULAR_DOUBLE_SUM", "double_sum"), ("TRIANGULAR_ANDREWS", "andrews")):
+        mismatch = cube.agrees_with(_qseries_build(route, q_order)[0])
+        outcomes.append((name, mismatch, f"matches the cubed generating function through q**{q_order}"))
+    counts = qexact.triangular_counts_bruteforce(q_order).counts
+    mismatch = next((m for m in range(q_order + 1) if cube.coefficient(m) != counts[m]), None)
+    outcomes.append(
+        ("TRIANGULAR_COUNTS", mismatch, f"series coefficients equal brute-force triple counts through {q_order}")
     )
-    return records
-
-
-def _sample_parameter(rng: random.Random) -> complex:
-    return cmath.rect(
-        math.exp(rng.uniform(math.log(0.5), math.log(2.0))),
-        rng.uniform(0.0, 2.0 * math.pi),
-    )
+    return [
+        _record(
+            name,
+            "exact-coefficients",
+            None,
+            None,
+            detail if mismatch is None else f"first mismatch at exponent {mismatch}",
+            passed=mismatch is None,
+        )
+        for name, mismatch, detail in outcomes
+    ]
 
 
 def _bundle_records(samples: int, seed: int, tolerance: float) -> list[dict]:
@@ -179,11 +187,11 @@ def _bundle_records(samples: int, seed: int, tolerance: float) -> list[dict]:
         zs = bundles.sample_z_points(u, z_count, seed)
         bump("SECTION_THETA", bundles.check_section(bundles.make_L(u), bundles.theta_section(u), zs))
         bump("SECTION_PUSH", bundles.check_section(bundles.make_push(u), bundles.push_section(u), zs))
-        a_values = []
-        while len(a_values) < 2:
-            a = _sample_parameter(rng)
-            if not near_power_orbit(a, u, sign=1, parity=0, tol=1e-3):
-                a_values.append(a)
+        a_values = guarded_sample(
+            lambda: annulus_point(rng),
+            lambda a: not near_power_orbit(a, u, sign=1, parity=0, tol=1e-3),
+            2,
+        )
         for a in a_values:
             bump(
                 "SECTION_KAPPA_THETA",
@@ -210,13 +218,13 @@ def _bundle_records(samples: int, seed: int, tolerance: float) -> list[dict]:
         )
         ws = bundles.sample_z_points(u, samples, seed + 1, radius_range=(0.3, 3.0))
         bump("BEZOUT_PAIR", max(bundles.bezout_residual(u, w) for w in ws))
-        mu_pairs = 0
-        while mu_pairs < max(4, samples // 20):
-            a, b = _sample_parameter(rng), _sample_parameter(rng)
-            if not bundles.mu_sample_ok(a, b, u):
-                continue
+        mu_pairs = guarded_sample(
+            lambda: (annulus_point(rng), annulus_point(rng)),
+            lambda ab: bundles.mu_sample_ok(*ab, u),
+            max(4, samples // 20),
+        )
+        for a, b in mu_pairs:
             bump("MU_EXPANSION", bundles.mu_expansion_residual(a, b, u, zs).rel_residual)
-            mu_pairs += 1
     return [
         _record(key, "bundle", value, tolerance) for key, value in sorted(worst.items())
     ]
@@ -264,12 +272,7 @@ def _modular_records(samples: int, seed: int, tolerance: float, grid: int) -> li
     )
 
     # chi is multiplicative on words in the parabolic generators.
-    parabolic = (
-        t2,
-        v_elt,
-        modular.GammaElement(1, -2, 0, 1),
-        modular.GammaElement(1, 0, -2, 1),
-    )
+    parabolic = modular.GAMMA_GENERATORS[:4]
     chi_worst = 0.0
     for _ in range(max(1, samples // 2)):
         g1 = _random_word(rng, parabolic, 4)
@@ -356,7 +359,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "records": records,
     }
     if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
+        _emit_json(report, args.out)
     else:
         rows = ["record_id,kind,worst,tolerance,passed,detail"]
         for r in records:
@@ -374,33 +377,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # eval / qseries / modular subcommands
 # ---------------------------------------------------------------------------
 
-EVAL_SIGNATURES = {
-    "theta": ("z", "u"),
-    "kappa": ("a", "z", "u"),
-    "kappa_bar": ("a", "z", "u"),
-    "vartheta0": ("z", "v"),
-    "vartheta1": ("z", "v"),
-}
-
+#: Each eval function with the flags it takes, in argument order.
 EVAL_FUNCTIONS = {
-    "theta": theta,
-    "kappa": kappa,
-    "kappa_bar": kappa_bar,
-    "vartheta0": vartheta0,
-    "vartheta1": vartheta1,
+    "theta": (theta, ("z", "u")),
+    "kappa": (kappa, ("a", "z", "u")),
+    "kappa_bar": (kappa_bar, ("a", "z", "u")),
+    "vartheta0": (vartheta0, ("z", "v")),
+    "vartheta1": (vartheta1, ("z", "v")),
 }
 
 
 def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    needed = EVAL_SIGNATURES[args.function]
+    function, needed = EVAL_FUNCTIONS[args.function]
     values = []
     for name in needed:
         value = getattr(args, name)
         if value is None:
             parser.error(f"eval {args.function} requires --{name}")
         values.append(value)
-    result = EVAL_FUNCTIONS[args.function](*values)
-    print(format_value(result))
+    print(format_value(function(*values)))
     return 0
 
 
@@ -437,12 +432,12 @@ def _cmd_qseries(args: argparse.Namespace) -> int:
             [k, c.numerator, c.denominator] for k, c in enumerate(series.coeffs)
         ],
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit_json(payload, args.out)
     return 0
 
 
 def _cmd_modular(args: argparse.Namespace) -> int:
-    gamma = modular.gamma_check(args.a, args.b, args.c, args.d)
+    gamma = modular.GammaElement(args.a, args.b, args.c, args.d)
     tau = args.tau
     per_zero = []
     worst = 0.0
@@ -462,7 +457,7 @@ def _cmd_modular(args: argparse.Namespace) -> int:
         "divisibility_worst": worst,
         "divisibility_per_zero": per_zero,
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -472,7 +467,7 @@ def _cmd_modular(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="appell-kit",
         description="Verification toolkit for theta/kappa identities, bundle "
         "gauge matrices, and modular transformation laws.",
@@ -485,16 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SUITES + identities.registry_ids(),
         help="a suite name or a single identity id",
     )
-    p_verify.add_argument("--samples", type=int, default=100)
+    p_verify.add_argument("--samples", type=positive_int, default=100)
     p_verify.add_argument("--seed", type=int, default=_default_seed())
-    p_verify.add_argument("--tolerance", type=float, default=1e-9)
-    p_verify.add_argument("--exact-order", type=int, default=80, dest="exact_order")
+    p_verify.add_argument("--tolerance", type=positive_float, default=1e-9)
+    p_verify.add_argument("--exact-order", type=positive_int, default=80, dest="exact_order")
     p_verify.add_argument("--grid", type=int, default=1)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--out", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate one special function")
-    p_eval.add_argument("function", choices=tuple(EVAL_SIGNATURES))
+    p_eval.add_argument("function", choices=tuple(EVAL_FUNCTIONS))
     p_eval.add_argument("--a", type=parse_complex, default=None)
     p_eval.add_argument("--z", type=parse_complex, default=None)
     p_eval.add_argument("--u", type=parse_complex, default=None)

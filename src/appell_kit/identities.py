@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from appell_kit.modular import kappa0
@@ -31,7 +31,9 @@ from appell_kit.numeric import (
     Nome,
     NonconvergenceError,
     ResidualReport,
+    annulus_point,
     dtheta_dz,
+    guarded_sample,
     kappa,
     kappa_bar,
     near_power_orbit,
@@ -392,10 +394,6 @@ def _guard_id4(b, u):
     return not near_kappa_pole(u / b["b"], u) and not near_theta_zero(-b["b"], u)
 
 
-def _guard_id5prod(b, u):
-    return not near_kappa_pole(u / b["b"], u)
-
-
 def _guard_id55(b, u):
     a = b["a"]
     return (
@@ -533,7 +531,7 @@ REGISTRY: dict[str, IdentityDef] = {
         IdentityDef(
             "ID5PROD",
             "kappa(u/b, b) as a ratio of q-Pochhammer infinite products",
-            _D(symbols=("b",), guard=_guard_id5prod),
+            _D(symbols=("b",), guard=_guard_id6),
             _pairs_id5prod,
         ),
         IdentityDef(
@@ -608,40 +606,23 @@ def identity_residual(identity_id: str, point: EvalPoint, nome: Nome) -> Residua
     return ResidualReport.from_pairs(identity_id, point, nome, pairs)
 
 
-class NonReachableGuardError(RuntimeError):
-    """Raised when rejection sampling cannot satisfy a guard (indicates a
-    misconfigured domain, not bad luck)."""
-
-
 def sample_points(
     domain: DomainSpec, count: int, seed: int = 0
 ) -> list[tuple[EvalPoint, Nome]]:
     """Deterministic guarded samples: same (domain, count, seed) always yields
-    the same list.  Rejection sampling advances the stream until the guard
-    accepts; the guard regions have tiny measure, so acceptance is fast."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    the same list.  Rejected draws advance the stream, and
+    ``numeric.guarded_sample`` caps how many are drawn."""
     rng = random.Random(seed)
     lo, hi = domain.u_abs_range
-    out: list[tuple[EvalPoint, Nome]] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 1000 * count + 1000:
-            raise NonReachableGuardError(
-                f"guard accepted only {len(out)}/{count} points after {attempts} draws"
-            )
+
+    def draw() -> tuple[EvalPoint, Nome]:
         u = cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi))
-        bindings: dict[str, complex] = {}
-        for name in domain.symbols:
-            mag = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-            bindings[name] = cmath.rect(mag, rng.uniform(0.0, 2.0 * math.pi))
+        bindings = {name: annulus_point(rng) for name in domain.symbols}
         for new_name, source in domain.derived_sqrt:
             bindings[new_name] = cmath.sqrt(u if source == "u" else bindings[source])
-        if not domain.guard(bindings, u):
-            continue
-        out.append((EvalPoint(bindings), Nome(u)))
-    return out
+        return EvalPoint(bindings), Nome(u)
+
+    return guarded_sample(draw, lambda s: domain.guard(s[0].bindings, s[1].u), count)
 
 
 def max_residual_over_samples(

@@ -78,10 +78,6 @@ class GammaElement:
     def inverse(self) -> "GammaElement":
         return GammaElement(self.d, -self.b, -self.c, self.a)
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
 
 GAMMA_IDENTITY = GammaElement(1, 0, 0, 1)
 
@@ -97,28 +93,11 @@ GAMMA_GENERATORS = (
 
 
 @dataclass(frozen=True)
-class AdditivePoint:
-    """A point (x, tau) with tau in the upper half plane."""
-
-    x: complex
-    tau: complex
-
-    def __post_init__(self) -> None:
-        if not complex(self.tau).imag > 0.0:
-            raise DomainError(f"tau must have positive imaginary part, got {self.tau}")
-
-
-@dataclass(frozen=True)
 class ThetaZeroIndex:
     """Lattice index (m, n) selecting the theta zero x = (tau+1)/2 + m + n*tau."""
 
     m: int
     n: int
-
-
-def gamma_check(a: int, b: int, c: int, d: int) -> GammaElement:
-    """Validate (a, b, c, d) as a Gamma_{1,2} element; raises DomainError."""
-    return GammaElement(a, b, c, d)
 
 
 def theta_zero(index: ThetaZeroIndex, tau: complex) -> complex:
@@ -142,12 +121,6 @@ def act_tau(gamma: GammaElement, tau: complex) -> complex:
     if not complex(tau).imag > 0.0:
         raise DomainError(f"tau must have positive imaginary part, got {tau}")
     return (gamma.a * tau + gamma.b) / (gamma.c * tau + gamma.d)
-
-
-def act(gamma: GammaElement, point: AdditivePoint) -> AdditivePoint:
-    """The action (x, tau) -> (x/(c*tau+d), (a*tau+b)/(c*tau+d))."""
-    denom = gamma.c * point.tau + gamma.d
-    return AdditivePoint(point.x / denom, (gamma.a * point.tau + gamma.b) / denom)
 
 
 def zeta_sq(gamma: GammaElement) -> complex:
@@ -233,20 +206,6 @@ def gamma_zero_index(gamma: GammaElement, index: ThetaZeroIndex) -> ThetaZeroInd
     return ThetaZeroIndex(m2, n2)
 
 
-def kappa0_at_zero(index: ThetaZeroIndex, tau: complex) -> complex:
-    """kappa0 at the theta zero (tau+1)/2 + m + n*tau, evaluated through the
-    quasi-periodicity law kappa0(x0 + m + n*tau) = exp(pi*i*n*(tau+1))
-    * kappa0(x0).
-
-    On the zero locus this is an exact identity (checked independently by the
-    QUASI registry entry), and it is the numerically sound route: summing the
-    bilateral series directly at z = -u**(2n+1) loses roughly |u|**(-n**2) of
-    precision to cancellation, so raw evaluation is useless beyond |n| ~ 4."""
-    x0 = (tau + 1.0) / 2.0
-    phase = cmath.exp(1j * math.pi * index.n * (tau + 1.0))
-    return phase * kappa0(x0, tau)
-
-
 def _require_divisibility_domain(gamma: GammaElement, tau: complex) -> complex:
     """Check the Im >= MIN_IM_TAU guard on both tau and gamma.tau; returns
     gamma.tau."""
@@ -291,12 +250,15 @@ def divisibility_residual(
     theta zeros (tau+1)/2 + m + n*tau.  Small residuals witness divisibility
     of the modular defect by theta(x, tau).
 
-    Both kappa0 factors are evaluated through ``kappa0_at_zero``: the
+    Both kappa0 factors are evaluated once, at the base zero (tau+1)/2 of
+    their nome, and carried to each grid zero by the exact quasi-periodicity
+    law kappa0(x0 + m + n*tau) = exp(pi*i*n*(tau+1)) * kappa0(x0); the
     gamma-side argument x/(c*tau+d) is itself a theta zero of gamma.tau (see
-    ``gamma_zero_index``), and evaluating at translated zeros via the exact
-    quasi-periodicity phases keeps every grid point well conditioned.  The
-    raw-series route agrees wherever it is conditioned well enough (covered
-    by tests via ``modular_defect``)."""
+    ``gamma_zero_index``).  Summing the bilateral series directly at
+    z = -u**(2n+1) would lose roughly |u|**(-n**2) of precision to
+    cancellation, while the phases keep every grid point well conditioned.
+    The raw-series route agrees wherever it is conditioned well enough
+    (covered by tests via ``modular_defect``)."""
     gtau = _require_divisibility_domain(gamma, tau)
     if zeros is None:
         zeros = zero_grid(1)

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 
 POLE_GUARD = 1e-8
@@ -39,6 +40,11 @@ class PoleProximityError(DomainError):
 
 class NonconvergenceError(ArithmeticError):
     """A series did not meet the stopping rule within its term budget."""
+
+
+class NonReachableGuardError(DomainError):
+    """Rejection sampling could not satisfy a guard within its draw cap
+    (a misconfigured domain, not bad luck)."""
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,8 @@ def _require_nome(u: complex) -> None:
 def _require_nonzero(value: complex, name: str) -> None:
     if value == 0:
         raise DomainError(f"{name} must be nonzero")
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _check_finite(total: complex, name: str) -> complex:
@@ -191,39 +199,12 @@ def vartheta0(z: complex, v: complex) -> complex:
 
 
 def vartheta1(z: complex, v: complex) -> complex:
-    """Odd half-period theta sum_n v**((2n+1)**2) * z**(2n+1) at q = v**4.
-
-    Terms for n and -(n+1) share the exponent (2n+1)**2, so the sum runs
-    over m >= 0 with the paired argument powers z**(2m+1) + z**-(2m+1).
-    """
+    """Odd half-period theta sum_n v**((2n+1)**2) * z**(2n+1) at q = v**4,
+    summed as v * z * theta(z**2 * v**4) at nome v**4."""
     _require_nome(v)
     _require_nonzero(z, "z")
-    eps = TERM_EPS
-    total = 0.0 + 0.0j
-    scale = 0.0
-    pw = v  # v**((2m+1)**2), advanced by v**(8m+8)
-    v8 = v ** 8
-    step = v8
-    zp = z
-    zm = 1.0 / z
-    z_sq = z * z
-    for m in range(0, MAX_TERMS + 1):
-        tp = pw * zp
-        tm = pw * zm
-        ap = abs(tp)
-        am = abs(tm)
-        if m >= 3 and ap < eps * scale and am < eps * scale:
-            return _check_finite(total, "vartheta1")
-        total += tp + tm
-        if ap > scale:
-            scale = ap
-        if am > scale:
-            scale = am
-        pw *= step
-        step *= v8
-        zp *= z_sq
-        zm /= z_sq
-    raise NonconvergenceError(f"vartheta1 did not converge within {MAX_TERMS} terms")
+    v4 = v**4
+    return v * z * theta(z * z * v4, v4)
 
 
 def dtheta_dz(z: complex, u: complex) -> complex:
@@ -395,3 +376,35 @@ def near_power_orbit(
         if (parity is None or e % 2 == parity) and abs(value - sign * p) <= thresh:
             return True
     return False
+
+
+T = TypeVar("T")
+
+
+def annulus_point(rng: random.Random, lo: float = 0.5, hi: float = 2.0) -> complex:
+    """One draw with log-uniform modulus in [lo, hi] and uniform argument:
+    the distribution of every sampled binding and z-point."""
+    return cmath.rect(
+        math.exp(rng.uniform(math.log(lo), math.log(hi))),
+        rng.uniform(0.0, 2.0 * math.pi),
+    )
+
+
+def guarded_sample(draw: Callable[[], T], accept: Callable[[T], bool], count: int) -> list[T]:
+    """The first ``count`` results of ``draw()`` that ``accept`` admits, in
+    draw order.  Guard regions have tiny measure, so a guard still short of
+    ``count`` after 1000*count + 1000 draws is refused with
+    NonReachableGuardError rather than retried forever."""
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+    cap = 1000 * count + 1000
+    out: list[T] = []
+    for _ in range(cap):
+        x = draw()
+        if accept(x):
+            out.append(x)
+            if len(out) == count:
+                return out
+    raise NonReachableGuardError(
+        f"guard accepted only {len(out)}/{count} points after {cap} draws"
+    )

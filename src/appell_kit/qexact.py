@@ -155,9 +155,6 @@ class USeries:
             acc = acc * x + float(c)
         return acc
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
-
 
 def geom_inverse(sign: int, step: int, trunc: int) -> USeries:
     """The geometric series 1 / (1 - sign * x**step) = sum_j sign**j x**(j*step).

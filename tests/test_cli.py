@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from appell_kit import bundles, cli
 from appell_kit.cli import (
     BUNDLE_NOMES,
     MODULAR_TAUS,
@@ -163,6 +164,60 @@ def test_eval_nonconvergence_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_eval_non_finite_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "theta", "--z", "nan", "--u", "0.3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: z must be finite")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "target, flag, value",
+    [
+        ("bundles", "--samples", "0"),
+        ("DEF", "--samples", "-3"),
+        ("DEF", "--samples", "many"),
+        ("exact", "--exact-order", "0"),
+        ("DEF", "--tolerance", "-1"),
+        ("DEF", "--tolerance", "0"),
+        ("DEF", "--tolerance", "inf"),
+        ("bundles", "--tolerance", "nan"),
+    ],
+)
+def test_verify_flag_validation_is_usage_error(capsys, target, flag, value):
+    code, out, err = run_cli(capsys, "verify", target, flag, value)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"appell-kit verify: error: argument {flag}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unreachable_sampler_guard_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(bundles, "mu_sample_ok", lambda a, b, u: False)
+    code, out, err = run_cli(capsys, "verify", "bundles", "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: guard accepted only 0/4 points")
+
+
+def test_verify_json_is_strict_when_no_element_is_valid(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MODULAR_TAUS", (0.05j,))
+    code, out, _ = run_cli(capsys, "verify", "modular")
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    records = json.loads(out, parse_constant=reject)["records"]
+    divisibility = [r for r in records if r["record_id"].startswith("DIVISIBILITY_")]
+    assert len(divisibility) == 2
+    for r in divisibility:
+        assert r["worst"] is None and r["passed"] is False
+        assert r["detail"].startswith("valid=0 ")
 
 
 def test_qseries_triangular_counts(capsys):

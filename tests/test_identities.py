@@ -11,7 +11,6 @@ import pytest
 from appell_kit.identities import (
     GUARD_TOL,
     REGISTRY,
-    NonReachableGuardError,
     UnknownIdentityError,
     identity_residual,
     max_residual_over_samples,
@@ -21,7 +20,15 @@ from appell_kit.identities import (
     sample_points,
     verify_registry,
 )
-from appell_kit.numeric import DomainError, EvalPoint, Nome, kappa, theta
+from appell_kit.numeric import (
+    DomainError,
+    EvalPoint,
+    Nome,
+    NonReachableGuardError,
+    guarded_sample,
+    kappa,
+    theta,
+)
 from appell_kit.qexact import for1_sides
 
 EXPECTED_IDS = {
@@ -141,3 +148,14 @@ def test_unreachable_guard_raises():
     impossible = DomainSpec(symbols=("a",), guard=lambda b, u: False)
     with pytest.raises(NonReachableGuardError):
         sample_points(impossible, 1, seed=0)
+
+
+def test_guarded_sample_keeps_first_accepted_under_cap():
+    draws = iter(range(100))
+    assert guarded_sample(lambda: next(draws), lambda x: x % 3 == 0, 4) == [0, 3, 6, 9]
+    calls = []
+    with pytest.raises(NonReachableGuardError, match="0/2 points after 3000 draws"):
+        guarded_sample(lambda: calls.append(None), lambda x: False, 2)
+    assert len(calls) == 3000
+    with pytest.raises(DomainError):
+        guarded_sample(lambda: 1, lambda x: True, 0)

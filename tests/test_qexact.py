@@ -107,7 +107,8 @@ def test_theta_null_literals():
     assert theta_null_minus(10).coeffs == tuple(
         Fraction(c) for c in (1, -2, 0, 0, 2, 0, 0, 0, 0, -2)
     )
-    assert theta_null_half(13).support() == (0, 2, 6, 12)
+    series = theta_null_half(13)
+    assert [k for k, c in enumerate(series.coeffs) if c] == [0, 2, 6, 12]
     assert all(theta_null_half(13).coefficient(e) == 2 for e in (0, 2, 6, 12))
 
 
@@ -159,7 +160,8 @@ def test_extra_shells_do_not_change_coefficients():
 
 
 def test_as_q_series_rejects_odd_exponents():
-    assert as_q_series(theta_null_half(13)).support() == (0, 1, 3, 6)
+    series = as_q_series(theta_null_half(13))
+    assert [k for k, c in enumerate(series.coeffs) if c] == [0, 1, 3, 6]
     with pytest.raises(ValueError):
         as_q_series(theta_null_plus(10))  # has a u**1 term
 

@@ -169,9 +169,29 @@ def test_domain_validation_errors():
     with pytest.raises(DomainError):
         qpochhammer(float("inf"), 0.5)
     with pytest.raises(DomainError):
+        vartheta1(1e-200, 0.5)  # theta argument z*z*v**4 underflows to 0
+    with pytest.raises(DomainError):
         Nome(1.2)
     with pytest.raises(DomainError):
         EvalPoint({"a": 0.0})
+
+
+@pytest.mark.parametrize(
+    "bad", (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0))
+)
+def test_non_finite_bindings_are_domain_errors(bad):
+    """Refused at the kernel boundary, before any term is summed."""
+    for call in (
+        lambda: theta(bad, 0.3),
+        lambda: kappa(bad, 1.1, 0.3),
+        lambda: kappa(0.5, bad, 0.3),
+        lambda: kappa_bar(0.5, bad, 0.3),
+        lambda: vartheta0(bad, 0.5),
+        lambda: vartheta1(bad, 0.5),
+        lambda: dtheta_dz(bad, 0.3),
+    ):
+        with pytest.raises(DomainError, match="must be finite"):
+            call()
 
 
 def test_nonconvergence_raises():
