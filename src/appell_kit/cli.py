@@ -43,8 +43,12 @@ SUITES = ("all", "numeric", "exact", "bundles", "modular")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse a complex number accepting both 'i' and 'j' notation."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
+    """Parse a complex number accepting both 'i' and 'j' notation.  Only a
+    trailing imaginary unit is rewritten, so 'inf' and 'nan' keep their
+    letters."""
+    cleaned = text.strip().replace(" ", "")
+    if cleaned[-1:] in ("i", "I"):
+        cleaned = cleaned[:-1] + "j"
     try:
         return complex(cleaned)
     except ValueError:
@@ -146,33 +150,42 @@ def _numeric_records(
     return records
 
 
+def _exact_record(name: str, mismatch: int | None, detail: str) -> dict:
+    return _record(
+        name,
+        "exact-coefficients",
+        None,
+        None,
+        detail if mismatch is None else f"first mismatch at exponent {mismatch}",
+        passed=mismatch is None,
+    )
+
+
+def _for_exact_record(relation: str, exact_order: int) -> dict:
+    """The FOR1_EXACT or FOR2_EXACT record, built on its own."""
+    check = qexact.check_for1_exact if relation == "FOR1" else qexact.check_for2_exact
+    return _exact_record(
+        f"{relation}_EXACT", check(exact_order), f"coefficients through u**{exact_order - 1} agree"
+    )
+
+
 def _exact_records(exact_order: int) -> list[dict]:
     q_order = exact_order // 2
-    agree = f"coefficients through u**{exact_order - 1} agree"
-    outcomes = [
-        ("FOR1_EXACT", qexact.check_for1_exact(exact_order), agree),
-        ("FOR2_EXACT", qexact.check_for2_exact(exact_order), agree),
-    ]
+    records = [_for_exact_record("FOR1", exact_order), _for_exact_record("FOR2", exact_order)]
     cube, _ = _qseries_build("t3", q_order)
     for name, route in (("TRIANGULAR_DOUBLE_SUM", "double_sum"), ("TRIANGULAR_ANDREWS", "andrews")):
         mismatch = cube.agrees_with(_qseries_build(route, q_order)[0])
-        outcomes.append((name, mismatch, f"matches the cubed generating function through q**{q_order}"))
+        records.append(
+            _exact_record(name, mismatch, f"matches the cubed generating function through q**{q_order}")
+        )
     counts = qexact.triangular_counts_bruteforce(q_order).counts
     mismatch = next((m for m in range(q_order + 1) if cube.coefficient(m) != counts[m]), None)
-    outcomes.append(
-        ("TRIANGULAR_COUNTS", mismatch, f"series coefficients equal brute-force triple counts through {q_order}")
-    )
-    return [
-        _record(
-            name,
-            "exact-coefficients",
-            None,
-            None,
-            detail if mismatch is None else f"first mismatch at exponent {mismatch}",
-            passed=mismatch is None,
+    records.append(
+        _exact_record(
+            "TRIANGULAR_COUNTS", mismatch, f"series coefficients equal brute-force triple counts through {q_order}"
         )
-        for name, mismatch, detail in outcomes
-    ]
+    )
+    return records
 
 
 def _bundle_records(samples: int, seed: int, tolerance: float) -> list[dict]:
@@ -341,10 +354,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         records += _modular_records(args.samples, args.seed, args.tolerance, args.grid)
     if target not in SUITES:
         records += _numeric_records([target], args.samples, args.seed, args.tolerance)
-        if target == "FOR1":
-            records.append(_exact_records(args.exact_order)[0])
-        elif target == "FOR2":
-            records.append(_exact_records(args.exact_order)[1])
+        if target in ("FOR1", "FOR2"):
+            records.append(_for_exact_record(target, args.exact_order))
     records.sort(key=lambda r: r["record_id"])
     passed = all(r["passed"] for r in records)
     report = {

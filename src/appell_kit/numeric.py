@@ -190,12 +190,29 @@ def theta2(z: complex, u: complex) -> complex:
     return theta(z, u * u)
 
 
+def _derived_argument_error(
+    exc: DomainError, w: complex, expr: str, z: complex, v: complex
+) -> DomainError:
+    """The error to raise when theta refused the argument w = expr that a
+    vartheta derived from the caller's z and v: an underflow to 0 or an
+    overflow is reported in terms of z and v, anything else as it was."""
+    if w == 0:
+        return DomainError(f"{expr} underflows to 0 at z = {z}, v = {v}")
+    if not cmath.isfinite(w):
+        return DomainError(f"{expr} overflows at z = {z}, v = {v}")
+    return exc
+
+
 def vartheta0(z: complex, v: complex) -> complex:
     """Even half-period theta sum_n q**(n*n) * z**(2n) at q = v**4."""
     _require_nome(v)
     _require_nonzero(z, "z")
     v_sq = v * v
-    return theta(z * z, v_sq * v_sq)
+    w = z * z
+    try:
+        return theta(w, v_sq * v_sq)
+    except DomainError as exc:
+        raise _derived_argument_error(exc, w, "z*z", z, v) from None
 
 
 def vartheta1(z: complex, v: complex) -> complex:
@@ -204,7 +221,11 @@ def vartheta1(z: complex, v: complex) -> complex:
     _require_nome(v)
     _require_nonzero(z, "z")
     v4 = v**4
-    return v * z * theta(z * z * v4, v4)
+    w = z * z * v4
+    try:
+        return v * z * theta(w, v4)
+    except DomainError as exc:
+        raise _derived_argument_error(exc, w, "z*z*v**4", z, v) from None
 
 
 def dtheta_dz(z: complex, u: complex) -> complex:

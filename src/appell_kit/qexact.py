@@ -2,10 +2,16 @@
 
 The numeric kernel certifies identities to ~1e-13 at sampled points; this
 module removes the sampling entirely for the theta-constant identities by
-computing both sides as truncated power series with Fraction coefficients
-and comparing coefficient lists.  Agreement of two degree-(T-1) truncations
-here is a finite, exact statement: every coefficient through u**(T-1)
-matches as a rational number.
+computing both sides as truncated power series with exact rational
+coefficients and comparing coefficient lists.  Agreement of two
+degree-(T-1) truncations here is a finite, exact statement: every
+coefficient through u**(T-1) matches as a rational number.
+
+Every series here has integer coefficients apart from two halves
+(kappa(-1, u)'s constant term and FOR1's theta(u)**3 / 2), so a series is
+stored as Python int numerators over one shared denominator, and dividing
+by 1 - sign * x**step is an O(T) recurrence rather than a product with a
+dense geometric series.
 
 Two variables appear, both handled by the same USeries container:
 
@@ -20,38 +26,57 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import compress, repeat
+from operator import add, mul, sub
+from typing import Mapping, Sequence
 
 
 class TruncationMismatchError(ValueError):
     """Requested a coefficient beyond the retained truncation order."""
 
 
-@dataclass(frozen=True)
 class USeries:
     """Truncated power series sum_{k < trunc} coeffs[k] * x**k with exact
     rational coefficients.  Arithmetic truncates to the shorter operand, the
-    standard semantics for series known only up to their truncation order."""
+    standard semantics for series known only up to their truncation order.
 
-    trunc: int
-    coeffs: tuple[Fraction, ...]
+    Coefficients are held as int numerators over one shared positive
+    denominator in lowest terms, so ``coeffs`` and ``coefficient`` return
+    Fractions while the ring operations never build one."""
 
-    def __post_init__(self) -> None:
-        if self.trunc < 1:
-            raise ValueError(f"trunc must be >= 1, got {self.trunc}")
-        if len(self.coeffs) != self.trunc:
-            raise ValueError(
-                f"need exactly {self.trunc} coefficients, got {len(self.coeffs)}"
-            )
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+    __slots__ = ("trunc", "_num", "_den")
+
+    def __init__(self, trunc: int, coeffs: Sequence[Fraction | int]) -> None:
+        if trunc < 1:
+            raise ValueError(f"trunc must be >= 1, got {trunc}")
+        if len(coeffs) != trunc:
+            raise ValueError(f"need exactly {trunc} coefficients, got {len(coeffs)}")
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*[f.denominator for f in fracs])
+        self.trunc = trunc
+        self._num = [f.numerator * (den // f.denominator) for f in fracs]
+        self._den = den
+
+    @classmethod
+    def _make(cls, trunc: int, num: list[int], den: int) -> "USeries":
+        """Wrap numerators the caller hands over (and no longer touches),
+        reducing the shared denominator to lowest terms."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        series = object.__new__(cls)
+        series.trunc = trunc
+        series._num = num
+        series._den = den
+        return series
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, trunc: int) -> "USeries":
-        return cls(trunc, (Fraction(0),) * trunc)
+        return cls._make(trunc, [0] * trunc, 1)
 
     @classmethod
     def one(cls, trunc: int) -> "USeries":
@@ -63,22 +88,28 @@ class USeries:
             raise TruncationMismatchError(
                 f"exponent {exponent} outside retained range [0, {trunc})"
             )
-        c = [Fraction(0)] * trunc
-        c[exponent] = Fraction(coeff)
-        return cls(trunc, tuple(c))
+        return cls.from_terms({exponent: coeff}, trunc)
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, Fraction | int], trunc: int) -> "USeries":
         """Build from an exponent -> coefficient mapping; exponents at or
         beyond trunc are discarded (they are not representable), negative
         exponents are rejected."""
-        c = [Fraction(0)] * trunc
+        kept = {}
         for e, v in terms.items():
             if e < 0:
                 raise ValueError(f"negative exponent {e} in series terms")
             if e < trunc:
-                c[e] += Fraction(v)
-        return cls(trunc, tuple(c))
+                kept[e] = Fraction(v)
+        # Star-args from a list, not a generator: CPython allocates a tuple
+        # built from a generator by resizing, past the tuple free lists, yet
+        # frees it onto them, so one call per series row kept filling those
+        # lists (about 2 MB over a few hundred in-process verify runs).
+        den = math.lcm(*[v.denominator for v in kept.values()])
+        num = [0] * trunc
+        for e, v in kept.items():
+            num[e] = v.numerator * (den // v.denominator)
+        return cls._make(trunc, num, den)
 
     # -- ring operations ----------------------------------------------
 
@@ -87,35 +118,45 @@ class USeries:
             raise TypeError(f"expected USeries, got {type(other).__name__}")
         return min(self.trunc, other.trunc)
 
-    def __add__(self, other: "USeries") -> "USeries":
+    def _over_common(self, other: "USeries") -> tuple[int, list[int], list[int], int]:
+        """(t, a, b, den): both operands' first t numerators over their
+        common denominator den."""
         t = self._aligned(other)
-        return USeries(t, tuple(self.coeffs[k] + other.coeffs[k] for k in range(t)))
+        a, b = self._num[:t], other._num[:t]
+        da, db = self._den, other._den
+        if da == db:
+            return t, a, b, da
+        den = math.lcm(da, db)
+        return t, list(map(mul, a, repeat(den // da))), list(map(mul, b, repeat(den // db))), den
+
+    def __add__(self, other: "USeries") -> "USeries":
+        t, a, b, den = self._over_common(other)
+        return USeries._make(t, list(map(add, a, b)), den)
 
     def __sub__(self, other: "USeries") -> "USeries":
-        t = self._aligned(other)
-        return USeries(t, tuple(self.coeffs[k] - other.coeffs[k] for k in range(t)))
+        t, a, b, den = self._over_common(other)
+        return USeries._make(t, list(map(sub, a, b)), den)
 
     def __neg__(self) -> "USeries":
-        return USeries(self.trunc, tuple(-c for c in self.coeffs))
+        return USeries._make(self.trunc, [-c for c in self._num], self._den)
 
     def scale(self, factor: Fraction | int) -> "USeries":
         f = Fraction(factor)
-        return USeries(self.trunc, tuple(f * c for c in self.coeffs))
+        return USeries._make(
+            self.trunc, [f.numerator * c for c in self._num], self._den * f.denominator
+        )
 
     def __mul__(self, other: "USeries") -> "USeries":
+        """Shift-and-add over the nonzero terms of the sparser factor."""
         t = self._aligned(other)
-        a = [(i, c) for i, c in enumerate(self.coeffs[:t]) if c]
-        b = [(j, c) for j, c in enumerate(other.coeffs[:t]) if c]
-        if len(b) < len(a):  # iterate the sparser factor outermost
+        a, b = self._num[:t], other._num[:t]
+        if a.count(0) < b.count(0):  # iterate the sparser factor outermost
             a, b = b, a
-        acc = [Fraction(0)] * t
-        for i, ci in a:
-            for j, cj in b:
-                k = i + j
-                if k >= t:
-                    break
-                acc[k] += ci * cj
-        return USeries(t, tuple(acc))
+        acc = [0] * t
+        for i in compress(range(t), a):
+            ci = a[i]
+            acc[i:] = map(add, acc[i:], map(mul, b, repeat(ci, t - i)))
+        return USeries._make(t, acc, self._den * other._den)
 
     def __pow__(self, exponent: int) -> "USeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -130,30 +171,70 @@ class USeries:
             e >>= 1
         return result
 
+    def geom_divide(self, sign: int, step: int) -> "USeries":
+        """self / (1 - sign * x**step), truncated: the same series as
+        ``self * geom_inverse(sign, step, self.trunc)``, by the O(trunc)
+        recurrence c[j] += sign * c[j - step] from the lowest nonzero term."""
+        _check_geom(sign, step)
+        c = self._num[:]
+        first = next(compress(range(self.trunc), c), self.trunc)
+        if sign == 1:
+            for j in range(first + step, self.trunc):
+                c[j] += c[j - step]
+        else:
+            for j in range(first + step, self.trunc):
+                c[j] -= c[j - step]
+        return USeries._make(self.trunc, c, self._den)
+
     # -- queries ------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     def coefficient(self, exponent: int) -> Fraction:
         if not 0 <= exponent < self.trunc:
             raise TruncationMismatchError(
                 f"coefficient {exponent} not retained (trunc = {self.trunc})"
             )
-        return self.coeffs[exponent]
+        return Fraction(self._num[exponent], self._den)
 
     def agrees_with(self, other: "USeries") -> int | None:
         """First exponent (below the shorter truncation) where the two series
         differ, or None if they agree on the full shared range."""
         t = self._aligned(other)
+        a, b, da, db = self._num, other._num, self._den, other._den
         for k in range(t):
-            if self.coeffs[k] != other.coeffs[k]:
+            if a[k] * db != b[k] * da:
                 return k
         return None
 
     def evaluate(self, x: complex) -> complex:
         """Horner evaluation of the truncated polynomial at a complex point."""
         acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        den = self._den
+        for c in reversed(self._num):
+            acc = acc * x + c / den
         return acc
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, USeries):
+            return NotImplemented
+        return (self.trunc, self._den, self._num) == (other.trunc, other._den, other._num)
+
+    def __hash__(self) -> int:
+        return hash((self.trunc, self._den, tuple(self._num)))
+
+    def __repr__(self) -> str:
+        return f"USeries(trunc={self.trunc!r}, coeffs={self.coeffs!r})"
+
+
+def _check_geom(sign: int, step: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
 
 
 def geom_inverse(sign: int, step: int, trunc: int) -> USeries:
@@ -161,10 +242,7 @@ def geom_inverse(sign: int, step: int, trunc: int) -> USeries:
 
     step = 0 would be a constant denominator, not a series inverse, and is
     rejected."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+    _check_geom(sign, step)
     return USeries.from_terms(
         {j * step: sign**j for j in range((trunc - 1) // step + 1)}, trunc
     )
@@ -214,7 +292,7 @@ def kappa_u_at_minus_one(trunc: int) -> USeries:
     n = 0
     while n * n + 2 * n < trunc:
         lead = USeries.monomial(n * n + 2 * n, trunc, 2 * (-1) ** n)
-        total = total + lead * geom_inverse(1, 2 * n + 1, trunc)
+        total = total + lead.geom_divide(1, 2 * n + 1)
         n += 1
     return total
 
@@ -225,7 +303,7 @@ def kappa_minus_u_at_one(trunc: int) -> USeries:
     n = 0
     while n * n + 2 * n < trunc:
         lead = USeries.monomial(n * n + 2 * n, trunc, 2)
-        total = total + lead * geom_inverse(-1, 2 * n + 1, trunc)
+        total = total + lead.geom_divide(-1, 2 * n + 1)
         n += 1
     return total
 
@@ -237,7 +315,7 @@ def kappa_minus_one_at_u(trunc: int) -> USeries:
     m = 1
     while m * m + m < trunc:
         lead = USeries.monomial(m * m + m, trunc, 2)
-        total = total + lead * geom_inverse(-1, 2 * m, trunc)
+        total = total + lead.geom_divide(-1, 2 * m)
         m += 1
     return total
 
@@ -259,11 +337,19 @@ def for1_sides(trunc: int = 80) -> tuple[USeries, USeries]:
 
 def for2_sides(trunc: int = 80) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(u)**3 kappa(-1,u) = theta(-1)**3 kappa(u,-1)
-    + theta(1)**3 kappa(-u,1) as exact u-series."""
-    lhs = theta_null_half(trunc) ** 3 * kappa_minus_one_at_u(trunc)
-    rhs = theta_null_minus(trunc) ** 3 * kappa_u_at_minus_one(trunc) + theta_null_plus(
-        trunc
-    ) ** 3 * kappa_minus_u_at_one(trunc)
+    + theta(1)**3 kappa(-u,1) as exact u-series.
+
+    Each dense kappa series is multiplied by its sparse theta null three
+    times over rather than by the dense cube; truncated products are
+    associative, so the coefficients are the same."""
+
+    def times_cube(kappa_series: USeries, theta_null: USeries) -> USeries:
+        return kappa_series * theta_null * theta_null * theta_null
+
+    lhs = times_cube(kappa_minus_one_at_u(trunc), theta_null_half(trunc))
+    rhs = times_cube(kappa_u_at_minus_one(trunc), theta_null_minus(trunc)) + times_cube(
+        kappa_minus_u_at_one(trunc), theta_null_plus(trunc)
+    )
     return lhs, rhs
 
 
@@ -302,13 +388,12 @@ def as_q_series(series: USeries) -> USeries:
 
     Raises ValueError if any odd-exponent coefficient is nonzero, since such
     a series has no expression in q."""
-    for k in range(1, series.trunc, 2):
-        if series.coeffs[k]:
-            raise ValueError(
-                f"series has nonzero coefficient at odd exponent {k}; not a q-series"
-            )
-    t = (series.trunc + 1) // 2
-    return USeries(t, tuple(series.coeffs[2 * m] for m in range(t)))
+    odd = next(compress(range(1, series.trunc, 2), series._num[1::2]), None)
+    if odd is not None:
+        raise ValueError(
+            f"series has nonzero coefficient at odd exponent {odd}; not a q-series"
+        )
+    return USeries._make((series.trunc + 1) // 2, series._num[0::2], series._den)
 
 
 def double_sum_series(trunc: int, extra: int = 0) -> USeries:
@@ -339,7 +424,7 @@ def double_sum_series(trunc: int, extra: int = 0) -> USeries:
                 if 0 <= 2 * q_exp < trunc:
                     terms[2 * q_exp] = terms.get(2 * q_exp, 0) + 1
         if terms:
-            row = USeries.from_terms(terms, trunc) * geom_inverse(1, 4 * n + 2, trunc)
+            row = USeries.from_terms(terms, trunc).geom_divide(1, 4 * n + 2)
             total = total + (-row if n % 2 else row)
         n += 1
     return total
@@ -354,21 +439,24 @@ def andrews_series(trunc: int, extra: int = 0) -> USeries:
 
     E decreases from 2n**2 + 2n (j = 0) to n (j = 2n), so row n first
     contributes at q-exponent n and rows beyond the retained q-order are
-    dropped.  The extra parameter keeps additional rows; results must be
-    independent of it."""
+    dropped; within a row, j runs down from 2n and stops at the first E
+    beyond the retained q-order.  The extra parameter keeps additional rows;
+    results must be independent of it."""
     if extra < 0:
         raise ValueError(f"extra must be >= 0, got {extra}")
     total = USeries.zero(trunc)
     order = (trunc - 1) // 2
     for n in range(0, order + extra + 1):
         terms: dict[int, int] = {}
-        for j in range(0, 2 * n + 1):
+        for j in range(2 * n, -1, -1):
             e = 2 * n * n + 2 * n - j * (j + 1) // 2
+            if e > order:
+                break
             for q_exp in (e, e + 2 * n + 1):
                 if 0 <= 2 * q_exp < trunc:
                     terms[2 * q_exp] = terms.get(2 * q_exp, 0) + 1
         if terms:
-            row = USeries.from_terms(terms, trunc) * geom_inverse(1, 4 * n + 2, trunc)
+            row = USeries.from_terms(terms, trunc).geom_divide(1, 4 * n + 2)
             total = total + row
     return total
 

@@ -3,11 +3,13 @@ file-output path.  Everything goes through main(argv) in-process."""
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 
 import pytest
 
-from appell_kit import bundles, cli
+from appell_kit import bundles, cli, qexact
 from appell_kit.cli import (
     BUNDLE_NOMES,
     MODULAR_TAUS,
@@ -32,6 +34,17 @@ def test_parse_complex_accepts_both_notations():
         parse_complex("bogus")
 
 
+def test_parse_complex_maps_only_a_trailing_imaginary_unit():
+    assert parse_complex("1+2i") == 1 + 2j
+    assert parse_complex("-0.5i") == -0.5j
+    assert parse_complex("2j") == 2j
+    assert parse_complex("3I") == 3j
+    assert parse_complex("inf") == complex(math.inf, 0.0)
+    assert parse_complex("-inf") == complex(-math.inf, 0.0)
+    assert parse_complex("1+infi") == complex(1.0, math.inf)
+    assert cmath.isnan(parse_complex("nan"))
+
+
 def test_format_value_is_fifteen_digits():
     assert format_value(1 / 3 + 0j) == "0.333333333333333+0j"
     assert format_value(1.0 - 2.5j) == "1-2.5j"
@@ -54,6 +67,26 @@ def test_verify_single_identity_includes_exact_companion(capsys):
     assert report["records"][0]["kind"] == "numeric-sampled"
     assert report["records"][1]["kind"] == "exact-coefficients"
     assert "elapsed" in err
+
+
+@pytest.mark.parametrize("relation, other", (("FOR1", "FOR2"), ("FOR2", "FOR1")))
+def test_verify_for_builds_only_its_own_exact_record(capsys, monkeypatch, relation, other):
+    def unused(*args, **kwargs):
+        raise AssertionError("built a series verify FOR1/FOR2 does not report")
+
+    for name in (
+        f"check_{other.lower()}_exact",
+        "triangular_gf",
+        "double_sum_series",
+        "andrews_series",
+        "triangular_counts_bruteforce",
+    ):
+        monkeypatch.setattr(qexact, name, unused)
+    code, out, _ = run_cli(capsys, "verify", relation, "--samples", "5", "--exact-order", "40")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [r["record_id"] for r in records] == [relation, f"{relation}_EXACT"]
+    assert records[1]["detail"] == "coefficients through u**39 agree"
 
 
 def test_verify_unknown_target_is_usage_error(capsys):
@@ -172,6 +205,30 @@ def test_eval_non_finite_is_domain_error(capsys):
     assert out == ""
     assert err.startswith("domain error: z must be finite")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("literal", ("inf", "-inf", "1+infi", "infj"))
+def test_eval_infinite_literal_is_domain_error(capsys, literal):
+    code, out, err = run_cli(capsys, "eval", "theta", f"--z={literal}", "--u", "0.3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: z must be finite")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "function, z, message",
+    (
+        ("vartheta1", "1e-200", "z*z*v**4 underflows to 0 at z = (1e-200+0j), v = (0.5+0j)"),
+        ("vartheta1", "1e200", "z*z*v**4 overflows at z = (1e+200+0j), v = (0.5+0j)"),
+        ("vartheta0", "1e-200", "z*z underflows to 0 at z = (1e-200+0j), v = (0.5+0j)"),
+    ),
+)
+def test_eval_vartheta_derived_argument_error_names_user_values(capsys, function, z, message):
+    code, out, err = run_cli(capsys, "eval", function, "--z", z, "--v", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err == f"domain error: {message}\n"
 
 
 @pytest.mark.parametrize(

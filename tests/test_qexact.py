@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from appell_kit import qexact
 from appell_kit.numeric import kappa, theta
 from appell_kit.qexact import (
     TruncationMismatchError,
@@ -197,3 +198,69 @@ def test_horner_evaluation():
     x = 0.7 + 0.2j
     direct = 1 + Fraction(3, 4) * 1.0 * x**2 - 2 * x**5
     assert abs(s.evaluate(x) - direct) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# The integer engine against plain Fraction arithmetic.
+# ---------------------------------------------------------------------------
+
+half_integer_lists = st.integers(1, TRUNC).flatmap(
+    lambda t: st.lists(
+        st.integers(-9, 9).map(lambda k: Fraction(k, 2)), min_size=t, max_size=t
+    )
+)
+
+
+def reference_mul(a, b):
+    t = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(t)]
+
+
+def reference_agrees(a, b):
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=half_integer_lists, b=half_integer_lists)
+def test_integer_engine_matches_fraction_reference(a, b):
+    """Int numerators over a shared denominator give exactly the Fractions a
+    plain coefficient-by-coefficient computation gives, truncation included."""
+    sa, sb = USeries(len(a), a), USeries(len(b), b)
+    assert sa.coeffs == tuple(a)
+    assert all(type(c) is Fraction for c in sa.coeffs)
+    assert [sa.coefficient(k) for k in range(len(a))] == a
+    assert list((sa + sb).coeffs) == [x + y for x, y in zip(a, b)]
+    assert list((sa - sb).coeffs) == [x - y for x, y in zip(a, b)]
+    assert list((sa * sb).coeffs) == reference_mul(a, b)
+    assert list(sa.scale(Fraction(1, 2)).coeffs) == [x / 2 for x in a]
+    assert sa.agrees_with(sb) == reference_agrees(a, b)
+    assert sa.agrees_with(USeries(len(a), list(a))) is None
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("step", (1, 2, 3, 5, 8, 13, 40))
+def test_geom_divide_equals_geom_inverse_product(sign, step):
+    trunc = 40
+    series = USeries.from_terms({0: 3, 1: Fraction(-1, 2), 6: 2, 17: Fraction(5, 2)}, trunc)
+    late = USeries.monomial(11, trunc, -4)
+    for s in (series, late, USeries.zero(trunc)):
+        expected = s * geom_inverse(sign, step, trunc)
+        assert s.geom_divide(sign, step).coeffs == expected.coeffs
+    with pytest.raises(ValueError):
+        series.geom_divide(2, step)
+    with pytest.raises(ValueError):
+        series.geom_divide(sign, 0)
+
+
+@pytest.mark.parametrize("name", ("kappa_minus_one_at_u", "kappa_u_at_minus_one"))
+@pytest.mark.parametrize("exponent", (0, 1, 37, 79))
+def test_check_for2_reports_injected_half_integer_perturbation(monkeypatch, name, exponent):
+    """A half added to one kappa series at u**exponent breaks FOR2 at that
+    exponent and no earlier: both theta cubes have a nonzero constant term."""
+    original = getattr(qexact, name)
+
+    def perturbed(trunc):
+        return original(trunc) + USeries.monomial(exponent, trunc, Fraction(1, 2))
+
+    monkeypatch.setattr(qexact, name, perturbed)
+    assert check_for2_exact(80) == exponent

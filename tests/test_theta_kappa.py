@@ -177,6 +177,24 @@ def test_domain_validation_errors():
 
 
 @pytest.mark.parametrize(
+    "function, z, expr, what",
+    (
+        (vartheta1, 1e-200, "z*z*v**4", "underflows to 0"),
+        (vartheta1, 1e200, "z*z*v**4", "overflows"),
+        (vartheta1, 1e-170 + 1e-170j, "z*z*v**4", "underflows to 0"),
+        (vartheta0, 1e-200, "z*z", "underflows to 0"),
+        (vartheta0, 1e200, "z*z", "overflows"),
+    ),
+)
+def test_vartheta_derived_argument_errors_name_caller_values(function, z, expr, what):
+    """theta's argument is derived from z and v; when it underflows or
+    overflows, the error names the values the caller passed."""
+    with pytest.raises(DomainError) as info:
+        function(z, 0.5)
+    assert str(info.value) == f"{expr} {what} at z = {z}, v = 0.5"
+
+
+@pytest.mark.parametrize(
     "bad", (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0))
 )
 def test_non_finite_bindings_are_domain_errors(bad):
