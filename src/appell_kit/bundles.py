@@ -22,6 +22,7 @@ tensor(F_{ab}, L) factor in the explicit three-element section basis
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -371,9 +372,7 @@ def bezout_pair(
 
     Both are rescaled entries of the gauge matrix C evaluated at z = -u w;
     the theta2 denominators cancel against zeros of the numerators."""
-    lam = lambda_constant(u)
-    half = 0.5 * theta(1, u) * theta(-1, u)
-    c = c_constant_theta(u)
+    lam, half, c = _bezout_constants(u)
     q = u * u
 
     def phi1(w: complex) -> complex:
@@ -385,12 +384,25 @@ def bezout_pair(
     return phi1, phi2
 
 
+@functools.lru_cache(maxsize=8)
+def _bezout_constants(u: complex) -> tuple[complex, complex, complex]:
+    """The per-nome constants (lambda, theta(1) theta(-1) / 2, c) of the
+    Bezout pair, computed once per nome."""
+    return lambda_constant(u), 0.5 * theta(1, u) * theta(-1, u), c_constant_theta(u)
+
+
 def bezout_residual(u: complex, w: complex) -> float:
-    """|phi1(w) theta2(w) - phi2(w) theta2(q w) - 1| at one point."""
-    phi1, phi2 = bezout_pair(u)
+    """|phi1(w) theta2(w) - phi2(w) theta2(q w) - 1| at one point: the
+    expression of ``bezout_pair`` with kappa(-1, u w) and each theta2
+    evaluated once."""
+    lam, half, c = _bezout_constants(u)
     q = u * u
-    value = phi1(w) * theta2(w, u) - phi2(w) * theta2(q * w, u)
-    return abs(value - 1.0)
+    k = kappa(-1, u * w, u)
+    t = theta2(w, u)
+    tq = theta2(q * w, u)
+    phi1 = lam * (half + k) / (c * t)
+    phi2 = -lam * (half - k) / (c * tq)
+    return abs(phi1 * t - phi2 * tq - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +449,18 @@ def mu_sample_ok(a: complex, b: complex, u: complex, tol: float = 1e-3) -> bool:
     return True
 
 
+def mu_thetas(u: complex, zs: Sequence[complex]) -> list[tuple[complex, complex]]:
+    """(theta(z), theta(-z)) at each z: the part of the mu-expansion basis
+    that depends on neither a nor b."""
+    return [(theta(z, u), theta(-z, u)) for z in zs]
+
+
 def mu_expansion_residual(
-    a: complex, b: complex, u: complex, zs: Sequence[complex]
+    a: complex,
+    b: complex,
+    u: complex,
+    zs: Sequence[complex],
+    thetas: Sequence[tuple[complex, complex]] | None = None,
 ) -> ResidualReport:
     """Check, componentwise at each z, that the b-translated section
 
@@ -448,22 +470,27 @@ def mu_expansion_residual(
 
         w = lambda_b v1 - lambda_{-b} v-1 + (nu_{a,b} - nu_{a,-b}) v0
 
-    in the section basis for parameter a b."""
+    in the section basis (v0, v1, v-1) of ``basis_sections(a b, u)``,
+    evaluated term by term as those sections do.  ``thetas`` is
+    ``mu_thetas(u, zs)``, computed here when not given, so a caller that
+    checks many (a, b) pairs over the same points computes it once."""
     if not mu_sample_ok(a, b, u):
         raise DomainError(
             f"(a, b) = ({a}, {b}) violates the mu-expansion sampling guard"
         )
+    if thetas is None:
+        thetas = mu_thetas(u, zs)
     lam_p = mu_lambda(b, u)
     lam_m = mu_lambda(-b, u)
     nu_diff = mu_nu(a, b, u) - mu_nu(a, -b, u)
-    v0, v1, vm1 = basis_sections(a * b, u)
+    ab = a * b
     pairs: list[tuple[complex, complex]] = []
-    for z in zs:
-        w = (
-            theta(z / b, u) * kappa(a, b * z, u) / b,
-            theta(z / b, u) * theta(b * z, u),
-        )
-        x0, x1, xm1 = v0.evaluator(z), v1.evaluator(z), vm1.evaluator(z)
+    for z, (th, th_m) in zip(zs, thetas):
+        th_b = theta(z / b, u)
+        w = (th_b * kappa(a, b * z, u) / b, th_b * theta(b * z, u))
+        x0 = (theta(z / ab, u), 0.0j)
+        x1 = (th * kappa(ab, z, u), th * th)
+        xm1 = (th_m * kappa(-ab, -z, u), -th_m * th_m)
         rhs = tuple(
             lam_p * x1[i] - lam_m * xm1[i] + nu_diff * x0[i] for i in range(2)
         )

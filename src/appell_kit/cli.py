@@ -55,6 +55,28 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from None
 
 
+#: Options that take a complex literal, which may start with '-'.
+COMPLEX_OPTIONS = ("--a", "--z", "--u", "--v", "--tau")
+
+
+def _join_complex_values(argv: Sequence[str]) -> list[str]:
+    """argparse reads a value such as '-1+2i', '-2j' or '-inf' as an option,
+    so a complex option followed by a token that starts with '-' and parses
+    as a complex number is rewritten to the '--z=-1+2i' spelling."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in COMPLEX_OPTIONS and token.startswith("-"):
+            try:
+                parse_complex(token)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def format_value(value: complex) -> str:
     """15-significant-digit rendering re+imj, sign always explicit on im."""
     re, im = value.real, value.imag
@@ -236,8 +258,9 @@ def _bundle_records(samples: int, seed: int, tolerance: float) -> list[dict]:
             lambda ab: bundles.mu_sample_ok(*ab, u),
             max(4, samples // 20),
         )
+        thetas = bundles.mu_thetas(u, zs)
         for a, b in mu_pairs:
-            bump("MU_EXPANSION", bundles.mu_expansion_residual(a, b, u, zs).rel_residual)
+            bump("MU_EXPANSION", bundles.mu_expansion_residual(a, b, u, zs, thetas).rel_residual)
     return [
         _record(key, "bundle", value, tolerance) for key, value in sorted(worst.items())
     ]
@@ -529,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_complex_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.monotonic()

@@ -602,8 +602,12 @@ def identity_residual(identity_id: str, point: EvalPoint, nome: Nome) -> Residua
         raise DomainError(
             f"point {bindings} violates the sampling guard of {identity_id}"
         )
-    pairs = ident.pairs(point, nome)
-    return ResidualReport.from_pairs(identity_id, point, nome, pairs)
+    return _evaluate(ident, point, nome)
+
+
+def _evaluate(ident: IdentityDef, point: EvalPoint, nome: Nome) -> ResidualReport:
+    """The residual report of ``ident`` at a point its guard has accepted."""
+    return ResidualReport.from_pairs(ident.identity_id, point, nome, ident.pairs(point, nome))
 
 
 def sample_points(
@@ -628,11 +632,13 @@ def sample_points(
 def max_residual_over_samples(
     identity_id: str, count: int = 100, seed: int = 0
 ) -> ResidualReport:
-    """Worst-case ResidualReport for the identity over deterministic samples."""
+    """Worst-case ResidualReport for the identity over deterministic samples.
+    ``sample_points`` has already guarded each point, so it is not checked
+    again."""
     ident = get_identity(identity_id)
     worst: ResidualReport | None = None
     for point, nome in sample_points(ident.domain, count, seed):
-        report = identity_residual(identity_id, point, nome)
+        report = _evaluate(ident, point, nome)
         if worst is None or report.rel_residual > worst.rel_residual:
             worst = report
     assert worst is not None

@@ -370,31 +370,41 @@ def near_power_orbit(
     orbit ``+u**even`` (that is, q**Z) and theta zeros on ``-u**odd``.  The
     orbit accumulates at 0, so values within the threshold of 0 count as
     near the orbit.
+
+    Exponents run over -399..399, and non-negative ones stop once |u**e|
+    falls below half the threshold.  Only exponents with
+    ``| |u|**e - |value| | <= thresh`` can match, and they form one
+    interval, so just those are tested.  A matching power has
+    |u**e| <= |value| + thresh < 2 |value| + 1, since tol < 1 past the
+    first test, so no match lies beyond that bound on the negative side.
     """
     _require_nome(u)
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     if parity not in (None, 0, 1):
         raise DomainError(f"parity must be None, 0 or 1, got {parity}")
-    thresh = tol * max(1.0, abs(value))
-    if abs(value) <= thresh:
+    av = abs(value)
+    thresh = tol * max(1.0, av)
+    if av <= thresh:
         return True
-    # Non-negative exponents: |u**e| decreases; once it is far below |value|
-    # no later exponent can come close.
-    p = 1.0 + 0.0j
-    for e in range(0, 400):
-        if (parity is None or e % 2 == parity) and abs(value - sign * p) <= thresh:
-            return True
-        p *= u
-        if abs(p) < 0.5 * min(thresh, abs(value)):
-            break
-    # Negative exponents: |u**e| grows without bound.
-    p = 1.0 + 0.0j
-    for e in range(1, 400):
-        p /= u
-        if abs(p) > 2.0 * abs(value) + 1.0:
-            break
-        if (parity is None or e % 2 == parity) and abs(value - sign * p) <= thresh:
+    if not (thresh >= 0.0 and av == av):
+        return False  # a NaN value, or a negative or NaN tol, matches nothing
+    # |u|**e lies in [av - thresh, av + thresh] for e between these bounds
+    # (log|u| < 0 reverses them); widen by one for rounding.
+    log_r = math.log(abs(u))
+    first = math.floor(max(-400.0, math.log(av + thresh) / log_r)) - 1
+    last = math.ceil(min(400.0, math.log(av - thresh) / log_r)) + 1
+    floor = 0.5 * thresh  # half of min(thresh, |value|), as |value| > thresh
+    for e in range(max(first, -399), min(last, 399) + 1):
+        if parity is not None and e % 2 != parity:
+            continue
+        try:
+            p = u**e
+        except (OverflowError, ZeroDivisionError):
+            continue  # a power past the float range cannot come close
+        if e > 0 and abs(p) < floor:
+            break  # below the floor, and every later |u**e| is smaller
+        if abs(value - sign * p) <= thresh:
             return True
     return False
 

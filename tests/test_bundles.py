@@ -33,13 +33,24 @@ from appell_kit.bundles import (
     make_push,
     mu_expansion_residual,
     mu_lambda,
+    mu_nu,
     mu_sample_ok,
+    mu_thetas,
     push_section,
     sample_z_points,
     tensor,
     theta_section,
 )
-from appell_kit.numeric import DomainError, theta
+from appell_kit.cli import BUNDLE_NOMES
+from appell_kit.numeric import (
+    DomainError,
+    EvalPoint,
+    Nome,
+    ResidualReport,
+    kappa,
+    theta,
+    theta2,
+)
 
 NOMES = (0.05, 0.2, 0.4 + 0.1j)
 A_VALUES = (1.3 - 0.7j, 0.6 + 0.9j)
@@ -125,6 +136,18 @@ def test_bezout_identity_on_circles(u):
     assert bezout_residual(u, 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("u", BUNDLE_NOMES)
+def test_bezout_residual_is_bezout_pair_expression(u):
+    """The per-point residual, with its per-nome constants cached, is
+    bit-identical to the expression built from bezout_pair."""
+    phi1, phi2 = bezout_pair(u)
+    q = u * u
+    ws = [*sample_z_points(u, 12, seed=3, radius_range=(0.3, 3.0)), 2.0, -0.7 + 0.2j]
+    for w in ws:
+        expected = abs(phi1(w) * theta2(w, u) - phi2(w) * theta2(q * w, u) - 1.0)
+        assert bezout_residual(u, w) == expected
+
+
 def test_bezout_pair_stays_bounded():
     """phi1/phi2 are ratios with theta2 denominators but must remain O(1) on
     circles away from the zero orbit: the numerators share those zeros."""
@@ -160,6 +183,36 @@ def test_mu_expansion(u):
         report = mu_expansion_residual(a, b, u, zs)
         assert report.rel_residual < 1e-9
         assert report.identity_id == "MU_EXPANSION"
+
+
+def _mu_expansion_reference(a, b, u, zs):
+    """MU_EXPANSION evaluated through the basis_sections evaluators, with
+    every theta computed at each point."""
+    lam_p = mu_lambda(b, u)
+    lam_m = mu_lambda(-b, u)
+    nu_diff = mu_nu(a, b, u) - mu_nu(a, -b, u)
+    v0, v1, vm1 = basis_sections(a * b, u)
+    pairs = []
+    for z in zs:
+        w = (
+            theta(z / b, u) * kappa(a, b * z, u) / b,
+            theta(z / b, u) * theta(b * z, u),
+        )
+        x0, x1, xm1 = v0.evaluator(z), v1.evaluator(z), vm1.evaluator(z)
+        rhs = tuple(lam_p * x1[i] - lam_m * xm1[i] + nu_diff * x0[i] for i in range(2))
+        pairs.extend(zip(w, rhs))
+    return ResidualReport.from_pairs("MU_EXPANSION", EvalPoint({"a": a, "b": b}), Nome(u), pairs)
+
+
+@pytest.mark.parametrize("u", BUNDLE_NOMES)
+def test_mu_expansion_precomputed_thetas_are_bit_identical(u):
+    zs = sample_z_points(u, 20, seed=7)
+    thetas = mu_thetas(u, zs)
+    for a, b in ((1.3 - 0.7j, 0.8 + 0.5j), (0.6 + 0.9j, 1.4 - 0.2j), (-0.9 + 0.6j, -1.7 - 0.3j)):
+        assert mu_sample_ok(a, b, u)
+        report = mu_expansion_residual(a, b, u, zs)
+        assert mu_expansion_residual(a, b, u, zs, thetas) == report
+        assert report == _mu_expansion_reference(a, b, u, zs)
 
 
 def test_mu_expansion_degenerate_translation():

@@ -18,6 +18,7 @@ from appell_kit.cli import (
     main,
     parse_complex,
 )
+from appell_kit.numeric import kappa, vartheta1
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +215,49 @@ def test_eval_infinite_literal_is_domain_error(capsys, literal):
     assert out == ""
     assert err.startswith("domain error: z must be finite")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("literal", ("-1+2i", "-2j", "-1-2I", "-0.5"))
+def test_eval_negative_complex_value_as_next_token(capsys, literal):
+    joined = run_cli(capsys, "eval", "theta", f"--z={literal}", "--u", "0.3")
+    code, out, err = run_cli(capsys, "eval", "theta", "--z", literal, "--u", "0.3")
+    assert joined[0] == code == 0
+    assert out == joined[1]
+    assert "expected one argument" not in err
+
+
+def test_eval_negative_values_for_every_complex_option(capsys):
+    code, out, _ = run_cli(
+        capsys, "eval", "kappa", "--a", "-0.7+0.4i", "--z", "-1.3-0.2j", "--u", "-0.35+0.1i"
+    )
+    assert code == 0
+    assert out.strip() == format_value(kappa(-0.7 + 0.4j, -1.3 - 0.2j, -0.35 + 0.1j))
+    code, out, _ = run_cli(capsys, "eval", "vartheta1", "--z", "-1-1i", "--v", "-0.5i")
+    assert code == 0
+    assert out.strip() == format_value(vartheta1(-1 - 1j, -0.5j))
+
+
+def test_eval_negative_infinite_value_as_next_token_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "theta", "--z", "-inf", "--u", "0.3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: z must be finite")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_complex_option_does_not_swallow_a_following_option(capsys):
+    code, out, err = run_cli(capsys, "eval", "theta", "--z", "-h")
+    assert code == 2
+    assert out == ""
+    assert "expected one argument" in err
+
+
+def test_modular_negative_tau_as_next_token(capsys):
+    joined = run_cli(capsys, "modular", "1", "2", "0", "1", "--tau=-0.5+1.5i")
+    code, out, _ = run_cli(capsys, "modular", "1", "2", "0", "1", "--tau", "-0.5+1.5i")
+    assert joined[0] == code == 0
+    assert out == joined[1]
+    assert json.loads(out)["tau"] == "(-0.5+1.5j)"
 
 
 @pytest.mark.parametrize(

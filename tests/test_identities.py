@@ -8,6 +8,7 @@ import cmath
 
 import pytest
 
+from appell_kit import identities
 from appell_kit.identities import (
     GUARD_TOL,
     REGISTRY,
@@ -159,3 +160,33 @@ def test_guarded_sample_keeps_first_accepted_under_cap():
     assert len(calls) == 3000
     with pytest.raises(DomainError):
         guarded_sample(lambda: 1, lambda x: True, 0)
+
+
+@pytest.mark.parametrize("identity_id, seed", (("HADD2", 4), ("SQRT", 9), ("ID55", 13)))
+def test_samples_are_guarded_once(monkeypatch, identity_id, seed):
+    """max_residual_over_samples evaluates the points sample_points accepted
+    without guarding them again, and finds the same worst case as
+    identity_residual over those points."""
+    domain = REGISTRY[identity_id].domain
+    expected = None
+    for point, nome in sample_points(domain, 50, seed):
+        report = identity_residual(identity_id, point, nome)
+        if expected is None or report.rel_residual > expected.rel_residual:
+            expected = report
+    worst = max_residual_over_samples(identity_id, 50, seed)
+    assert worst.rel_residual == expected.rel_residual
+    assert worst.point == expected.point
+    assert worst.nome == expected.nome
+
+    calls = []
+    guard = identities.near_power_orbit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return guard(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "near_power_orbit", counted)
+    sample_points(domain, 50, seed)
+    sampling_calls = len(calls)
+    max_residual_over_samples(identity_id, 50, seed)
+    assert len(calls) == 2 * sampling_calls > 0

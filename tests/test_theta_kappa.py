@@ -13,7 +13,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from appell_kit.numeric import (
     DomainError,
@@ -304,3 +304,97 @@ def test_kappa_bar_is_normalized_kappa(a, z, u):
     lhs = kappa_bar(a, z, u)
     rhs = theta(-a / u, u) * kappa(a, z, u)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def _near_power_orbit_loop(value, u, *, sign=1, parity=None, tol=1e-3):
+    """Reference copy of the exponent walk that near_power_orbit replaced:
+    up to 400 non-negative and 399 negative powers of u by repeated
+    multiplication and division."""
+    thresh = tol * max(1.0, abs(value))
+    if abs(value) <= thresh:
+        return True
+    p = 1.0 + 0.0j
+    for e in range(0, 400):
+        if (parity is None or e % 2 == parity) and abs(value - sign * p) <= thresh:
+            return True
+        p *= u
+        if abs(p) < 0.5 * min(thresh, abs(value)):
+            break
+    p = 1.0 + 0.0j
+    for e in range(1, 400):
+        p /= u
+        if abs(p) > 2.0 * abs(value) + 1.0:
+            break
+        if (parity is None or e % 2 == parity) and abs(value - sign * p) <= thresh:
+            return True
+    return False
+
+
+def _on_threshold_edge(value, u, sign, tol):
+    """Whether some power's distance from value lies within 1e-9 (relative)
+    of the threshold, where rounding in u**e may decide the answer."""
+    thresh = tol * max(1.0, abs(value))
+    for e in range(-399, 400):
+        try:
+            p = u**e
+        except (OverflowError, ZeroDivisionError):
+            continue
+        if abs(abs(value - sign * p) - thresh) <= 1e-9 * thresh:
+            return True
+    return False
+
+
+angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
+
+
+def between(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+@st.composite
+def orbit_guard_inputs(draw):
+    """(value, u, sign, parity, tol): values near a power of u, near powers
+    past the exponent caps, next to a power just below the floor, near 0,
+    or anywhere in the annulus."""
+    kind = draw(st.sampled_from(("orbit", "cap", "floor", "zero", "annulus")))
+    r = draw(between(0.99 if kind == "cap" else 0.01, 0.9999))
+    u = cmath.rect(r, draw(angles))
+    sign = draw(st.sampled_from((1, -1)))
+    parity = draw(st.sampled_from((None, 0, 1)))
+    tol = draw(st.sampled_from((1e-6, 1e-3, 0.1)))
+    if kind == "orbit":
+        reach = min(450, int(690.0 / -math.log(r)))  # |u**e| within 1e+-300
+        e = draw(st.integers(min_value=-reach, max_value=reach))
+        delta = cmath.rect(tol * 10 ** draw(between(-1.0, 1.0)), draw(angles))
+        value = draw(st.sampled_from((1, -1))) * u**e * (1 + delta)
+    elif kind == "cap":
+        e = draw(st.sampled_from((1, -1))) * draw(st.sampled_from((398, 399, 400)))
+        delta = cmath.rect(tol * 10 ** draw(between(-1.0, 1.0)), draw(angles))
+        value = sign * u**e * (1 + delta)
+    elif kind == "floor":
+        e = max(1, round(math.log(tol * draw(between(0.2, 0.6))) / math.log(r)))
+        p = sign * u**e
+        value = p / abs(p) * cmath.rect(tol * draw(between(1.0, 1.5)), draw(between(-0.5, 0.5)))
+    elif kind == "zero":
+        value = cmath.rect(tol * 10 ** draw(between(-2.0, 1.0)), draw(angles))
+    else:
+        value = cmath.rect(math.exp(draw(between(math.log(0.3), math.log(3.0)))), draw(angles))
+    return value, u, sign, parity, tol
+
+
+EDGE_U = cmath.rect(0.99, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(orbit_guard_inputs())
+@example((1.5 + 0j, 1e-200 + 0j, 1, None, 1e-3))  # u**-2 overflows
+@example((1.5 + 0j, 1e-200, 1, None, 1e-3))
+@example((EDGE_U**399, EDGE_U, 1, None, 1e-6))  # the last exponent on each side
+@example((-(EDGE_U**-399), EDGE_U, -1, 1, 1e-6))
+@example((EDGE_U**400, EDGE_U, 1, 0, 1e-6))  # one past the caps
+@example((-(EDGE_U**-400), EDGE_U, -1, None, 1e-6))
+def test_near_power_orbit_matches_exponent_walk(case):
+    value, u, sign, parity, tol = case
+    assume(not _on_threshold_edge(value, u, sign, tol))
+    expected = _near_power_orbit_loop(value, u, sign=sign, parity=parity, tol=tol)
+    assert near_power_orbit(value, u, sign=sign, parity=parity, tol=tol) == expected
