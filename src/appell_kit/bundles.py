@@ -35,9 +35,11 @@ from appell_kit.numeric import (
     annulus_point,
     guarded_sample,
     kappa,
+    kappa_sweep,
     near_power_orbit,
     theta,
     theta2,
+    theta_sweep,
 )
 
 Matrix = tuple[tuple[complex, ...], ...]
@@ -452,7 +454,7 @@ def mu_sample_ok(a: complex, b: complex, u: complex, tol: float = 1e-3) -> bool:
 def mu_thetas(u: complex, zs: Sequence[complex]) -> list[tuple[complex, complex]]:
     """(theta(z), theta(-z)) at each z: the part of the mu-expansion basis
     that depends on neither a nor b."""
-    return [(theta(z, u), theta(-z, u)) for z in zs]
+    return list(zip(theta_sweep(zs, u), theta_sweep([-z for z in zs], u)))
 
 
 def mu_expansion_residual(
@@ -473,7 +475,8 @@ def mu_expansion_residual(
     in the section basis (v0, v1, v-1) of ``basis_sections(a b, u)``,
     evaluated term by term as those sections do.  ``thetas`` is
     ``mu_thetas(u, zs)``, computed here when not given, so a caller that
-    checks many (a, b) pairs over the same points computes it once."""
+    checks many (a, b) pairs over the same points computes it once.  Each of
+    the six series is one sweep over the points."""
     if not mu_sample_ok(a, b, u):
         raise DomainError(
             f"(a, b) = ({a}, {b}) violates the mu-expansion sampling guard"
@@ -484,17 +487,26 @@ def mu_expansion_residual(
     lam_m = mu_lambda(-b, u)
     nu_diff = mu_nu(a, b, u) - mu_nu(a, -b, u)
     ab = a * b
+    bzs = [b * z for z in zs]
+    columns = zip(
+        thetas,
+        theta_sweep([z / b for z in zs], u),
+        kappa_sweep(a, bzs, u),
+        theta_sweep(bzs, u),
+        theta_sweep([z / ab for z in zs], u),
+        kappa_sweep(ab, zs, u),
+        kappa_sweep(-ab, [-z for z in zs], u),
+    )
     pairs: list[tuple[complex, complex]] = []
-    for z, (th, th_m) in zip(zs, thetas):
-        th_b = theta(z / b, u)
-        w = (th_b * kappa(a, b * z, u) / b, th_b * theta(b * z, u))
-        x0 = (theta(z / ab, u), 0.0j)
-        x1 = (th * kappa(ab, z, u), th * th)
-        xm1 = (th_m * kappa(-ab, -z, u), -th_m * th_m)
-        rhs = tuple(
-            lam_p * x1[i] - lam_m * xm1[i] + nu_diff * x0[i] for i in range(2)
+    for (th, th_m), th_b, k_b, th_bz, x0, k_ab, k_mab in columns:
+        # w = (th_b k_b / b, th_b th_bz) against lam_p v1 - lam_m v-1 + nu_diff v0,
+        # where v0 = (x0, 0), v1 = (th k_ab, th**2), v-1 = (th_m k_mab, -th_m**2).
+        pairs.append(
+            (th_b * k_b / b, lam_p * (th * k_ab) - lam_m * (th_m * k_mab) + nu_diff * x0)
         )
-        pairs.extend(zip(w, rhs))
+        pairs.append(
+            (th_b * th_bz, lam_p * (th * th) - lam_m * (-th_m * th_m) + nu_diff * 0.0j)
+        )
     return ResidualReport.from_pairs(
         "MU_EXPANSION", EvalPoint({"a": a, "b": b}), Nome(u), pairs
     )

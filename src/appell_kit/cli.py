@@ -91,6 +91,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -518,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=_default_seed())
     p_verify.add_argument("--tolerance", type=positive_float, default=1e-9)
     p_verify.add_argument("--exact-order", type=positive_int, default=80, dest="exact_order")
-    p_verify.add_argument("--grid", type=int, default=1)
+    p_verify.add_argument("--grid", type=non_negative_int, default=1)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--out", default=None)
 
@@ -531,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qseries = sub.add_parser("qseries", help="emit exact series coefficients")
     p_qseries.add_argument("name", choices=QSERIES_NAMES)
-    p_qseries.add_argument("--order", type=int, default=40)
+    p_qseries.add_argument("--order", type=non_negative_int, default=40)
     p_qseries.add_argument("--format", choices=("json", "csv"), default="json")
     p_qseries.add_argument("--out", default=None)
 
@@ -543,10 +550,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_modular.add_argument("c", type=int)
     p_modular.add_argument("d", type=int)
     p_modular.add_argument("--tau", type=parse_complex, default=1.5j)
-    p_modular.add_argument("--grid", type=int, default=1)
+    p_modular.add_argument("--grid", type=non_negative_int, default=1)
     p_modular.add_argument("--out", default=None)
 
     return parser
+
+
+def _discard_stdout() -> None:
+    """Point stdout at devnull once its reader has gone, so the flush at
+    interpreter exit cannot raise BrokenPipeError again (the SIGPIPE note in
+    the Python ``signal`` docs)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a real file, so no flush at exit can fail
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -565,8 +585,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = _cmd_qseries(args)
         else:
             code = _cmd_modular(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
     except SystemExit as exc:  # parser.error inside a subcommand
         return int(exc.code or 0)
+    except BrokenPipeError:
+        _discard_stdout()
+        return 2
+    except OSError as exc:  # --out could not be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from appell_kit.modular import kappa0
+# kappa0 stays bound here, unused: perfbench/tracer.py patches identities.kappa0.
+from appell_kit.modular import kappa0, kappa0_sweep  # noqa: F401
 from appell_kit.numeric import (
     MAX_TERMS,
     TERM_EPS,
@@ -316,14 +317,12 @@ def _pairs_quasi(p: EvalPoint, nome: Nome):
     u = nome.u
     tau = cmath.log(u) / (1j * math.pi)
     x0 = (tau + 1.0) / 2.0
-    base = kappa0(x0, tau)
-    pairs = []
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            lhs = kappa0(x0 + m + n * tau, tau)
-            rhs = cmath.exp(1j * math.pi * n * (tau + 1.0)) * base
-            pairs.append((lhs, rhs))
-    return pairs
+    grid = [(m, n) for m in range(-2, 3) for n in range(-2, 3)]
+    base, *lhs = kappa0_sweep([x0] + [x0 + m + n * tau for m, n in grid], tau)
+    return [
+        (value, cmath.exp(1j * math.pi * n * (tau + 1.0)) * base)
+        for value, (_, n) in zip(lhs, grid)
+    ]
 
 
 # ---------------------------------------------------------------------------

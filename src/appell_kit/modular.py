@@ -31,8 +31,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from appell_kit.numeric import DomainError, kappa, theta, theta_scale
+from appell_kit.numeric import DomainError, kappa, kappa_sweep, theta, theta_scale
 
 #: Convergence guard for divisibility checks: both tau and gamma.tau must
 #: satisfy Im tau >= MIN_IM_TAU, i.e. |u| <= exp(-0.1*pi) ~ 0.73, which keeps
@@ -185,6 +186,15 @@ def kappa0(x: complex, tau: complex) -> complex:
     u = _nome_from_tau(tau)
     z = cmath.exp(2j * math.pi * x)
     return cmath.exp(0.75j * math.pi * tau) * kappa(-u, z, u)
+
+
+def kappa0_sweep(xs: Sequence[complex], tau: complex) -> list[complex]:
+    """[kappa0(x, tau) for x in xs], bit for bit, through one kappa sweep at
+    a = -u."""
+    u = _nome_from_tau(tau)
+    zs = [cmath.exp(2j * math.pi * x) for x in xs]
+    lead = cmath.exp(0.75j * math.pi * tau)
+    return [lead * k for k in kappa_sweep(-u, zs, u)]
 
 
 def gamma_zero_index(gamma: GammaElement, index: ThetaZeroIndex) -> ThetaZeroIndex:

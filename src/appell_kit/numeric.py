@@ -16,10 +16,11 @@ with NonconvergenceError after MAX_TERMS terms.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 
 POLE_GUARD = 1e-8
@@ -310,6 +311,179 @@ def kappa(a: complex, z: complex, u: complex) -> complex:
         if am > scale:
             scale = am
     raise NonconvergenceError(f"kappa did not converge within {MAX_TERMS} terms")
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: one theta or kappa series summed at many points.
+#
+# A sweep validates its nome and parameter once and each point before its
+# sum, in the order the scalar calls would, builds the rows of
+# point-independent factors once with the scalar loop's own recurrences, and
+# sums every point over those rows with the scalar stopping rule, so each
+# value is bit-identical to the scalar call at that point.  The scalar theta
+# and kappa keep their inline loops: summed over these row generators
+# instead, they slowed the one-point path by about 12% and gave back what
+# the sweeps save on the sampled suite.
+# ---------------------------------------------------------------------------
+
+
+def _theta_rows(u: complex) -> Iterator[tuple[int, complex]]:
+    """Rows (n, u**(n*n)) of the theta series, by theta's recurrence."""
+    u_sq = u * u
+    pw = 1.0 + 0.0j
+    odd = u
+    for n in range(1, MAX_TERMS + 1):
+        pw *= odd
+        odd *= u_sq
+        yield n, pw
+
+
+def _kappa_rows(
+    a: complex, u: complex, guard: float
+) -> Iterator[tuple[int, complex, complex, complex]]:
+    """Rows (n, u**(n*n), u**(2n) - a, u**(-2n) - a) of the kappa series, by
+    kappa's recurrences; raises kappa's PoleProximityError at the first row
+    whose denominator falls inside the guard."""
+    u_sq = u * u
+    pw = 1.0 + 0.0j
+    odd = u
+    up = 1.0 + 0.0j
+    um = 1.0 + 0.0j
+    for n in range(1, MAX_TERMS + 1):
+        pw *= odd
+        odd *= u_sq
+        up *= u_sq
+        um /= u_sq
+        dp = up - a
+        dm = um - a
+        if abs(dp) < guard:
+            raise PoleProximityError(f"parameter a = {a} within {guard} of the pole q**{n}")
+        if abs(dm) < guard:
+            raise PoleProximityError(f"parameter a = {a} within {guard} of the pole q**{-n}")
+        yield n, pw, dp, dm
+
+
+#: Rows a sweep draws first; it doubles them whenever a point runs past.
+SWEEP_FIRST_ROWS = 8
+
+
+def _sweep(
+    name: str,
+    source: Iterator[tuple],
+    zs: Sequence[complex],
+    sum_over: Callable[[complex, list[tuple]], complex | None],
+) -> list[complex]:
+    """``sum_over(z, rows)`` at each z, in order, each z validated just before
+    its sum.  The rows are drawn from ``source`` as the points need them:
+    SWEEP_FIRST_ROWS, then twice as many whenever a point runs past them, and
+    that point's sum restarts.  A pole raised by ``source`` ends the rows; a
+    point that needs the row past them raises it, as its scalar call would,
+    and a point still unsettled after MAX_TERMS rows raises
+    NonconvergenceError."""
+    rows: list[tuple] = []
+    pole: PoleProximityError | None = None
+    out = []
+    for z in zs:
+        _require_nonzero(z, "z")
+        value = sum_over(z, rows)
+        while value is None:
+            drawn = len(rows)
+            try:
+                rows.extend(itertools.islice(source, max(drawn, SWEEP_FIRST_ROWS)))
+            except PoleProximityError as exc:
+                pole = exc
+            if len(rows) == drawn:
+                if pole is not None:
+                    raise PoleProximityError(str(pole))
+                raise NonconvergenceError(f"{name} did not converge within {MAX_TERMS} terms")
+            value = sum_over(z, rows)
+        out.append(value)
+    return out
+
+
+def _theta_over_rows(z: complex, rows: list[tuple[int, complex]]) -> complex | None:
+    """theta(z) summed over the rows with theta's stopping rule, or None if
+    the rows run out first."""
+    eps = TERM_EPS
+    total = 1.0 + 0.0j
+    scale = 1.0
+    zp = 1.0 + 0.0j
+    zm = 1.0 + 0.0j
+    for n, pw in rows:
+        zp *= z
+        zm /= z
+        tp = pw * zp
+        tm = pw * zm
+        ap = abs(tp)
+        am = abs(tm)
+        if n >= 3 and ap < eps * scale and am < eps * scale:
+            return _check_finite(total, "theta")
+        total += tp + tm
+        if ap > scale:
+            scale = ap
+        if am > scale:
+            scale = am
+    return None
+
+
+def _kappa_over_rows(
+    z: complex, head: complex, rows: list[tuple[int, complex, complex, complex]]
+) -> complex | None:
+    """kappa(a, z) summed over the rows with kappa's stopping rule from the
+    n = 0 term ``head`` = 1 / (1 - a), or None if the rows run out first."""
+    eps = TERM_EPS
+    total = head
+    scale = max(abs(total), 1e-300)
+    zp = 1.0 + 0.0j
+    zm = 1.0 + 0.0j
+    for n, pw, dp, dm in rows:
+        zp *= z
+        zm /= z
+        tp = pw * zp / dp
+        tm = pw * zm / dm
+        ap = abs(tp)
+        am = abs(tm)
+        if n >= 3 and ap < eps * scale and am < eps * scale:
+            return _check_finite(total, "kappa")
+        total += tp + tm
+        if ap > scale:
+            scale = ap
+        if am > scale:
+            scale = am
+    return None
+
+
+def theta_sweep(zs: Sequence[complex], u: complex) -> list[complex]:
+    """[theta(z, u) for z in zs], bit for bit and with the same first error,
+    with the powers u**(n*n) built once for all points."""
+    if not zs:
+        return []
+    _require_nome(u)
+    return _sweep("theta", _theta_rows(u), zs, _theta_over_rows)
+
+
+def kappa_sweep(a: complex, zs: Sequence[complex], u: complex) -> list[complex]:
+    """[kappa(a, z, u) for z in zs], bit for bit and with the same first
+    error, with the powers and denominators built and pole-guarded once for
+    all points.  A point whose sum reads a denominator inside the guard
+    raises kappa's PoleProximityError for that pole."""
+    if not zs:
+        return []
+    # The scalar order at the first point: u, z, a, then the n = 0 pole.
+    _require_nome(u)
+    _require_nonzero(zs[0], "z")
+    _require_nonzero(a, "a")
+    guard = POLE_GUARD * max(1.0, abs(a))
+    d0 = 1.0 - a
+    if abs(d0) < guard:
+        raise PoleProximityError(f"parameter a = {a} within {guard} of the pole q**0 = 1")
+    head = 1.0 / d0
+    return _sweep(
+        "kappa",
+        _kappa_rows(a, u, guard),
+        zs,
+        lambda z, rows: _kappa_over_rows(z, head, rows),
+    )
 
 
 def kappa_bar(a: complex, z: complex, u: complex) -> complex:

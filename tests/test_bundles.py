@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
+from unittest import mock
 
 import pytest
 
@@ -47,6 +49,8 @@ from appell_kit.numeric import (
     EvalPoint,
     Nome,
     ResidualReport,
+    annulus_point,
+    guarded_sample,
     kappa,
     theta,
     theta2,
@@ -213,6 +217,53 @@ def test_mu_expansion_precomputed_thetas_are_bit_identical(u):
         report = mu_expansion_residual(a, b, u, zs)
         assert mu_expansion_residual(a, b, u, zs, thetas) == report
         assert report == _mu_expansion_reference(a, b, u, zs)
+
+
+def _mu_expansion_pairs_per_point(a, b, u, zs):
+    """The per-point MU_EXPANSION loop that the sweeps replaced: six scalar
+    kernel calls at each z, besides theta(z) and theta(-z)."""
+    lam_p = mu_lambda(b, u)
+    lam_m = mu_lambda(-b, u)
+    nu_diff = mu_nu(a, b, u) - mu_nu(a, -b, u)
+    ab = a * b
+    pairs = []
+    for z in zs:
+        th, th_m = theta(z, u), theta(-z, u)
+        th_b = theta(z / b, u)
+        w = (th_b * kappa(a, b * z, u) / b, th_b * theta(b * z, u))
+        x0 = (theta(z / ab, u), 0.0j)
+        x1 = (th * kappa(ab, z, u), th * th)
+        xm1 = (th_m * kappa(-ab, -z, u), -th_m * th_m)
+        rhs = tuple(lam_p * x1[i] - lam_m * xm1[i] + nu_diff * x0[i] for i in range(2))
+        pairs.extend(zip(w, rhs))
+    return pairs
+
+
+@pytest.mark.parametrize("u", BUNDLE_NOMES)
+def test_mu_expansion_sweeps_match_per_point_loop(u):
+    """Every pair equals the per-point loop's bit for bit (compared by repr,
+    so signed zeros count), and so does the report: lhs, rhs and residual."""
+    zs = sample_z_points(u, 50, seed=3)
+    rng = random.Random(11)
+    ab_pairs = guarded_sample(
+        lambda: (annulus_point(rng), annulus_point(rng)), lambda ab: mu_sample_ok(*ab, u), 6
+    )
+    thetas = mu_thetas(u, zs)
+    assert repr(thetas) == repr([(theta(z, u), theta(-z, u)) for z in zs])
+    from_pairs = ResidualReport.from_pairs
+    seen = []
+
+    def capture(*args):
+        seen.append(args[3])
+        return from_pairs(*args)
+
+    for a, b in ab_pairs:
+        expected = _mu_expansion_pairs_per_point(a, b, u, zs)
+        with mock.patch.object(ResidualReport, "from_pairs", capture):
+            report = mu_expansion_residual(a, b, u, zs, thetas)
+        assert repr(seen.pop()) == repr(expected)
+        reference = from_pairs("MU_EXPANSION", EvalPoint({"a": a, "b": b}), Nome(u), expected)
+        assert repr(report) == repr(reference)
 
 
 def test_mu_expansion_degenerate_translation():

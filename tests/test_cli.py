@@ -6,6 +6,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +299,63 @@ def test_verify_flag_validation_is_usage_error(capsys, target, flag, value):
     assert "Traceback" not in err
     assert err.startswith(f"appell-kit verify: error: argument {flag}: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("qseries", "t3", "--order", "-1"), "--order"),
+        (("verify", "modular", "--grid", "-1"), "--grid"),
+        (("modular", "1", "2", "0", "1", "--grid", "-2"), "--grid"),
+    ],
+)
+def test_order_and_grid_bounds_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"appell-kit {argv[0]}: error: argument {flag}: must be >= 0, got ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qseries", "t3", "--order", "0"),
+        ("verify", "modular", "--grid", "0"),
+        ("modular", "1", "2", "0", "1", "--grid", "0"),
+    ],
+)
+def test_order_and_grid_zero_stay_valid(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    json.loads(out)
+
+
+def test_unwritable_out_path_is_one_line_exit_2(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "report.json", tmp_path):
+        code, out, err = run_cli(capsys, "verify", "FOR1", "--samples", "3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback():
+    """A reader that stops early (``| head -1``) ends the command with exit 2
+    and an empty stderr; the output is larger than a pipe buffer."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "appell_kit.cli", "qseries", "t3", "--order", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == ""
 
 
 def test_unreachable_sampler_guard_is_domain_error(capsys, monkeypatch):

@@ -5,6 +5,7 @@ the exact-series backend where both apply."""
 from __future__ import annotations
 
 import cmath
+import math
 
 import pytest
 
@@ -21,11 +22,13 @@ from appell_kit.identities import (
     sample_points,
     verify_registry,
 )
+from appell_kit.modular import kappa0
 from appell_kit.numeric import (
     DomainError,
     EvalPoint,
     Nome,
     NonReachableGuardError,
+    ResidualReport,
     guarded_sample,
     kappa,
     theta,
@@ -126,6 +129,34 @@ def test_for1_numeric_matches_exact_series():
 def test_quasi_entry_runs_on_complex_nome():
     report = identity_residual("QUASI", EvalPoint({}), Nome(0.3 + 0.2j))
     assert report.rel_residual < 1e-9
+
+
+def _quasi_pairs_per_point(nome):
+    """The per-point QUASI loop that the kappa sweep replaced: 26 kappa0
+    calls, the base zero and each point of the 5 x 5 grid."""
+    u = nome.u
+    tau = cmath.log(u) / (1j * math.pi)
+    x0 = (tau + 1.0) / 2.0
+    base = kappa0(x0, tau)
+    pairs = []
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            lhs = kappa0(x0 + m + n * tau, tau)
+            rhs = cmath.exp(1j * math.pi * n * (tau + 1.0)) * base
+            pairs.append((lhs, rhs))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+def test_quasi_sweep_matches_per_point_loop(seed):
+    """On seeded QUASI samples the pairs equal the per-point loop's bit for
+    bit (compared by repr), and so does the report: lhs, rhs and residual."""
+    quasi = REGISTRY["QUASI"]
+    for point, nome in sample_points(quasi.domain, 40, seed):
+        expected = _quasi_pairs_per_point(nome)
+        assert repr(quasi.pairs(point, nome)) == repr(expected)
+        reference = ResidualReport.from_pairs("QUASI", point, nome, expected)
+        assert repr(identity_residual("QUASI", point, nome)) == repr(reference)
 
 
 def test_verify_registry_shape():

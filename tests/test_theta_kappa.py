@@ -25,11 +25,13 @@ from appell_kit.numeric import (
     dtheta_dz,
     kappa,
     kappa_bar,
+    kappa_sweep,
     near_power_orbit,
     qpochhammer,
     theta,
     theta2,
     theta_scale,
+    theta_sweep,
     vartheta0,
     vartheta1,
 )
@@ -398,3 +400,108 @@ def test_near_power_orbit_matches_exponent_walk(case):
     assume(not _on_threshold_edge(value, u, sign, tol))
     expected = _near_power_orbit_loop(value, u, sign=sign, parity=parity, tol=tol)
     assert near_power_orbit(value, u, sign=sign, parity=parity, tol=tol) == expected
+
+
+# ---------------------------------------------------------------------------
+# sweeps: bit for bit the scalar calls, errors included
+# ---------------------------------------------------------------------------
+
+
+def _outcome(call):
+    """repr of call()'s value, so signed zeros count, or the type and
+    message of what it raised."""
+    try:
+        return repr(call())
+    except (DomainError, NonconvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def _scalar_outcome(scalar, zs):
+    return _outcome(lambda: [scalar(z) for z in zs])
+
+
+def _sweep_pairs(zs, u, a):
+    """(sweep call, scalar at one point) for theta and kappa."""
+    return (
+        (lambda: theta_sweep(zs, u), lambda z: theta(z, u)),
+        (lambda: kappa_sweep(a, zs, u), lambda z: kappa(a, z, u)),
+    )
+
+
+sweep_nomes = st.builds(cmath.rect, between(0.01, 0.95), angles)
+wide_points = st.builds(
+    cmath.rect, between(math.log(1e-3), math.log(1e3)).map(math.exp), angles
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zs=st.lists(wide_points, max_size=6), u=sweep_nomes, a=wide_points)
+@example(zs=[1.5 - 0.5j, 1e-3, 1e3], u=1e-9 + 0j, a=0.4 + 0.2j)  # tiny nome: sums stop at n = 3
+@example(zs=[1, -1, 0.5], u=0.3, a=-0.3)  # real nome, integer points
+def test_sweeps_match_scalar_calls_bit_for_bit(zs, u, a):
+    """Each sweep equals the scalar calls; the wide points run past the
+    first rows, so the growth path runs too."""
+    for sweep, scalar in _sweep_pairs(zs, u, a):
+        assert _outcome(sweep) == _scalar_outcome(scalar, zs)
+
+
+def test_sweep_pole_errors_match_scalar():
+    """a at 1e-9..1e-7 relative to a pole u**(2k): the sweep raises kappa's
+    message exactly when the scalar calls do, including for a pole past the
+    rows the nearer points read, and for one the rows reach only by
+    growing."""
+    u = 0.55 * cmath.exp(0.4j)
+    point_sets = ([1.1 - 0.3j], [1.1 - 0.3j, 1e3], [1e-3, 0.7j], [])
+    raised = quiet = 0
+    for k in (-12, -3, -1, 0, 1, 2, 5, 12):
+        for offset in (1e-9, 3e-9, 1e-8, 3e-8, 1e-7):
+            a = u ** (2 * k) * (1 + offset)
+            for zs in point_sets:
+                expected = _scalar_outcome(lambda z: kappa(a, z, u), zs)
+                assert _outcome(lambda: kappa_sweep(a, zs, u)) == expected
+                if isinstance(expected, tuple):
+                    assert expected[0] is PoleProximityError
+                    raised += 1
+                else:
+                    quiet += 1
+    assert raised and quiet
+
+
+@pytest.mark.parametrize("bad", (0, 0j, math.inf, complex(1.0, -math.inf), complex(math.nan, 1.0)))
+def test_sweep_rejects_zero_and_non_finite_points(bad):
+    for sweep, scalar in _sweep_pairs([1.2, bad], 0.3, 0.5 + 0.5j):
+        with pytest.raises(DomainError) as info:
+            sweep()
+        assert (type(info.value), str(info.value)) == _scalar_outcome(scalar, [bad])
+
+
+def test_sweep_edges():
+    # an empty sweep checks nothing, as an empty list of scalar calls
+    assert theta_sweep([], 0.3) == theta_sweep([], 1.5) == []
+    assert kappa_sweep(0.5, [], 0.3) == kappa_sweep(0, [], 1.5) == []
+    # a point that needs more than MAX_TERMS rows
+    for sweep, scalar in _sweep_pairs([1.0, 5.0], 0.999, 0.5):
+        expected = _scalar_outcome(scalar, [1.0, 5.0])
+        assert expected[0] is NonconvergenceError
+        assert _outcome(sweep) == expected
+
+
+@pytest.mark.parametrize(
+    "zs, u, a",
+    [
+        ([1.2, 0], 0.3, 0),  # a = 0 is met at the first point, before the bad second one
+        ([0, 1.2], 0.3, 0),  # z is checked before a
+        ([1.2, 0], 1.5, 0),  # u before everything
+        ([1.2, 0], 0.3, 1.0),  # the n = 0 pole at the first point
+        ([1e3, 0], 0.3, 0.3**2),  # a pole the first point reads comes before the bad second one
+        ([1.2, 0, 1e3], 0.3, 0.3**40),  # a pole past the first point's rows comes after it
+        ([1.2, 5.0, 0], 0.999, 0.5),  # nonconvergence at the second point
+    ],
+)
+def test_sweep_first_error_matches_scalar_order(zs, u, a):
+    """With several faults, a sweep raises the one the scalar calls meet
+    first, with its message."""
+    for sweep, scalar in _sweep_pairs(zs, u, a):
+        expected = _scalar_outcome(scalar, zs)
+        assert isinstance(expected, tuple)
+        assert _outcome(sweep) == expected
