@@ -42,6 +42,7 @@ from appell_kit.numeric import (
     theta,
     vartheta0,
     vartheta1,
+    worst_pair,
 )
 
 #: Sampling guard distance (relative) from pole/zero orbits.  Far more
@@ -153,12 +154,13 @@ def _pairs_sym(p: EvalPoint, nome: Nome):
 
 def _pairs_sqrt(p: EvalPoint, nome: Nome):
     z, v, u = p["z"], p["v"], nome.u
+    d0, d1 = vartheta0(1j, v), vartheta1(1j * v * v, v)
     pairs = []
     for s in (p["s"], -p["s"]):
         a = s * s
         lhs = kappa_bar(a * z, 1 / z, u)
-        c0 = vartheta0(1j * v * s * z, v) / vartheta0(1j, v)
-        c1 = vartheta1(1j * v * s * z, v) / vartheta1(1j * v * v, v)
+        c0 = vartheta0(1j * v * s * z, v) / d0
+        c1 = vartheta1(1j * v * s * z, v) / d1
         rhs = c0 * kappa_bar(s / v, v * s, u) + c1 * kappa_bar(v * s, s / v, u)
         pairs.append((lhs, rhs))
     return pairs
@@ -203,9 +205,11 @@ def _pairs_hadd2(p: EvalPoint, nome: Nome):
 def _pairs_hadd3(p: EvalPoint, nome: Nome):
     a, z, u = p["a"], p["z"], nome.u
     lhs = kappa(a, z, u)
-    rhs = (u / a) * theta(z, u) / theta(a * z / u, u) * kappa(u, a * z / u, u) + (
+    azu = a * z / u
+    th_azu = theta(azu, u)
+    rhs = (u / a) * theta(z, u) / th_azu * kappa(u, azu, u) + (
         theta(1, u) * theta(u, u) * theta(-a, u) * theta(z / u, u)
-    ) / (2 * theta(-a / u, u) * theta(a * z / u, u))
+    ) / (2 * theta(-a / u, u) * th_azu)
     return [(lhs, rhs)]
 
 
@@ -601,11 +605,6 @@ def identity_residual(identity_id: str, point: EvalPoint, nome: Nome) -> Residua
         raise DomainError(
             f"point {bindings} violates the sampling guard of {identity_id}"
         )
-    return _evaluate(ident, point, nome)
-
-
-def _evaluate(ident: IdentityDef, point: EvalPoint, nome: Nome) -> ResidualReport:
-    """The residual report of ``ident`` at a point its guard has accepted."""
     return ResidualReport.from_pairs(ident.identity_id, point, nome, ident.pairs(point, nome))
 
 
@@ -633,15 +632,20 @@ def max_residual_over_samples(
 ) -> ResidualReport:
     """Worst-case ResidualReport for the identity over deterministic samples.
     ``sample_points`` has already guarded each point, so it is not checked
-    again."""
+    again.
+
+    Only the worst sample becomes a ResidualReport; samples are compared on
+    ``worst_pair``'s ``rel_residual`` with a strict ``>``, so the result
+    equals the worst of the per-sample reports."""
     ident = get_identity(identity_id)
-    worst: ResidualReport | None = None
+    worst = None
     for point, nome in sample_points(ident.domain, count, seed):
-        report = _evaluate(ident, point, nome)
-        if worst is None or report.rel_residual > worst.rel_residual:
-            worst = report
+        pair = worst_pair(ident.pairs(point, nome))
+        if worst is None or pair[4] > worst[2][4]:
+            worst = (point, nome, pair)
     assert worst is not None
-    return worst
+    point, nome, pair = worst
+    return ResidualReport(ident.identity_id, point, nome, *pair)
 
 
 def verify_registry(count: int = 100, seed: int = 0) -> dict[str, ResidualReport]:

@@ -113,17 +113,25 @@ class ResidualReport:
         nome: Nome,
         pairs: list[tuple[complex, complex]],
     ) -> "ResidualReport":
-        if not pairs:
-            raise DomainError("identity produced no value pairs")
-        worst = None
-        for lhs, rhs in pairs:
-            abs_res = abs(lhs - rhs)
-            scale = max(abs(lhs), abs(rhs), 1.0)
-            rel = abs_res / scale
-            if worst is None or rel > worst[4]:
-                worst = (lhs, rhs, abs_res, scale, rel)
-        lhs, rhs, abs_res, scale, rel = worst
-        return cls(identity_id, point, nome, lhs, rhs, abs_res, scale, rel)
+        return cls(identity_id, point, nome, *worst_pair(pairs))
+
+
+def worst_pair(
+    pairs: list[tuple[complex, complex]],
+) -> tuple[complex, complex, float, float, float]:
+    """``(lhs, rhs, abs_residual, scale, rel_residual)`` of the pair with the
+    largest relative residual; the first such pair wins a tie, and a NaN
+    residual never replaces the running worst."""
+    if not pairs:
+        raise DomainError("identity produced no value pairs")
+    worst = None
+    for lhs, rhs in pairs:
+        abs_res = abs(lhs - rhs)
+        scale = max(abs(lhs), abs(rhs), 1.0)
+        rel = abs_res / scale
+        if worst is None or rel > worst[4]:
+            worst = (lhs, rhs, abs_res, scale, rel)
+    return worst
 
 
 def _require_nome(u: complex) -> None:

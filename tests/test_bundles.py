@@ -305,3 +305,27 @@ def test_sample_z_points_deterministic_and_guarded():
     for z in first:
         assert 0.5 <= abs(z) <= 2.0
         assert not near_power_orbit(z, u, sign=-1, parity=1, tol=1e-3)
+
+
+@pytest.mark.parametrize("samples, z_points", ((1000, 50), (100, 10)))
+def test_mu_expansion_runs_on_a_z_prefix(monkeypatch, samples, z_points):
+    """The bundle suite checks every MU_EXPANSION pair on the first
+    min(z_count, MU_Z_POINTS) of its z-points, with thetas over that prefix."""
+    from appell_kit import bundles, cli
+
+    assert cli.MU_Z_POINTS == 50
+    seen = []
+    original = bundles.mu_expansion_residual
+
+    def record(a, b, u, zs, thetas):
+        seen.append((u, list(zs), len(thetas)))
+        return original(a, b, u, zs, thetas)
+
+    monkeypatch.setattr(bundles, "mu_expansion_residual", record)
+    cli._bundle_records(samples, 0, 1e-9)
+    z_count = max(8, samples // 10)
+    prefixes = {u: sample_z_points(u, z_count, 0)[:z_points] for u in BUNDLE_NOMES}
+    assert len(seen) == len(BUNDLE_NOMES) * max(4, samples // 20)
+    for u, zs, theta_count in seen:
+        assert len(zs) == theta_count == z_points
+        assert zs == prefixes[u]

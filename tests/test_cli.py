@@ -4,6 +4,8 @@ file-output path.  Everything goes through main(argv) in-process."""
 from __future__ import annotations
 
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,11 +14,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from appell_kit import bundles, cli, qexact
+from appell_kit import bundles, cli, identities, qexact
 from appell_kit.cli import (
     BUNDLE_NOMES,
     MODULAR_TAUS,
+    EVAL_FUNCTIONS,
+    QSERIES_NAMES,
     SUITES,
     format_value,
     main,
@@ -460,3 +465,98 @@ def test_modular_out_file(tmp_path, capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: the exit contract holds for every argv
+# ---------------------------------------------------------------------------
+
+_COUNTS = st.sampled_from(["0", "1", "2", "3", "-1", "x", "1.5", ""])
+_COMPLEX = st.sampled_from(
+    ["0.3", "-0.2+0.1i", "1.5j", "0.5i", "-1", "2", "0", "0.9999", "inf", "-inf", "nan", "1e999", "abc"]
+)
+_FORMATS = st.sampled_from(["json", "csv", "xml"])
+# Relative paths: the test runs main inside a temporary directory.
+_OUT_PATHS = st.sampled_from(["out.json", "missing/out.json", "."])
+
+#: subcommand -> (strategy for its positionals, {flag: value strategy}), with
+#: every size option kept small so one example runs in milliseconds.
+_GRAMMAR = {
+    "verify": (
+        st.tuples(st.sampled_from(SUITES + identities.registry_ids() + ("NOPE",))),
+        {
+            "--samples": st.sampled_from(["1", "2", "3", "0", "-2", "x"]),
+            "--seed": st.sampled_from(["0", "1", "7", "-3", "y"]),
+            "--tolerance": st.sampled_from(["1e-9", "1e-30", "1", "0", "-1", "inf", "nan"]),
+            "--exact-order": st.sampled_from(["1", "8", "40", "0", "z"]),
+            "--grid": st.sampled_from(["0", "1", "2", "-1"]),
+            "--format": _FORMATS,
+            "--out": _OUT_PATHS,
+        },
+    ),
+    "eval": (
+        st.tuples(st.sampled_from(tuple(EVAL_FUNCTIONS) + ("sin",))),
+        {flag: _COMPLEX for flag in ("--a", "--z", "--u", "--v")},
+    ),
+    "qseries": (
+        st.tuples(st.sampled_from(QSERIES_NAMES + ("t4",))),
+        {"--order": st.sampled_from(["0", "1", "5", "30", "-1", "x"]), "--format": _FORMATS, "--out": _OUT_PATHS},
+    ),
+    "modular": (
+        st.one_of(
+            st.sampled_from([("1", "2", "0", "1"), ("0", "-1", "1", "0"), ("1", "0", "2", "1"), ("1", "1", "0", "1")]),
+            st.tuples(_COUNTS, _COUNTS, _COUNTS, _COUNTS),
+        ),
+        {"--tau": _COMPLEX, "--grid": st.sampled_from(["0", "1", "2", "-1"]), "--out": _OUT_PATHS},
+    ),
+}
+
+# No junk token is an option name or a prefix of one, so junk never turns a
+# later token into a size or an output path.
+_JUNK = st.sampled_from(
+    ["", "-", "--", "--bogus", "-x", "foo", "nan", "-inf", "1e999", "3.5", "-1", "1+2i", "é", "--samples=", "-h"]
+)
+
+
+@st.composite
+def _argvs(draw):
+    sub = draw(st.sampled_from(sorted(_GRAMMAR) + ["bogus"]))
+    positionals, options = _GRAMMAR.get(sub, (st.just(()), {}))
+    pieces = [[sub]] + [[token] for token in draw(positionals)]
+    if options:
+        for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=4)):
+            pieces.append([flag, draw(options[flag])])
+    for token in draw(st.lists(_JUNK, max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))), [token])
+    return [token for piece in pieces for token in piece]
+
+
+def _emits_json(argv: list[str]) -> bool:
+    """Whether a successful run of argv writes a JSON document to stdout."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = cli.build_parser().parse_args(cli._join_complex_values(argv))
+    except SystemExit:
+        return False
+    return args.subcommand != "eval" and args.out is None and getattr(args, "format", "json") == "json"
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_argvs())
+def test_argv_fuzz_keeps_the_exit_contract(tmp_path_factory, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("fuzz"))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (0, 1) and _emits_json(argv):
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        json.loads(out.getvalue(), parse_constant=reject)

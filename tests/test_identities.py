@@ -12,6 +12,8 @@ import pytest
 from appell_kit import identities
 from appell_kit.identities import (
     GUARD_TOL,
+    DomainSpec,
+    IdentityDef,
     REGISTRY,
     UnknownIdentityError,
     identity_residual,
@@ -221,3 +223,50 @@ def test_samples_are_guarded_once(monkeypatch, identity_id, seed):
     sampling_calls = len(calls)
     max_residual_over_samples(identity_id, 50, seed)
     assert len(calls) == 2 * sampling_calls > 0
+
+
+def _max_residual_reference(ident, count, seed):
+    """The loop max_residual_over_samples replaced: one ResidualReport per
+    sample, keeping the first strict maximum."""
+    worst = None
+    for point, nome in sample_points(ident.domain, count, seed):
+        report = ResidualReport.from_pairs(ident.identity_id, point, nome, ident.pairs(point, nome))
+        if worst is None or report.rel_residual > worst.rel_residual:
+            worst = report
+    return worst
+
+
+@pytest.mark.parametrize("seed", (0, 5))
+@pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
+def test_one_report_per_identity_matches_per_sample_reports(identity_id, seed):
+    expected = _max_residual_reference(REGISTRY[identity_id], 12, seed)
+    assert repr(max_residual_over_samples(identity_id, 12, seed)) == repr(expected)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "scripted, worst_index",
+    [
+        # Ties across samples and inside one sample keep the first; a NaN
+        # after the first pair never wins, but a sample whose first pair is
+        # NaN counts as NaN and loses every comparison.
+        ([[(1.0, 1.0)], [(2.0, 1.0), (1.0, 2.0)], [(1.0, 2.0)], [(NAN, 1.0), (9.0, 1.0)]], 1),
+        ([[(2.0, 1.0)], [(4.0, 1.0), (NAN, 1.0)], [(1.0, 4.0)], [(1.5, 1.0)]], 1),
+        # A NaN first sample is never replaced, as with per-sample reports.
+        ([[(NAN, 1.0)], [(5.0, 1.0)], [(1.0, 1.0)]], 0),
+    ],
+)
+def test_worst_sample_keeps_first_maximum_and_nan_semantics(monkeypatch, scripted, worst_index):
+    def scripted_identity():
+        script = iter(scripted)
+        return IdentityDef("SCRIPTED", "scripted pairs", DomainSpec(symbols=("z",)), lambda p, n: next(script))
+
+    reference = _max_residual_reference(scripted_identity(), len(scripted), 3)
+    monkeypatch.setitem(REGISTRY, "SCRIPTED", scripted_identity())
+    report = max_residual_over_samples("SCRIPTED", len(scripted), 3)
+    assert repr(report) == repr(reference)
+    point, nome = sample_points(DomainSpec(symbols=("z",)), len(scripted), 3)[worst_index]
+    assert (report.point, report.nome) == (point, nome)
+    assert repr(report.lhs) == repr(scripted[worst_index][0][0])
