@@ -572,10 +572,11 @@ def near_power_orbit(
     if not (thresh >= 0.0 and av == av):
         return False  # a NaN value, or a negative or NaN tol, matches nothing
     # |u|**e lies in [av - thresh, av + thresh] for e between these bounds
-    # (log|u| < 0 reverses them); widen by one for rounding.
+    # (log|u| < 0 reverses them).  Rounding moves them by about 1e-13 for
+    # |e| <= 400, far inside the 1e-6 margin; most calls test no e at all.
     log_r = math.log(abs(u))
-    first = math.floor(max(-400.0, math.log(av + thresh) / log_r)) - 1
-    last = math.ceil(min(400.0, math.log(av - thresh) / log_r)) + 1
+    first = math.ceil(max(-400.0, math.log(av + thresh) / log_r) - 1e-6)
+    last = math.floor(min(400.0, math.log(av - thresh) / log_r) + 1e-6)
     floor = 0.5 * thresh  # half of min(thresh, |value|), as |value| > thresh
     for e in range(max(first, -399), min(last, 399) + 1):
         if parity is not None and e % 2 != parity:

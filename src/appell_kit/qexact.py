@@ -9,9 +9,10 @@ coefficient through u**(T-1) matches as a rational number.
 
 Every series here has integer coefficients apart from two halves
 (kappa(-1, u)'s constant term and FOR1's theta(u)**3 / 2), so a series is
-stored as Python int numerators over one shared denominator, and dividing
-by 1 - sign * x**step is an O(T) recurrence rather than a product with a
-dense geometric series.
+stored as Python int numerators over one shared denominator.  A sum of rows
+c * x**e / (1 - s * x**k), as in the kappa special values and both
+double-sum forms, is built in one numerator list, each row added as one
+strided slice (two interleaved ones when s = -1), not as a series of its own.
 
 Two variables appear, both handled by the same USeries container:
 
@@ -26,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, mul, sub
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class TruncationMismatchError(ValueError):
@@ -171,21 +172,6 @@ class USeries:
             e >>= 1
         return result
 
-    def geom_divide(self, sign: int, step: int) -> "USeries":
-        """self / (1 - sign * x**step), truncated: the same series as
-        ``self * geom_inverse(sign, step, self.trunc)``, by the O(trunc)
-        recurrence c[j] += sign * c[j - step] from the lowest nonzero term."""
-        _check_geom(sign, step)
-        c = self._num[:]
-        first = next(compress(range(self.trunc), c), self.trunc)
-        if sign == 1:
-            for j in range(first + step, self.trunc):
-                c[j] += c[j - step]
-        else:
-            for j in range(first + step, self.trunc):
-                c[j] -= c[j - step]
-        return USeries._make(self.trunc, c, self._den)
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -230,22 +216,42 @@ class USeries:
         return f"USeries(trunc={self.trunc!r}, coeffs={self.coeffs!r})"
 
 
-def _check_geom(sign: int, step: int) -> None:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-
-
 def geom_inverse(sign: int, step: int, trunc: int) -> USeries:
     """The geometric series 1 / (1 - sign * x**step) = sum_j sign**j x**(j*step).
 
     step = 0 would be a constant denominator, not a series inverse, and is
     rejected."""
-    _check_geom(sign, step)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
     return USeries.from_terms(
         {j * step: sign**j for j in range((trunc - 1) // step + 1)}, trunc
     )
+
+
+def _geometric_sum(
+    trunc: int, rows: Iterable[tuple[int, int, int, int]], den: int = 1
+) -> USeries:
+    """sum of c * x**e / (1 - s * x**k) over the rows (e, c, s, k), with
+    e >= 0, integer c, s = +1 or -1 and k >= 1, truncated below x**trunc
+    and divided by den.
+
+    A row adds c at exponents e, e + k, e + 2k, ... as one strided slice;
+    for s = -1 the signs alternate, so it is a slice of stride 2k adding c
+    and one from e + k subtracting it.  A monomial is a row whose step
+    reaches past the truncation."""
+    acc = [0] * trunc
+    for e, c, s, k in rows:
+        if e >= trunc:
+            continue  # an empty slice: skip building it
+        if s == 1:
+            acc[e::k] = map(add, acc[e::k], repeat(c))
+        else:
+            k2 = 2 * k
+            acc[e::k2] = map(add, acc[e::k2], repeat(c))
+            acc[e + k :: k2] = map(sub, acc[e + k :: k2], repeat(c))
+    return USeries._make(trunc, acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -287,37 +293,26 @@ def theta_null_half(trunc: int) -> USeries:
 def kappa_u_at_minus_one(trunc: int) -> USeries:
     """kappa(u, -1) = 2 sum_{n>=0} (-1)**n u**(n**2+2n) / (1 - u**(2n+1)),
     from the one-sided kappa(u, z) series at z = -1 where the two z-powers
-    of each term coincide."""
-    total = USeries.zero(trunc)
-    n = 0
-    while n * n + 2 * n < trunc:
-        lead = USeries.monomial(n * n + 2 * n, trunc, 2 * (-1) ** n)
-        total = total + lead.geom_divide(1, 2 * n + 1)
-        n += 1
-    return total
+    of each term coincide.  n**2 + 2n < trunc exactly for n < isqrt(trunc)."""
+    return _geometric_sum(
+        trunc, ((n * n + 2 * n, 2 * (-1) ** n, 1, 2 * n + 1) for n in range(math.isqrt(trunc)))
+    )
 
 
 def kappa_minus_u_at_one(trunc: int) -> USeries:
     """kappa(-u, 1) = 2 sum_{n>=0} u**(n**2+2n) / (1 + u**(2n+1))."""
-    total = USeries.zero(trunc)
-    n = 0
-    while n * n + 2 * n < trunc:
-        lead = USeries.monomial(n * n + 2 * n, trunc, 2)
-        total = total + lead.geom_divide(-1, 2 * n + 1)
-        n += 1
-    return total
+    return _geometric_sum(
+        trunc, ((n * n + 2 * n, 2, -1, 2 * n + 1) for n in range(math.isqrt(trunc)))
+    )
 
 
 def kappa_minus_one_at_u(trunc: int) -> USeries:
     """kappa(-1, u) = 1/2 + 2 sum_{m>=1} u**(m**2+m) / (1 + u**(2m)), by
-    folding the bilateral sum at n <-> -n (the paired terms are equal)."""
-    total = USeries.monomial(0, trunc, Fraction(1, 2))
-    m = 1
-    while m * m + m < trunc:
-        lead = USeries.monomial(m * m + m, trunc, 2)
-        total = total + lead.geom_divide(-1, 2 * m)
-        m += 1
-    return total
+    folding the bilateral sum at n <-> -n (the paired terms are equal).
+    Summed over the denominator 2, so the rows carry 1 and 4; m runs to
+    isqrt(trunc), past which m**2 + m >= trunc."""
+    rows = ((m * m + m, 4, -1, 2 * m) for m in range(1, math.isqrt(trunc) + 1))
+    return _geometric_sum(trunc, chain([(0, 1, 1, trunc)], rows), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +406,24 @@ def double_sum_series(trunc: int, extra: int = 0) -> USeries:
     """
     if extra < 0:
         raise ValueError(f"extra must be >= 0, got {extra}")
-    total = USeries.zero(trunc)
     order = (trunc - 1) // 2  # largest retained q-exponent
     window = math.isqrt(order) + 1 + extra
-    n = 0
-    while n * n // 2 + n <= order + extra:
-        terms: dict[int, int] = {}
-        for l in range(-window, window + 1):
-            e = (n - l) ** 2 + l * l + n
-            e2 = e + 2 * l + 1
-            for q_exp in (e, e2):
-                if 0 <= 2 * q_exp < trunc:
-                    terms[2 * q_exp] = terms.get(2 * q_exp, 0) + 1
-        if terms:
-            row = USeries.from_terms(terms, trunc).geom_divide(1, 4 * n + 2)
-            total = total + (-row if n % 2 else row)
-        n += 1
-    return total
+
+    def rows() -> Iterator[tuple[int, int, int, int]]:
+        n = 0
+        while n * n // 2 + n <= order + extra:
+            terms: dict[int, int] = {}  # one row per exponent, not per l
+            for l in range(-window, window + 1):
+                e = (n - l) ** 2 + l * l + n
+                for u_exp in (2 * e, 2 * (e + 2 * l + 1)):
+                    if u_exp < trunc:
+                        terms[u_exp] = terms.get(u_exp, 0) + 1
+            sign = -1 if n % 2 else 1
+            for u_exp, count in terms.items():
+                yield u_exp, sign * count, 1, 4 * n + 2
+            n += 1
+
+    return _geometric_sum(trunc, rows())
 
 
 def andrews_series(trunc: int, extra: int = 0) -> USeries:
@@ -444,21 +440,18 @@ def andrews_series(trunc: int, extra: int = 0) -> USeries:
     results must be independent of it."""
     if extra < 0:
         raise ValueError(f"extra must be >= 0, got {extra}")
-    total = USeries.zero(trunc)
     order = (trunc - 1) // 2
-    for n in range(0, order + extra + 1):
-        terms: dict[int, int] = {}
-        for j in range(2 * n, -1, -1):
-            e = 2 * n * n + 2 * n - j * (j + 1) // 2
-            if e > order:
-                break
-            for q_exp in (e, e + 2 * n + 1):
-                if 0 <= 2 * q_exp < trunc:
-                    terms[2 * q_exp] = terms.get(2 * q_exp, 0) + 1
-        if terms:
-            row = USeries.from_terms(terms, trunc).geom_divide(1, 4 * n + 2)
-            total = total + row
-    return total
+
+    def rows() -> Iterator[tuple[int, int, int, int]]:
+        for n in range(0, order + extra + 1):
+            for j in range(2 * n, -1, -1):
+                e = 2 * n * n + 2 * n - j * (j + 1) // 2
+                if e > order:
+                    break
+                yield 2 * e, 1, 1, 4 * n + 2
+                yield 2 * (e + 2 * n + 1), 1, 1, 4 * n + 2
+
+    return _geometric_sum(trunc, rows())
 
 
 # ---------------------------------------------------------------------------

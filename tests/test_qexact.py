@@ -4,6 +4,7 @@ three-term relations, and the triangular-number triple count agreement."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -237,19 +238,121 @@ def test_integer_engine_matches_fraction_reference(a, b):
     assert sa.agrees_with(USeries(len(a), list(a))) is None
 
 
+def _row(terms, sign, step, trunc):
+    """One row c * x**e / (1 - sign * x**step) per term, as its own series."""
+    return USeries.from_terms(terms, trunc) * geom_inverse(sign, step, trunc)
+
+
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize("step", (1, 2, 3, 5, 8, 13, 40))
 def test_geom_divide_equals_geom_inverse_product(sign, step):
+    """Division by 1 - sign * x**step in the strided row builder, summed
+    over the denominator 2, equals each row's series times the dense
+    geometric series: a series with four terms, a late monomial, zero, rows
+    at or past the truncation, a row whose step reaches past it, and rows
+    whose second slice (for sign -1) starts at or past it."""
     trunc = 40
-    series = USeries.from_terms({0: 3, 1: Fraction(-1, 2), 6: 2, 17: Fraction(5, 2)}, trunc)
-    late = USeries.monomial(11, trunc, -4)
-    for s in (series, late, USeries.zero(trunc)):
-        expected = s * geom_inverse(sign, step, trunc)
-        assert s.geom_divide(sign, step).coeffs == expected.coeffs
-    with pytest.raises(ValueError):
-        series.geom_divide(2, step)
-    with pytest.raises(ValueError):
-        series.geom_divide(sign, 0)
+    cases = [
+        ({0: 3, 1: Fraction(-1, 2), 6: 2, 17: Fraction(5, 2)}, step),
+        ({11: -4}, step),
+        ({}, step),
+        ({trunc: 1, trunc + step: 9}, step),
+        ({3: 7, trunc - 1: Fraction(-3, 2)}, trunc + step),
+        ({trunc - 1: 5}, step),
+        ({trunc - step: Fraction(7, 2)}, step),
+    ]
+    for terms, k in cases:
+        rows = [(e, int(2 * c), sign, k) for e, c in terms.items()]
+        assert qexact._geometric_sum(trunc, rows, 2) == _row(terms, sign, k, trunc)
+
+
+# Reference constructions of the five row sums: each row its own series,
+# times the dense geometric series, summed with +.
+
+
+def _kappa_u_at_minus_one_loop(trunc):
+    total = USeries.zero(trunc)
+    n = 0
+    while n * n + 2 * n < trunc:
+        total = total + _row({n * n + 2 * n: 2 * (-1) ** n}, 1, 2 * n + 1, trunc)
+        n += 1
+    return total
+
+
+def _kappa_minus_u_at_one_loop(trunc):
+    total = USeries.zero(trunc)
+    n = 0
+    while n * n + 2 * n < trunc:
+        total = total + _row({n * n + 2 * n: 2}, -1, 2 * n + 1, trunc)
+        n += 1
+    return total
+
+
+def _kappa_minus_one_at_u_loop(trunc):
+    total = USeries.monomial(0, trunc, Fraction(1, 2))
+    m = 1
+    while m * m + m < trunc:
+        total = total + _row({m * m + m: 2}, -1, 2 * m, trunc)
+        m += 1
+    return total
+
+
+def _double_sum_series_loop(trunc, extra=0):
+    total = USeries.zero(trunc)
+    order = (trunc - 1) // 2
+    window = math.isqrt(order) + 1 + extra
+    n = 0
+    while n * n // 2 + n <= order + extra:
+        terms = {}
+        for l in range(-window, window + 1):
+            e = (n - l) ** 2 + l * l + n
+            for q_exp in (e, e + 2 * l + 1):
+                if 0 <= 2 * q_exp < trunc:
+                    terms[2 * q_exp] = terms.get(2 * q_exp, 0) + 1
+        if terms:
+            row = _row(terms, 1, 4 * n + 2, trunc)
+            total = total + (-row if n % 2 else row)
+        n += 1
+    return total
+
+
+def _andrews_series_loop(trunc, extra=0):
+    total = USeries.zero(trunc)
+    order = (trunc - 1) // 2
+    for n in range(0, order + extra + 1):
+        terms = {}
+        for j in range(2 * n, -1, -1):
+            e = 2 * n * n + 2 * n - j * (j + 1) // 2
+            if e > order:
+                break
+            for q_exp in (e, e + 2 * n + 1):
+                if 0 <= 2 * q_exp < trunc:
+                    terms[2 * q_exp] = terms.get(2 * q_exp, 0) + 1
+        if terms:
+            total = total + _row(terms, 1, 4 * n + 2, trunc)
+    return total
+
+
+ROW_SUMS = [
+    (kappa_u_at_minus_one, _kappa_u_at_minus_one_loop, {}),
+    (kappa_minus_u_at_one, _kappa_minus_u_at_one_loop, {}),
+    (kappa_minus_one_at_u, _kappa_minus_one_at_u_loop, {}),
+    (double_sum_series, _double_sum_series_loop, {}),
+    (andrews_series, _andrews_series_loop, {}),
+    (double_sum_series, _double_sum_series_loop, {"extra": 3}),
+    (andrews_series, _andrews_series_loop, {"extra": 3}),
+]
+
+
+@pytest.mark.parametrize("trunc", (1, 2, 3, 4, 80, 81, 160, 802))
+@pytest.mark.parametrize(
+    "built, reference, kwargs",
+    ROW_SUMS,
+    ids=[f"{built.__name__}{'-extra' if kwargs else ''}" for built, _, kwargs in ROW_SUMS],
+)
+def test_row_sums_equal_per_row_reference(built, reference, kwargs, trunc):
+    """Numerators and denominator equal the per-row construction's."""
+    assert built(trunc, **kwargs) == reference(trunc, **kwargs)
 
 
 @pytest.mark.parametrize("name", ("kappa_minus_one_at_u", "kappa_u_at_minus_one"))

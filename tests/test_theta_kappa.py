@@ -385,6 +385,21 @@ def orbit_guard_inputs(draw):
 
 
 EDGE_U = cmath.rect(0.99, 1.0)
+HALF_U = cmath.rect(0.5, 0.3)
+
+
+def _ring_edge(u, e, sign, *, inside, outward, tol=1e-6):
+    """A guard input on the ray of sign * u**e whose modulus differs from
+    |u**e| by thresh - 1e-12 (inside) or thresh + 1e-12, above |u**e|
+    (outward) or below it: where the exponent window's bounds fall."""
+    p = sign * u**e
+    r = abs(p)
+    gap = -1e-12 if inside else 1e-12
+    if outward:  # |value| - r = thresh + gap, thresh = tol * max(1, |value|)
+        av = r + tol + gap if r + tol < 1 else (r + gap) / (1 - tol)
+    else:  # r - |value| = thresh + gap
+        av = r - tol - gap if r < 1 else (r - gap) / (1 + tol)
+    return p / r * av, u, sign, None, tol
 
 
 @settings(max_examples=400, deadline=None)
@@ -395,6 +410,14 @@ EDGE_U = cmath.rect(0.99, 1.0)
 @example((-(EDGE_U**-399), EDGE_U, -1, 1, 1e-6))
 @example((EDGE_U**400, EDGE_U, 1, 0, 1e-6))  # one past the caps
 @example((-(EDGE_U**-400), EDGE_U, -1, None, 1e-6))
+@example(_ring_edge(HALF_U, 3, 1, inside=True, outward=True))  # window edges
+@example(_ring_edge(HALF_U, 3, 1, inside=False, outward=True))
+@example(_ring_edge(HALF_U, 3, 1, inside=True, outward=False))
+@example(_ring_edge(HALF_U, 3, 1, inside=False, outward=False))
+@example(_ring_edge(EDGE_U, -5, -1, inside=True, outward=True))
+@example(_ring_edge(EDGE_U, -5, -1, inside=False, outward=True))
+@example(_ring_edge(EDGE_U, -5, -1, inside=True, outward=False))
+@example(_ring_edge(EDGE_U, -5, -1, inside=False, outward=False))
 def test_near_power_orbit_matches_exponent_walk(case):
     value, u, sign, parity, tol = case
     assume(not _on_threshold_edge(value, u, sign, tol))
