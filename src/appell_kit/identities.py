@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 # kappa0 stays bound here, unused: perfbench/tracer.py patches identities.kappa0.
@@ -628,18 +628,26 @@ def sample_points(
 
 
 def max_residual_over_samples(
-    identity_id: str, count: int = 100, seed: int = 0
+    identity_id: str,
+    count: int = 100,
+    seed: int = 0,
+    *,
+    u_abs_range: tuple[float, float] | None = None,
 ) -> ResidualReport:
     """Worst-case ResidualReport for the identity over deterministic samples.
     ``sample_points`` has already guarded each point, so it is not checked
-    again.
+    again.  ``u_abs_range``, when given, replaces the range of |u| that the
+    identity's domain samples from.
 
     Only the worst sample becomes a ResidualReport; samples are compared on
     ``worst_pair``'s ``rel_residual`` with a strict ``>``, so the result
     equals the worst of the per-sample reports."""
     ident = get_identity(identity_id)
+    domain = ident.domain
+    if u_abs_range is not None:
+        domain = replace(domain, u_abs_range=u_abs_range)
     worst = None
-    for point, nome in sample_points(ident.domain, count, seed):
+    for point, nome in sample_points(domain, count, seed):
         pair = worst_pair(ident.pairs(point, nome))
         if worst is None or pair[4] > worst[2][4]:
             worst = (point, nome, pair)

@@ -23,7 +23,6 @@ The headline check is ``divisibility_residual``: the modular defect
 
 vanishes at every zero x = (tau+1)/2 + m + n*tau of theta(x, tau), which is
 the finite-order obstruction to D being a holomorphic multiple of theta.
-``phi_gamma`` returns the quotient D / theta away from the zero locus.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from appell_kit.numeric import DomainError, kappa, kappa_sweep, theta, theta_scale
+from appell_kit.numeric import DomainError, kappa, kappa_sweep, theta
 
 #: Convergence guard for divisibility checks: both tau and gamma.tau must
 #: satisfy Im tau >= MIN_IM_TAU, i.e. |u| <= exp(-0.1*pi) ~ 0.73, which keeps
@@ -232,25 +231,6 @@ def _require_divisibility_domain(gamma: GammaElement, tau: complex) -> complex:
     return gtau
 
 
-def modular_defect(gamma: GammaElement, x: complex, tau: complex) -> complex:
-    """D(x) = kappa0(x/(c tau+d), gamma.tau) - zeta_sq^-1 chi^-1 (c tau+d)
-    exp(pi*i*(1/(c tau+d) - 1) x) kappa0(x, tau).
-
-    Identically zero for the identity element; in general a holomorphic
-    multiple of theta(x, tau)."""
-    gtau = _require_divisibility_domain(gamma, tau)
-    denom = gamma.c * tau + gamma.d
-    lead = kappa0(x / denom, gtau)
-    trail = (
-        1.0
-        / (zeta_sq(gamma) * chi(gamma))
-        * denom
-        * cmath.exp(1j * math.pi * (1.0 / denom - 1.0) * x)
-        * kappa0(x, tau)
-    )
-    return lead - trail
-
-
 def divisibility_residual(
     gamma: GammaElement,
     tau: complex,
@@ -267,8 +247,8 @@ def divisibility_residual(
     ``gamma_zero_index``).  Summing the bilateral series directly at
     z = -u**(2n+1) would lose roughly |u|**(-n**2) of precision to
     cancellation, while the phases keep every grid point well conditioned.
-    The raw-series route agrees wherever it is conditioned well enough
-    (covered by tests via ``modular_defect``)."""
+    The raw-series route agrees wherever it is conditioned well enough;
+    tests/test_modular.py keeps it as the reference."""
     gtau = _require_divisibility_domain(gamma, tau)
     if zeros is None:
         zeros = zero_grid(1)
@@ -292,20 +272,3 @@ def divisibility_residual(
         worst = max(worst, abs(lead - trail) / scale)
     return worst
 
-
-def phi_gamma(gamma: GammaElement, x: complex, tau: complex) -> complex:
-    """The quotient exp(-3*pi*i*gamma.tau/4) * D(x) / theta(x, tau): the
-    unique value completing the transformation law of kappa0 at (x, tau).
-
-    Guarded away from theta zeros: requires |theta(x,tau)| > 1e-6 * scale."""
-    gtau = _require_divisibility_domain(gamma, tau)
-    u = _nome_from_tau(tau)
-    z = cmath.exp(2j * math.pi * x)
-    th = theta(z, u)
-    floor = 1e-6 * theta_scale(z, u)
-    if abs(th) <= floor:
-        raise DomainError(
-            f"theta(x, tau) = {th:.3e} is within 1e-6 of its scale {floor:.3e}; "
-            "x is too close to a theta zero for the quotient"
-        )
-    return modular_defect(gamma, x, tau) * cmath.exp(-0.75j * math.pi * gtau) / th

@@ -187,12 +187,6 @@ def theta(z: complex, u: complex) -> complex:
     raise NonconvergenceError(f"theta did not converge within {MAX_TERMS} terms")
 
 
-def theta_scale(z: complex, u: complex) -> float:
-    """Sum of absolute term magnitudes of theta(z, u); the natural scale
-    for deciding whether a computed theta value is suspiciously small."""
-    return theta(abs(z), abs(u)).real
-
-
 def theta2(z: complex, u: complex) -> complex:
     """Theta series at the squared nome: sum_n u**(2*n*n) * z**n = theta(z, u**2)."""
     _require_nome(u)

@@ -196,14 +196,6 @@ class USeries:
                 return k
         return None
 
-    def evaluate(self, x: complex) -> complex:
-        """Horner evaluation of the truncated polynomial at a complex point."""
-        acc = 0.0 + 0.0j
-        den = self._den
-        for c in reversed(self._num):
-            acc = acc * x + c / den
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, USeries):
             return NotImplemented
@@ -214,20 +206,6 @@ class USeries:
 
     def __repr__(self) -> str:
         return f"USeries(trunc={self.trunc!r}, coeffs={self.coeffs!r})"
-
-
-def geom_inverse(sign: int, step: int, trunc: int) -> USeries:
-    """The geometric series 1 / (1 - sign * x**step) = sum_j sign**j x**(j*step).
-
-    step = 0 would be a constant denominator, not a series inverse, and is
-    rejected."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    return USeries.from_terms(
-        {j * step: sign**j for j in range((trunc - 1) // step + 1)}, trunc
-    )
 
 
 def _geometric_sum(

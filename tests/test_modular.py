@@ -22,8 +22,6 @@ from appell_kit.modular import (
     gamma_zero_index,
     k_gamma,
     kappa0,
-    modular_defect,
-    phi_gamma,
     theta_additive,
     theta_zero,
     zero_grid,
@@ -35,6 +33,24 @@ T2 = GammaElement(1, 2, 0, 1)
 V = GammaElement(1, 0, 2, 1)
 S = GammaElement(0, -1, 1, 0)
 TAUS = (1.2j, 2.0j, 0.5 + 1.5j)
+
+
+def modular_defect(gamma: GammaElement, x: complex, tau: complex) -> complex:
+    """The raw-series route: D(x) = kappa0(x/(c tau+d), gamma.tau) - zeta_sq^-1
+    chi^-1 (c tau+d) exp(pi*i*(1/(c tau+d) - 1) x) kappa0(x, tau), each
+    kappa0 summed at x itself.  Identically zero for the identity element; in
+    general a holomorphic multiple of theta(x, tau)."""
+    gtau = act_tau(gamma, tau)
+    denom = gamma.c * tau + gamma.d
+    lead = kappa0(x / denom, gtau)
+    trail = (
+        1.0
+        / (zeta_sq(gamma) * chi(gamma))
+        * denom
+        * cmath.exp(1j * math.pi * (1.0 / denom - 1.0) * x)
+        * kappa0(x, tau)
+    )
+    return lead - trail
 
 
 def test_membership_validation():
@@ -225,35 +241,15 @@ def test_raw_defect_vanishes_on_zero_grid():
             assert abs(modular_defect(gamma, x, tau)) < 1e-9
 
 
-def test_phi_gamma_identity_and_plugback():
-    tau = 1.5j
-    x = 0.31 + 0.17j
-    assert phi_gamma(GAMMA_IDENTITY, x, tau) == 0j
-    gamma = T2 @ V
-    u = cmath.exp(1j * math.pi * tau)
-    value = phi_gamma(gamma, x, tau)
-    reconstructed = (
-        value
-        * cmath.exp(0.75j * math.pi * act_tau(gamma, tau))
-        * theta(cmath.exp(2j * math.pi * x), u)
-    )
-    defect = modular_defect(gamma, x, tau)
-    assert abs(reconstructed - defect) <= 1e-12 * max(1.0, abs(defect))
-
-
-def test_phi_gamma_guard_near_theta_zero():
-    tau = 1.5j
-    x = (tau + 1.0) / 2.0
-    with pytest.raises(DomainError):
-        phi_gamma(T2, x, tau)
-
-
 def test_phi_gamma_bounded_along_segment():
-    """phi stays O(1) along a segment crossing the fundamental cell, away
-    from zeros: the quotient really is holomorphic, not merely meromorphic."""
+    """phi = exp(-3*pi*i*gamma.tau/4) * D(x) / theta(x, tau) stays O(1) along
+    a segment crossing the fundamental cell, away from zeros: the quotient
+    really is holomorphic, not merely meromorphic."""
     tau = 1.5j
     gamma = V
-    values = [
-        abs(phi_gamma(gamma, 0.05 + t * 0.08 + 0.21j, tau)) for t in range(0, 11)
-    ]
+    lead = cmath.exp(-0.75j * math.pi * act_tau(gamma, tau))
+    values = []
+    for t in range(0, 11):
+        x = 0.05 + t * 0.08 + 0.21j
+        values.append(abs(modular_defect(gamma, x, tau) * lead / theta_additive(x, tau)))
     assert max(values) < 1e3

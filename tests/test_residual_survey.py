@@ -1,9 +1,16 @@
-"""scripts/residual_survey.py: a window the kernel refuses becomes a row."""
+"""scripts/residual_survey.py: a window the kernel refuses becomes a row, the
+rows equal a per-point loop over the window, and bad argv exits 2."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from appell_kit import identities
+from appell_kit.numeric import DomainError, NonconvergenceError
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "residual_survey.py"
 
@@ -25,4 +32,58 @@ def test_refused_window_becomes_row(capsys):
         "QUASI,0.9500,0.9990,2,refused",
     ]
     assert "QUASI [0.9500, 0.9990] refused: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+def reference_rows(ids, windows, samples, seed):
+    """The survey's per-point loop: guard every sample again through
+    identity_residual and keep the largest residual, starting from 0.0."""
+    for identity_id in ids:
+        domain = identities.REGISTRY[identity_id].domain
+        for lo, hi in windows:
+            worst = 0.0
+            try:
+                window = dataclasses.replace(domain, u_abs_range=(lo, hi))
+                for point, nome in identities.sample_points(window, samples, seed):
+                    report = identities.identity_residual(identity_id, point, nome)
+                    worst = max(worst, report.rel_residual)
+            except (DomainError, NonconvergenceError) as exc:
+                yield identity_id, lo, hi, samples, None, str(exc)
+            else:
+                yield identity_id, lo, hi, samples, worst, None
+
+
+@pytest.mark.parametrize("seed", (0, 4))
+@pytest.mark.parametrize("spec", ("0.05:0.75:3", "0.95:0.999:2"))
+def test_rows_equal_per_point_reference(spec, seed):
+    """The rows the registry's sampled loop gives equal the per-point loop's,
+    refusals and their reasons included."""
+    survey = load_survey()
+    ids = ("DEF", "HADD", "SQRT", "QUASI")
+    windows = survey.parse_windows(spec)
+    rows = [
+        (*row[:5], None if row[5] is None else str(row[5]))
+        for row in survey.survey_rows(ids, windows, 6, seed)
+    ]
+    assert rows == list(reference_rows(ids, windows, 6, seed))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["--ids", "FOO", "--samples", "2"], "unknown identity ids: 'FOO'"),
+        (["--ids", "DEF,", "--samples", "2"], "unknown identity ids: ''"),
+        (["--samples", "0"], "argument --samples: must be >= 1, got 0"),
+        (["--samples", "-3"], "argument --samples: must be >= 1, got -3"),
+    ),
+)
+def test_bad_argv_exits_2_with_one_error_line(capsys, argv, message):
+    survey = load_survey()
+    with pytest.raises(SystemExit) as exc:
+        survey.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f": error: {message}")
     assert "Traceback" not in captured.err
