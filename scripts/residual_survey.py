@@ -16,7 +16,8 @@ with a 60-digit mpmath sum to 1.2e-13.
 A window that the kernel or the sampler refuses (a DomainError, which
 includes NonReachableGuardError, or a NonconvergenceError) becomes a row
 whose worst_residual is ``refused``; the reason goes to stderr and the
-survey carries on.
+survey carries on.  An --out path that cannot be written is one
+``error: ...`` line on stderr and exit 2, before any row is computed.
 
 Usage:
     python scripts/residual_survey.py [--samples 40] [--seed 0]
@@ -70,6 +71,13 @@ def main(argv: list[str] | None = None) -> int:
     unknown = sorted(set(ids).difference(identities.registry_ids()))
     if unknown:
         parser.error(f"unknown identity ids: {', '.join(map(repr, unknown))}")
+    # The output is opened before the survey runs, so a path that cannot be
+    # written fails at once, as one error line, not after every row.
+    try:
+        fh = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lines = ["identity,u_lo,u_hi,samples,worst_residual"]
     rows = survey_rows(ids, args.windows, args.samples, args.seed)
     for identity_id, lo, hi, samples, worst, refusal in rows:
@@ -78,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
         cell = "refused" if worst is None else f"{worst:.6e}"
         lines.append(f"{identity_id},{lo:.4f},{hi:.4f},{samples},{cell}")
     text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if fh is not None:
+        with fh:
             fh.write(text + "\n")
         print(f"wrote {args.out} ({len(lines) - 1} rows)")
     else:

@@ -153,16 +153,25 @@ def _check_finite(total: complex, name: str) -> complex:
     return total
 
 
+# The kernel's success path calls none of the helpers above, which cost a
+# call per check on every kernel call: each check runs inline, and only a
+# failing one calls its helper, which raises the message.
+_isfinite = cmath.isfinite
+
+
 def theta(z: complex, u: complex) -> complex:
     """Theta series sum_n u**(n*n) * z**n at nome q = u**2.
 
     Quasi-periodic: theta(q*z) = theta(z)/(u*z); zeros lie on -u * q**Z.
     """
-    _require_nome(u)
-    _require_nonzero(z, "z")
+    if not 0.0 < abs(u) < 1.0:
+        _require_nome(u)
+    if z == 0 or not _isfinite(z):
+        _require_nonzero(z, "z")
     eps = TERM_EPS
     total = 1.0 + 0.0j
     scale = 1.0
+    lim = eps * scale
     u_sq = u * u
     pw = 1.0 + 0.0j  # u**(n*n), advanced by the odd power u**(2n-1)
     odd = u
@@ -177,28 +186,37 @@ def theta(z: complex, u: complex) -> complex:
         tm = pw * zm
         ap = abs(tp)
         am = abs(tm)
-        if n >= 3 and ap < eps * scale and am < eps * scale:
-            return _check_finite(total, "theta")
+        if ap < lim and am < lim and n >= 3:
+            return total if _isfinite(total) else _check_finite(total, "theta")
         total += tp + tm
         if ap > scale:
             scale = ap
+            lim = eps * scale
         if am > scale:
             scale = am
+            lim = eps * scale
     raise NonconvergenceError(f"theta did not converge within {MAX_TERMS} terms")
 
 
 def theta2(z: complex, u: complex) -> complex:
     """Theta series at the squared nome: sum_n u**(2*n*n) * z**n = theta(z, u**2)."""
-    _require_nome(u)
-    return theta(z, u * u)
+    if not 0.0 < abs(u) < 1.0:
+        _require_nome(u)
+    u_sq = u * u
+    if u_sq == 0:
+        raise DomainError(f"u**2 underflows to 0 at u = {u}")
+    return theta(z, u_sq)
 
 
 def _derived_argument_error(
-    exc: DomainError, w: complex, expr: str, z: complex, v: complex
+    exc: DomainError, v4: complex, w: complex, expr: str, z: complex, v: complex
 ) -> DomainError:
-    """The error to raise when theta refused the argument w = expr that a
-    vartheta derived from the caller's z and v: an underflow to 0 or an
-    overflow is reported in terms of z and v, anything else as it was."""
+    """The error to raise when theta refused the nome v4 = v**4 or the
+    argument w = expr that a vartheta derived from the caller's z and v: an
+    underflow to 0 or an overflow is reported in terms of z and v, in
+    theta's check order (nome first), anything else as it was."""
+    if v4 == 0:
+        return DomainError(f"v**4 underflows to 0 at v = {v}")
     if w == 0:
         return DomainError(f"{expr} underflows to 0 at z = {z}, v = {v}")
     if not cmath.isfinite(w):
@@ -208,27 +226,32 @@ def _derived_argument_error(
 
 def vartheta0(z: complex, v: complex) -> complex:
     """Even half-period theta sum_n q**(n*n) * z**(2n) at q = v**4."""
-    _require_nome(v)
-    _require_nonzero(z, "z")
+    if not 0.0 < abs(v) < 1.0:
+        _require_nome(v)
+    if z == 0 or not _isfinite(z):
+        _require_nonzero(z, "z")
     v_sq = v * v
+    v4 = v_sq * v_sq
     w = z * z
     try:
-        return theta(w, v_sq * v_sq)
+        return theta(w, v4)
     except DomainError as exc:
-        raise _derived_argument_error(exc, w, "z*z", z, v) from None
+        raise _derived_argument_error(exc, v4, w, "z*z", z, v) from None
 
 
 def vartheta1(z: complex, v: complex) -> complex:
     """Odd half-period theta sum_n v**((2n+1)**2) * z**(2n+1) at q = v**4,
     summed as v * z * theta(z**2 * v**4) at nome v**4."""
-    _require_nome(v)
-    _require_nonzero(z, "z")
+    if not 0.0 < abs(v) < 1.0:
+        _require_nome(v)
+    if z == 0 or not _isfinite(z):
+        _require_nonzero(z, "z")
     v4 = v**4
     w = z * z * v4
     try:
         return v * z * theta(w, v4)
     except DomainError as exc:
-        raise _derived_argument_error(exc, w, "z*z*v**4", z, v) from None
+        raise _derived_argument_error(exc, v4, w, "z*z*v**4", z, v) from None
 
 
 def dtheta_dz(z: complex, u: complex) -> complex:
@@ -236,11 +259,14 @@ def dtheta_dz(z: complex, u: complex) -> complex:
 
     The n and -n terms are paired so dtheta_dz(1, u) cancels exactly.
     """
-    _require_nome(u)
-    _require_nonzero(z, "z")
+    if not 0.0 < abs(u) < 1.0:
+        _require_nome(u)
+    if z == 0 or not _isfinite(z):
+        _require_nonzero(z, "z")
     eps = TERM_EPS
     total = 0.0 + 0.0j
     scale = 0.0
+    lim = eps * scale
     u_sq = u * u
     pw = 1.0 + 0.0j
     odd = u
@@ -253,13 +279,15 @@ def dtheta_dz(z: complex, u: complex) -> complex:
         tm = n * pw * zm
         ap = abs(tp)
         am = abs(tm)
-        if n >= 3 and ap < eps * scale and am < eps * scale:
-            return _check_finite(total, "dtheta_dz")
+        if ap < lim and am < lim and n >= 3:
+            return total if _isfinite(total) else _check_finite(total, "dtheta_dz")
         total += tp - tm
         if ap > scale:
             scale = ap
+            lim = eps * scale
         if am > scale:
             scale = am
+            lim = eps * scale
         zp *= z
         zm /= z
     raise NonconvergenceError(f"dtheta_dz did not converge within {MAX_TERMS} terms")
@@ -271,17 +299,27 @@ def kappa(a: complex, z: complex, u: complex) -> complex:
     Poles in the parameter a sit on q**Z; every denominator actually used
     is checked against POLE_GUARD * max(1, |a|).
     """
-    _require_nome(u)
-    _require_nonzero(z, "z")
-    _require_nonzero(a, "a")
+    if not 0.0 < abs(u) < 1.0:
+        _require_nome(u)
+    if z == 0 or not _isfinite(z):
+        _require_nonzero(z, "z")
+    if a == 0 or not _isfinite(a):
+        _require_nonzero(a, "a")
     eps = TERM_EPS
-    guard = POLE_GUARD * max(1.0, abs(a))
+    # max() spelled out, here and for scale: the calls cost about 4% of kappa
+    ra = abs(a)
+    guard = POLE_GUARD * (ra if ra > 1.0 else 1.0)
     d0 = 1.0 - a
     if abs(d0) < guard:
         raise PoleProximityError(f"parameter a = {a} within {guard} of the pole q**0 = 1")
     total = 1.0 / d0
-    scale = max(abs(total), 1e-300)
+    scale = abs(total)
+    if scale < 1e-300:
+        scale = 1e-300
+    lim = eps * scale
     u_sq = u * u
+    if u_sq == 0:  # um below divides by it
+        raise DomainError(f"u**2 underflows to 0 at u = {u}")
     pw = 1.0 + 0.0j
     odd = u
     up = 1.0 + 0.0j  # u**(2n)
@@ -305,13 +343,15 @@ def kappa(a: complex, z: complex, u: complex) -> complex:
         tm = pw * zm / dm
         ap = abs(tp)
         am = abs(tm)
-        if n >= 3 and ap < eps * scale and am < eps * scale:
-            return _check_finite(total, "kappa")
+        if ap < lim and am < lim and n >= 3:
+            return total if _isfinite(total) else _check_finite(total, "kappa")
         total += tp + tm
         if ap > scale:
             scale = ap
+            lim = eps * scale
         if am > scale:
             scale = am
+            lim = eps * scale
     raise NonconvergenceError(f"kappa did not converge within {MAX_TERMS} terms")
 
 
@@ -386,7 +426,8 @@ def _sweep(
     pole: PoleProximityError | None = None
     out = []
     for z in zs:
-        _require_nonzero(z, "z")
+        if z == 0 or not _isfinite(z):
+            _require_nonzero(z, "z")
         value = sum_over(z, rows)
         while value is None:
             drawn = len(rows)
@@ -409,6 +450,7 @@ def _theta_over_rows(z: complex, rows: list[tuple[int, complex]]) -> complex | N
     eps = TERM_EPS
     total = 1.0 + 0.0j
     scale = 1.0
+    lim = eps * scale
     zp = 1.0 + 0.0j
     zm = 1.0 + 0.0j
     for n, pw in rows:
@@ -418,13 +460,15 @@ def _theta_over_rows(z: complex, rows: list[tuple[int, complex]]) -> complex | N
         tm = pw * zm
         ap = abs(tp)
         am = abs(tm)
-        if n >= 3 and ap < eps * scale and am < eps * scale:
-            return _check_finite(total, "theta")
+        if ap < lim and am < lim and n >= 3:
+            return total if _isfinite(total) else _check_finite(total, "theta")
         total += tp + tm
         if ap > scale:
             scale = ap
+            lim = eps * scale
         if am > scale:
             scale = am
+            lim = eps * scale
     return None
 
 
@@ -435,7 +479,10 @@ def _kappa_over_rows(
     n = 0 term ``head`` = 1 / (1 - a), or None if the rows run out first."""
     eps = TERM_EPS
     total = head
-    scale = max(abs(total), 1e-300)
+    scale = abs(total)
+    if scale < 1e-300:
+        scale = 1e-300
+    lim = eps * scale
     zp = 1.0 + 0.0j
     zm = 1.0 + 0.0j
     for n, pw, dp, dm in rows:
@@ -445,13 +492,15 @@ def _kappa_over_rows(
         tm = pw * zm / dm
         ap = abs(tp)
         am = abs(tm)
-        if n >= 3 and ap < eps * scale and am < eps * scale:
-            return _check_finite(total, "kappa")
+        if ap < lim and am < lim and n >= 3:
+            return total if _isfinite(total) else _check_finite(total, "kappa")
         total += tp + tm
         if ap > scale:
             scale = ap
+            lim = eps * scale
         if am > scale:
             scale = am
+            lim = eps * scale
     return None
 
 
@@ -480,6 +529,8 @@ def kappa_sweep(a: complex, zs: Sequence[complex], u: complex) -> list[complex]:
     if abs(d0) < guard:
         raise PoleProximityError(f"parameter a = {a} within {guard} of the pole q**0 = 1")
     head = 1.0 / d0
+    if u * u == 0:  # where the scalar call meets it, before the first row
+        raise DomainError(f"u**2 underflows to 0 at u = {u}")
     return _sweep(
         "kappa",
         _kappa_rows(a, u, guard),
@@ -502,27 +553,52 @@ def qpochhammer(x: complex, q: complex) -> complex:
     the inputs: |x| * |q|**k falls below TERM_EPS once k reaches
     log(TERM_EPS / |x|) / log|q|, plus a margin for rounding in the running
     power.  A budget above MAX_TERMS**2 factors is refused at once: such a
-    |q| lies closer to 1 than theta's own term budget reaches."""
-    if not abs(q) < 1.0:
-        raise DomainError(f"qpochhammer requires |q| < 1, got |q| = {abs(q)}")
+    |q| lies closer to 1 than theta's own term budget reaches.  The leading
+    factors that are provably at least TERM_EPS skip the stop test; only
+    the last few, where the product can stop, are checked."""
+    rq = abs(q)
+    if not rq < 1.0:
+        raise DomainError(f"qpochhammer requires |q| < 1, got |q| = {rq}")
     f = complex(x)
-    if not cmath.isfinite(f):
+    if not _isfinite(f):
         raise DomainError(f"qpochhammer requires a finite x, got {x}")
     eps = TERM_EPS
-    r, rq = abs(f), abs(q)
+    r = abs(f)
     if r < eps or rq == 0.0:
-        budget = 1
+        budget, live = 1, 0
     else:
-        budget = math.ceil((math.log(eps) - math.log(r)) / math.log(rq)) + 2
+        log_r, log_q = math.log(r), math.log(rq)
+        budget = math.ceil((math.log(eps) - log_r) / log_q) + 2
+        # The factors k = 0 .. live-1 skip the stop test, because
+        # abs(f) >= eps holds at each of them.  With u = 2**-53 and
+        # eps' = eps * (1 + 1e-9):
+        # - each such k is at most k', the computed
+        #   (log eps' - log r) / log rq.  The logs and the division carry a
+        #   few ulps of numbers below 750, and abs(f) and abs(q) carry
+        #   relative error u, which k < MAX_TERMS**2 = 4e4 multiplies, so
+        #   |f_0| |q|**k >= eps' (1 - 1e-11) in exact arithmetic;
+        # - each product f_k = fl(f_(k-1) * q) adds relative error below
+        #   sqrt(2) * gamma_2 < 3u (Higham, Accuracy and Stability of
+        #   Numerical Algorithms, 2nd ed., 3.1-3.3 and 3.6), so
+        #   |f_k| >= |f_0| |q|**k (1 - 3ku), and 3ku < 1.4e-11;
+        # - abs(f_k) loses one more u.
+        # So abs(f_k) >= eps (1 + 1e-9) (1 - 3e-11) > eps.  An r in
+        # [eps, eps') has k' <= 0, so at most f_0 is unchecked, and
+        # abs(f_0) = r >= eps.  And eps' > eps makes live <= budget - 1, so
+        # the checked loop still meets the factor where the product stops.
+        live = max(0, math.floor((math.log(eps * (1.0 + 1e-9)) - log_r) / log_q) + 1)
     if budget > MAX_TERMS * MAX_TERMS:
         raise NonconvergenceError(
             f"qpochhammer needs {budget} factors at |q| = {rq}, "
             f"more than {MAX_TERMS * MAX_TERMS}"
         )
     prod = 1.0 + 0.0j
-    for _ in range(budget + 1):
+    for _ in range(live):
+        prod *= 1.0 - f
+        f *= q
+    for _ in range(budget + 1 - live):
         if abs(f) < eps:
-            return _check_finite(prod, "qpochhammer")
+            return prod if _isfinite(prod) else _check_finite(prod, "qpochhammer")
         prod *= 1.0 - f
         f *= q
     raise NonconvergenceError(
@@ -554,7 +630,9 @@ def near_power_orbit(
     |u**e| <= |value| + thresh < 2 |value| + 1, since tol < 1 past the
     first test, so no match lies beyond that bound on the negative side.
     """
-    _require_nome(u)
+    r = abs(u)
+    if not 0.0 < r < 1.0:
+        _require_nome(u)
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     if parity not in (None, 0, 1):
@@ -568,7 +646,7 @@ def near_power_orbit(
     # |u|**e lies in [av - thresh, av + thresh] for e between these bounds
     # (log|u| < 0 reverses them).  Rounding moves them by about 1e-13 for
     # |e| <= 400, far inside the 1e-6 margin; most calls test no e at all.
-    log_r = math.log(abs(u))
+    log_r = math.log(r)
     first = math.ceil(max(-400.0, math.log(av + thresh) / log_r) - 1e-6)
     last = math.floor(min(400.0, math.log(av - thresh) / log_r) + 1e-6)
     floor = 0.5 * thresh  # half of min(thresh, |value|), as |value| > thresh

@@ -87,3 +87,32 @@ def test_bad_argv_exits_2_with_one_error_line(capsys, argv, message):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].endswith(f": error: {message}")
     assert "Traceback" not in captured.err
+
+
+def test_unwritable_out_exits_2_before_surveying(capsys, monkeypatch):
+    """An --out path that cannot be opened is one error line and exit 2,
+    raised before any row is computed."""
+    survey = load_survey()
+
+    def no_rows(*args):
+        raise AssertionError("the survey ran before --out was opened")
+
+    monkeypatch.setattr(survey, "survey_rows", no_rows)
+    argv = ["--out", "/nonexistent/x.csv", "--ids", "DEF", "--samples", "2"]
+    assert survey.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ") and "/nonexistent/x.csv" in errors[0]
+
+
+def test_out_file_holds_the_stdout_rows(capsys, tmp_path):
+    survey = load_survey()
+    argv = ["--ids", "DEF", "--samples", "2", "--windows", "0.1:0.5:2"]
+    assert survey.main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "survey.csv"
+    assert survey.main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path} (2 rows)\n"
+    assert path.read_text(encoding="utf-8") == printed
