@@ -1,106 +1,19 @@
 """Verification toolkit for theta series, the Appell-Lerch function kappa,
-rank-2 bundle gauge matrices, and their modular transformation laws."""
+rank-2 bundle gauge matrices, and their modular transformation laws.
 
-from .numeric import (
-    DomainError,
-    EvalPoint,
-    Nome,
-    NonconvergenceError,
-    PoleProximityError,
-    ResidualReport,
-    dtheta_dz,
-    kappa,
-    kappa_bar,
-    near_power_orbit,
-    qpochhammer,
-    theta,
-    theta2,
-    vartheta0,
-    vartheta1,
-)
-from .identities import (
-    REGISTRY,
-    IdentityDef,
-    DomainSpec,
-    UnknownIdentityError,
-    identity_residual,
-    max_residual_over_samples,
-    registry_ids,
-    sample_points,
-    verify_registry,
-)
-from .qexact import (
-    USeries,
-    check_for1_exact,
-    check_for2_exact,
-    triangular_counts_bruteforce,
-    triangular_gf,
-)
-from .bundles import (
-    FactorOfAutomorphy,
-    GaugeMatrix,
-    SectionCandidate,
-    build_B,
-    build_C,
-    check_section,
-    gauge_residual,
-)
-from .modular import (
-    GAMMA_GENERATORS,
-    GAMMA_IDENTITY,
-    GammaElement,
-    ThetaZeroIndex,
-    chi,
-    divisibility_residual,
-    k_gamma,
-    kappa0,
-    zeta_sq,
-)
+The package root holds the kernel's two series, the registry's sampled
+loop and the kernel's error classes; everything else is imported from its
+module (``appell_kit.qexact``, ``appell_kit.bundles``, ...)."""
+
+from .identities import max_residual_over_samples, verify_registry
+from .numeric import DomainError, NonconvergenceError, PoleProximityError, kappa, theta
 
 __all__ = [
     "DomainError",
-    "DomainSpec",
-    "EvalPoint",
-    "FactorOfAutomorphy",
-    "GAMMA_GENERATORS",
-    "GAMMA_IDENTITY",
-    "GammaElement",
-    "GaugeMatrix",
-    "IdentityDef",
-    "Nome",
     "NonconvergenceError",
     "PoleProximityError",
-    "REGISTRY",
-    "ResidualReport",
-    "SectionCandidate",
-    "ThetaZeroIndex",
-    "USeries",
-    "UnknownIdentityError",
-    "build_B",
-    "build_C",
-    "check_for1_exact",
-    "check_for2_exact",
-    "check_section",
-    "chi",
-    "divisibility_residual",
-    "dtheta_dz",
-    "gauge_residual",
-    "identity_residual",
-    "k_gamma",
     "kappa",
-    "kappa0",
-    "kappa_bar",
     "max_residual_over_samples",
-    "near_power_orbit",
-    "qpochhammer",
-    "registry_ids",
-    "sample_points",
     "theta",
-    "theta2",
-    "triangular_counts_bruteforce",
-    "triangular_gf",
-    "vartheta0",
-    "vartheta1",
     "verify_registry",
-    "zeta_sq",
 ]

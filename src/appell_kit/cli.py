@@ -44,9 +44,6 @@ MU_Z_POINTS = 50
 #: tau values swept by the modular suite.
 MODULAR_TAUS = (1.2j, 2.0j, 0.5 + 1.5j)
 
-SUITES = ("all", "numeric", "exact", "bundles", "modular")
-
-
 def parse_complex(text: str) -> complex:
     """Parse a complex number accepting both 'i' and 'j' notation.  Only a
     trailing imaginary unit is rewritten, so 'inf' and 'nan' keep their
@@ -103,6 +100,15 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def grid_radius(text: str) -> int:
+    """A zero-grid radius, refused above modular.MAX_GRID_RADIUS before any
+    grid is built."""
+    value = non_negative_int(text)
+    if value > modular.MAX_GRID_RADIUS:
+        raise argparse.ArgumentTypeError(f"must be <= {modular.MAX_GRID_RADIUS}, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -136,24 +142,64 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
+#: Each verify suite: the kind of its records, their ids, and how it runs
+#: for ``ids``, the wanted subset of them.  The runners look the suite
+#: functions up by name when called, so a wrapper installed on
+#: ``cli._bundle_records`` sees every call.  The numeric and exact suites
+#: build only what ``ids`` needs; bundles and modular run whole.
+SUITE_TABLE = {
+    "numeric": (
+        "numeric-sampled",
+        identities.registry_ids(),
+        lambda args, ids: _numeric_records(ids, args.samples, args.seed, args.tolerance),
+    ),
+    "exact": (
+        "exact-coefficients",
+        ("FOR1_EXACT", "FOR2_EXACT", "TRIANGULAR_DOUBLE_SUM", "TRIANGULAR_ANDREWS", "TRIANGULAR_COUNTS"),
+        lambda args, ids: _exact_records(args.exact_order, ids),
+    ),
+    "bundles": (
+        "bundle",
+        ("SECTION_THETA", "SECTION_PUSH", "SECTION_KAPPA_THETA", "SECTION_BASIS", "GAUGE_B_CONJ",
+         "DET_B_SPREAD", "CONST_CA_CROSS", "GAUGE_C_CONJ", "DET_C_SPREAD", "CONST_C_CROSS",
+         "BEZOUT_PAIR", "MU_EXPANSION"),
+        lambda args, ids: _bundle_records(args.samples, args.seed, args.tolerance),
+    ),
+    "modular": (
+        "modular",
+        ("K_GAMMA_IDENTITY", "ZETA_SQ_COCYCLE", "CHI_MULTIPLICATIVITY", "DIVISIBILITY_GENERATORS",
+         "DIVISIBILITY_WORDS"),
+        lambda args, ids: _modular_records(args.samples, args.seed, args.tolerance, args.grid),
+    ),
+}
+
+SUITES = ("all", *SUITE_TABLE)
+
+#: Every record id, in table order, with its kind.
+RECORD_KINDS = {record_id: kind for kind, ids, _ in SUITE_TABLE.values() for record_id in ids}
+
+
 def _record(
     record_id: str,
-    kind: str,
-    worst: float | None,
-    tolerance: float | None,
-    detail: str = "",
-    passed: bool | None = None,
+    detail: str,
+    worst: float | None = None,
+    tolerance: float | None = None,
+    mismatch: int | None = None,
 ) -> dict:
-    """One report row.  A measured record passes when its worst residual is
-    below tolerance; a non-finite worst (no valid evaluation) is written as
-    null and fails.  Exact records carry no worst and state ``passed``."""
-    if worst is not None and not math.isfinite(worst):
-        worst, passed = None, False
-    elif passed is None:
+    """One report row, its kind read from SUITE_TABLE.  A measured record
+    passes when its worst residual is below tolerance; a non-finite worst
+    (no valid evaluation) is written as null and fails.  An exact record
+    carries no worst and passes when no coefficient mismatches."""
+    if worst is None:
+        passed = mismatch is None
+        detail = detail if passed else f"first mismatch at exponent {mismatch}"
+    elif math.isfinite(worst):
         passed = worst < tolerance
+    else:
+        worst, passed = None, False
     return {
         "record_id": record_id,
-        "kind": kind,
+        "kind": RECORD_KINDS[record_id],
         "worst": worst,
         "tolerance": tolerance,
         "passed": passed,
@@ -169,66 +215,49 @@ def _record(
 def _numeric_records(
     ids: Sequence[str], samples: int, seed: int, tolerance: float
 ) -> list[dict]:
-    records = []
-    for identity_id in ids:
-        report = identities.max_residual_over_samples(identity_id, samples, seed)
-        records.append(
-            _record(
-                identity_id,
-                "numeric-sampled",
-                report.rel_residual,
-                tolerance,
-                identities.REGISTRY[identity_id].description,
-            )
+    return [
+        _record(
+            identity_id,
+            identities.REGISTRY[identity_id].description,
+            identities.max_residual_over_samples(identity_id, samples, seed).rel_residual,
+            tolerance,
         )
-    return records
+        for identity_id in ids
+    ]
 
 
-def _exact_record(name: str, mismatch: int | None, detail: str) -> dict:
-    return _record(
-        name,
-        "exact-coefficients",
-        None,
-        None,
-        detail if mismatch is None else f"first mismatch at exponent {mismatch}",
-        passed=mismatch is None,
-    )
-
-
-def _for_exact_record(relation: str, exact_order: int) -> dict:
-    """The FOR1_EXACT or FOR2_EXACT record, built on its own."""
-    check = qexact.check_for1_exact if relation == "FOR1" else qexact.check_for2_exact
-    return _exact_record(
-        f"{relation}_EXACT", check(exact_order), f"coefficients through u**{exact_order - 1} agree"
-    )
-
-
-def _exact_records(exact_order: int) -> list[dict]:
+def _exact_records(exact_order: int, ids: Sequence[str] = SUITE_TABLE["exact"][1]) -> list[dict]:
+    """The exact records among ``ids``: FOR1_EXACT and FOR2_EXACT are each
+    built only when wanted, the three triangular records together when any
+    of them is."""
+    records = [
+        _record(f"{relation}_EXACT", f"coefficients through u**{exact_order - 1} agree",
+                mismatch=check(exact_order))
+        for relation, check in (("FOR1", qexact.check_for1_exact), ("FOR2", qexact.check_for2_exact))
+        if f"{relation}_EXACT" in ids
+    ]
+    if not any(record_id.startswith("TRIANGULAR_") for record_id in ids):
+        return records
     q_order = exact_order // 2
-    records = [_for_exact_record("FOR1", exact_order), _for_exact_record("FOR2", exact_order)]
     cube, _ = _qseries_build("t3", q_order)
     for name, route in (("TRIANGULAR_DOUBLE_SUM", "double_sum"), ("TRIANGULAR_ANDREWS", "andrews")):
         mismatch = cube.agrees_with(_qseries_build(route, q_order)[0])
-        records.append(
-            _exact_record(name, mismatch, f"matches the cubed generating function through q**{q_order}")
-        )
+        detail = f"matches the cubed generating function through q**{q_order}"
+        records.append(_record(name, detail, mismatch=mismatch))
     counts = qexact.triangular_counts_bruteforce(q_order).counts
     mismatch = next((m for m in range(q_order + 1) if cube.coefficient(m) != counts[m]), None)
-    records.append(
-        _exact_record(
-            "TRIANGULAR_COUNTS", mismatch, f"series coefficients equal brute-force triple counts through {q_order}"
-        )
-    )
+    detail = f"series coefficients equal brute-force triple counts through {q_order}"
+    records.append(_record("TRIANGULAR_COUNTS", detail, mismatch=mismatch))
     return records
 
 
 def _bundle_records(samples: int, seed: int, tolerance: float) -> list[dict]:
     rng = random.Random(seed)
     z_count = max(8, samples // 10)
-    worst: dict[str, float] = {}
+    worst = dict.fromkeys(SUITE_TABLE["bundles"][1], 0.0)
 
     def bump(key: str, value: float) -> None:
-        worst[key] = max(worst.get(key, 0.0), value)
+        worst[key] = max(worst[key], value)
 
     for u in BUNDLE_NOMES:
         zs = bundles.sample_z_points(u, z_count, seed)
@@ -274,9 +303,7 @@ def _bundle_records(samples: int, seed: int, tolerance: float) -> list[dict]:
         thetas = bundles.mu_thetas(u, mu_zs)
         for a, b in mu_pairs:
             bump("MU_EXPANSION", bundles.mu_expansion_residual(a, b, u, mu_zs, thetas).rel_residual)
-    return [
-        _record(key, "bundle", value, tolerance) for key, value in sorted(worst.items())
-    ]
+    return [_record(key, "", value, tolerance) for key, value in sorted(worst.items())]
 
 
 def _random_word(rng: random.Random, alphabet, max_len: int) -> modular.GammaElement:
@@ -288,18 +315,6 @@ def _random_word(rng: random.Random, alphabet, max_len: int) -> modular.GammaEle
 
 def _modular_records(samples: int, seed: int, tolerance: float, grid: int) -> list[dict]:
     rng = random.Random(seed)
-    records = []
-
-    # k_gamma at the identity is exactly 1.
-    records.append(
-        _record(
-            "K_GAMMA_IDENTITY",
-            "modular",
-            abs(modular.k_gamma(modular.GAMMA_IDENTITY, 1.3j) - 1.0),
-            tolerance,
-            "scalar cocycle equals 1 at the identity element",
-        )
-    )
 
     # theta-null cocycle: theta(0, g.tau)**2 / theta(0, tau)**2 = zeta_sq * (c tau + d).
     t2, v_elt = modular.GammaElement(1, 2, 0, 1), modular.GammaElement(1, 0, 2, 1)
@@ -310,15 +325,6 @@ def _modular_records(samples: int, seed: int, tolerance: float, grid: int) -> li
             lhs = modular.theta_additive(0, modular.act_tau(g, tau)) ** 2 / modular.theta_additive(0, tau) ** 2
             rhs = modular.zeta_sq(g) * (g.c * tau + g.d)
             cocycle_worst = max(cocycle_worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    records.append(
-        _record(
-            "ZETA_SQ_COCYCLE",
-            "modular",
-            cocycle_worst,
-            tolerance,
-            "squared theta-null transformation matches zeta_sq * (c tau + d)",
-        )
-    )
 
     # chi is multiplicative on words in the parabolic generators.
     parabolic = modular.GAMMA_GENERATORS[:4]
@@ -329,20 +335,12 @@ def _modular_records(samples: int, seed: int, tolerance: float, grid: int) -> li
         chi_worst = max(
             chi_worst, abs(modular.chi(g1 @ g2) - modular.chi(g1) * modular.chi(g2))
         )
-    records.append(
-        _record(
-            "CHI_MULTIPLICATIVITY",
-            "modular",
-            chi_worst,
-            tolerance,
-            "character of a product equals the product of characters",
-        )
-    )
 
-    # Divisibility of the modular defect by theta, generators then random words.
+    # Divisibility of the modular defect by theta, generators then random
+    # words; an element the domain guards refuse at some tau is skipped.
     zeros = modular.zero_grid(grid)
 
-    def divisibility_sweep(elements) -> tuple[float, int, int]:
+    def divisibility(record_id: str, elements) -> dict:
         worst, valid, skipped = 0.0, 0, 0
         for g in elements:
             for tau in MODULAR_TAUS:
@@ -351,47 +349,42 @@ def _modular_records(samples: int, seed: int, tolerance: float, grid: int) -> li
                     valid += 1
                 except DomainError:
                     skipped += 1
-        return worst, valid, skipped
+        return _record(record_id, f"valid={valid} skipped={skipped}", worst if valid else math.inf, tolerance)
 
-    gen_worst, gen_valid, gen_skipped = divisibility_sweep((t2, v_elt))
-    records.append(
-        _record(
-            "DIVISIBILITY_GENERATORS",
-            "modular",
-            gen_worst if gen_valid else math.inf,
-            tolerance,
-            f"valid={gen_valid} skipped={gen_skipped}",
-        )
-    )
     words = [_random_word(rng, modular.GAMMA_GENERATORS, 3) for _ in range(10)]
-    word_worst, word_valid, word_skipped = divisibility_sweep(words)
-    records.append(
+    return [
+        # k_gamma at the identity is exactly 1.
         _record(
-            "DIVISIBILITY_WORDS",
-            "modular",
-            word_worst if word_valid else math.inf,
+            "K_GAMMA_IDENTITY",
+            "scalar cocycle equals 1 at the identity element",
+            abs(modular.k_gamma(modular.GAMMA_IDENTITY, 1.3j) - 1.0),
             tolerance,
-            f"valid={word_valid} skipped={word_skipped}",
-        )
-    )
-    return records
+        ),
+        _record(
+            "ZETA_SQ_COCYCLE",
+            "squared theta-null transformation matches zeta_sq * (c tau + d)",
+            cocycle_worst,
+            tolerance,
+        ),
+        _record(
+            "CHI_MULTIPLICATIVITY",
+            "character of a product equals the product of characters",
+            chi_worst,
+            tolerance,
+        ),
+        divisibility("DIVISIBILITY_GENERATORS", (t2, v_elt)),
+        divisibility("DIVISIBILITY_WORDS", words),
+    ]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
     records: list[dict] = []
-    if target in ("all", "numeric"):
-        records += _numeric_records(identities.registry_ids(), args.samples, args.seed, args.tolerance)
-    if target in ("all", "exact"):
-        records += _exact_records(args.exact_order)
-    if target in ("all", "bundles"):
-        records += _bundle_records(args.samples, args.seed, args.tolerance)
-    if target in ("all", "modular"):
-        records += _modular_records(args.samples, args.seed, args.tolerance, args.grid)
-    if target not in SUITES:
-        records += _numeric_records([target], args.samples, args.seed, args.tolerance)
-        if target in ("FOR1", "FOR2"):
-            records.append(_for_exact_record(target, args.exact_order))
+    for suite, (_, ids, run) in SUITE_TABLE.items():
+        # A record id also reports its exact companion: FOR1 adds FOR1_EXACT.
+        wanted = ids if target in ("all", suite) else [i for i in ids if i in (target, f"{target}_EXACT")]
+        if wanted:
+            records += [r for r in run(args, wanted) if r["record_id"] in wanted]
     records.sort(key=lambda r: r["record_id"])
     passed = all(r["passed"] for r in records)
     report = {
@@ -524,14 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run residual checks and report pass/fail")
     p_verify.add_argument(
         "target",
-        choices=SUITES + identities.registry_ids(),
-        help="a suite name or a single identity id",
+        choices=SUITES + tuple(RECORD_KINDS),
+        help="a suite name or a record id",
     )
     p_verify.add_argument("--samples", type=positive_int, default=100)
     p_verify.add_argument("--seed", type=int, default=_default_seed())
     p_verify.add_argument("--tolerance", type=positive_float, default=1e-9)
     p_verify.add_argument("--exact-order", type=positive_int, default=80, dest="exact_order")
-    p_verify.add_argument("--grid", type=non_negative_int, default=1)
+    p_verify.add_argument("--grid", type=grid_radius, default=1)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--out", default=None)
 
@@ -556,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_modular.add_argument("c", type=int)
     p_modular.add_argument("d", type=int)
     p_modular.add_argument("--tau", type=parse_complex, default=1.5j)
-    p_modular.add_argument("--grid", type=non_negative_int, default=1)
+    p_modular.add_argument("--grid", type=grid_radius, default=1)
     p_modular.add_argument("--out", default=None)
 
     return parser

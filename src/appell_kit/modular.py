@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +43,11 @@ MIN_IM_TAU = 0.1
 #: Hard ceiling on |u| for the additive wrappers themselves (kappa0,
 #: theta_additive); beyond this the bilateral series are numerically useless.
 MAX_ABS_U = 0.99
+
+#: Largest zero-grid radius: past it the outermost row's quasi-periodicity
+#: phase, of modulus exp(pi*radius*Im tau), overflows at every tau with
+#: Im tau >= MIN_IM_TAU.
+MAX_GRID_RADIUS = math.floor(math.log(sys.float_info.max) / (math.pi * MIN_IM_TAU))
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,8 @@ def theta_zero(index: ThetaZeroIndex, tau: complex) -> complex:
 
 def zero_grid(radius: int) -> tuple[ThetaZeroIndex, ...]:
     """All ThetaZeroIndex with |m|, |n| <= radius, in row-major order."""
-    if radius < 0:
-        raise DomainError(f"grid radius must be >= 0, got {radius}")
+    if not 0 <= radius <= MAX_GRID_RADIUS:
+        raise DomainError(f"grid radius must be in 0..{MAX_GRID_RADIUS}, got {radius}")
     return tuple(
         ThetaZeroIndex(m, n)
         for m in range(-radius, radius + 1)
@@ -248,7 +254,8 @@ def divisibility_residual(
     z = -u**(2n+1) would lose roughly |u|**(-n**2) of precision to
     cancellation, while the phases keep every grid point well conditioned.
     The raw-series route agrees wherever it is conditioned well enough;
-    tests/test_modular.py keeps it as the reference."""
+    tests/test_modular.py keeps it as the reference.  A grid zero whose
+    phase overflows is a DomainError naming its index and tau."""
     gtau = _require_divisibility_domain(gamma, tau)
     if zeros is None:
         zeros = zero_grid(1)
@@ -260,15 +267,23 @@ def divisibility_residual(
     for index in zeros:
         x = theta_zero(index, tau)
         g_index = gamma_zero_index(gamma, index)
-        lead = cmath.exp(1j * math.pi * g_index.n * (gtau + 1.0)) * base_lead
-        trail = (
-            char
-            * denom
-            * cmath.exp(1j * math.pi * (1.0 / denom - 1.0) * x)
-            * cmath.exp(1j * math.pi * index.n * (tau + 1.0))
-            * base_trail
-        )
-        scale = max(1.0, abs(lead), abs(trail))
-        worst = max(worst, abs(lead - trail) / scale)
+        try:
+            lead = cmath.exp(1j * math.pi * g_index.n * (gtau + 1.0)) * base_lead
+            trail = (
+                char
+                * denom
+                * cmath.exp(1j * math.pi * (1.0 / denom - 1.0) * x)
+                * cmath.exp(1j * math.pi * index.n * (tau + 1.0))
+                * base_trail
+            )
+            residual = abs(lead - trail) / max(1.0, abs(lead), abs(trail))
+        except OverflowError:
+            residual = math.inf
+        if not math.isfinite(residual):
+            raise DomainError(
+                f"quasi-periodicity phase overflows at zero index (m, n) = "
+                f"({index.m}, {index.n}), tau = {tau}"
+            )
+        worst = max(worst, residual)
     return worst
 

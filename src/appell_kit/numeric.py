@@ -208,19 +208,17 @@ def theta2(z: complex, u: complex) -> complex:
     return theta(z, u_sq)
 
 
-def _derived_argument_error(
-    exc: DomainError, v4: complex, w: complex, expr: str, z: complex, v: complex
-) -> DomainError:
-    """The error to raise when theta refused the nome v4 = v**4 or the
-    argument w = expr that a vartheta derived from the caller's z and v: an
-    underflow to 0 or an overflow is reported in terms of z and v, in
-    theta's check order (nome first), anything else as it was."""
-    if v4 == 0:
-        return DomainError(f"v**4 underflows to 0 at v = {v}")
-    if w == 0:
-        return DomainError(f"{expr} underflows to 0 at z = {z}, v = {v}")
-    if not cmath.isfinite(w):
-        return DomainError(f"{expr} overflows at z = {z}, v = {v}")
+def _derived_argument_error(exc: DomainError, derived: Sequence[tuple[str, complex, str]]) -> DomainError:
+    """The error to raise when theta refused an argument that a wrapper
+    derived from its caller's values.  ``derived`` holds (expression,
+    value, the caller's values) in theta's check order, nome first: the
+    first value that underflows to 0 or overflows is reported at the
+    caller's values, and any other refusal is raised as it was."""
+    for expr, value, at in derived:
+        if value == 0:
+            return DomainError(f"{expr} underflows to 0 at {at}")
+        if not cmath.isfinite(value):
+            return DomainError(f"{expr} overflows at {at}")
     return exc
 
 
@@ -236,7 +234,8 @@ def vartheta0(z: complex, v: complex) -> complex:
     try:
         return theta(w, v4)
     except DomainError as exc:
-        raise _derived_argument_error(exc, v4, w, "z*z", z, v) from None
+        at = f"z = {z}, v = {v}"
+        raise _derived_argument_error(exc, (("v**4", v4, f"v = {v}"), ("z*z", w, at))) from None
 
 
 def vartheta1(z: complex, v: complex) -> complex:
@@ -251,7 +250,8 @@ def vartheta1(z: complex, v: complex) -> complex:
     try:
         return v * z * theta(w, v4)
     except DomainError as exc:
-        raise _derived_argument_error(exc, v4, w, "z*z*v**4", z, v) from None
+        at = f"z = {z}, v = {v}"
+        raise _derived_argument_error(exc, (("v**4", v4, f"v = {v}"), ("z*z*v**4", w, at))) from None
 
 
 def dtheta_dz(z: complex, u: complex) -> complex:
@@ -541,8 +541,21 @@ def kappa_sweep(a: complex, zs: Sequence[complex], u: complex) -> list[complex]:
 
 def kappa_bar(a: complex, z: complex, u: complex) -> complex:
     """Normalized variant theta(-a/u) * kappa(a, z): holomorphic in a across
-    the kappa poles, but still guarded numerically by POLE_GUARD."""
-    return theta(-a / u, u) * kappa(a, z, u)
+    the kappa poles, but still guarded numerically by POLE_GUARD.  The
+    bindings are checked in kappa's order before -a/u is formed, and an
+    underflow or overflow of -a/u is reported at the caller's a and u."""
+    if not 0.0 < abs(u) < 1.0:
+        _require_nome(u)
+    if z == 0 or not _isfinite(z):
+        _require_nonzero(z, "z")
+    if a == 0 or not _isfinite(a):
+        _require_nonzero(a, "a")
+    w = -a / u
+    try:
+        scale = theta(w, u)
+    except DomainError as exc:
+        raise _derived_argument_error(exc, (("-a/u", w, f"a = {a}, u = {u}"),)) from None
+    return scale * kappa(a, z, u)
 
 
 def qpochhammer(x: complex, q: complex) -> complex:

@@ -99,6 +99,49 @@ def test_verify_for_builds_only_its_own_exact_record(capsys, monkeypatch, relati
     assert records[1]["detail"] == "coefficients through u**39 agree"
 
 
+def _verify_report(*argv: str) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", *argv])
+    return code, json.loads(out.getvalue())
+
+
+def test_suite_functions_report_the_table_ids():
+    """Each suite function returns exactly the ids, and the kind, that
+    SUITE_TABLE lists for its suite."""
+    produced = {
+        "numeric": cli._numeric_records(identities.registry_ids(), 2, 0, 1e-9),
+        "exact": cli._exact_records(8),
+        "bundles": cli._bundle_records(2, 0, 1e-9),
+        "modular": cli._modular_records(2, 0, 1e-9, 0),
+    }
+    assert tuple(produced) == SUITES[1:]
+    for suite, (kind, ids, _) in cli.SUITE_TABLE.items():
+        records = produced[suite]
+        assert sorted(r["record_id"] for r in records) == sorted(ids)
+        assert {r["kind"] for r in records} == {kind}
+    assert len(cli.RECORD_KINDS) == 47
+
+
+@pytest.fixture(scope="module")
+def all_records() -> dict:
+    code, report = _verify_report("all", "--samples", "3", "--exact-order", "40")
+    assert code == 0
+    return {r["record_id"]: r for r in report["records"]}
+
+
+@pytest.mark.parametrize("record_id", tuple(cli.RECORD_KINDS))
+def test_verify_record_id_reports_its_record_from_all(all_records, record_id):
+    """verify <ID> reports that record, plus FOR1_EXACT or FOR2_EXACT for
+    FOR1 and FOR2, exactly as verify all reports it."""
+    code, report = _verify_report(record_id, "--samples", "3", "--exact-order", "40")
+    assert code == 0
+    companion = [f"{record_id}_EXACT"] if record_id in ("FOR1", "FOR2") else []
+    assert [r["record_id"] for r in report["records"]] == [record_id, *companion]
+    for record in report["records"]:
+        assert record == all_records[record["record_id"]]
+
+
 def test_verify_unknown_target_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "BOGUS")
     assert code == 2
@@ -336,6 +379,43 @@ def test_order_and_grid_zero_stay_valid(capsys, argv):
     json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "modular", "--grid", "2260"),
+        ("verify", "DIVISIBILITY_WORDS", "--grid", "1000000000"),
+        ("modular", "1", "2", "0", "1", "--grid", "1000000000"),
+    ],
+)
+def test_grid_above_the_overflow_bound_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"appell-kit {argv[0]}: error: argument --grid: must be <= 2259, got {argv[-1]}\n"
+
+
+def test_modular_phase_overflow_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "modular", "1", "2", "0", "1", "--tau", "2i", "--grid", "120")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "domain error: quasi-periodicity phase overflows at zero index (m, n) = (-120, -120), tau = 2j\n"
+    )
+
+
+def test_verify_modular_skips_elements_whose_phase_overflows(capsys, monkeypatch):
+    """At tau = 2i the grid's first row overflows, so every element is
+    skipped and the divisibility records fail with a null worst."""
+    monkeypatch.setattr(cli, "MODULAR_TAUS", (2.0j,))
+    code, out, err = run_cli(capsys, "verify", "modular", "--grid", "120")
+    assert code == 1
+    assert "Traceback" not in err
+    records = {r["record_id"]: r for r in json.loads(out)["records"]}
+    assert records["DIVISIBILITY_GENERATORS"]["detail"] == "valid=0 skipped=2"
+    assert records["DIVISIBILITY_WORDS"]["detail"] == "valid=0 skipped=10"
+    assert records["DIVISIBILITY_WORDS"]["worst"] is None
+
+
 def test_unwritable_out_path_is_one_line_exit_2(tmp_path, capsys):
     for target in (tmp_path / "missing" / "report.json", tmp_path):
         code, out, err = run_cli(capsys, "verify", "FOR1", "--samples", "3", "--out", str(target))
@@ -473,8 +553,11 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 _COUNTS = st.sampled_from(["0", "1", "2", "3", "-1", "x", "1.5", ""])
 _COMPLEX = st.sampled_from(
-    ["0.3", "-0.2+0.1i", "1.5j", "0.5i", "-1", "2", "0", "0.9999", "inf", "-inf", "nan", "1e999", "abc"]
+    ["0.3", "-0.2+0.1i", "1.5j", "0.5i", "-1", "2", "0", "0.9999", "inf", "-inf", "nan", "1e999", "abc",
+     "1e-200", "1e-320", "-1e-170+1e-170i"]
 )
+# Every grid value either builds at most a 5x5 grid or is refused at parse time.
+_GRIDS = st.sampled_from(["0", "1", "2", "-1", "2260", "1000000000"])
 _FORMATS = st.sampled_from(["json", "csv", "xml"])
 # Relative paths: the test runs main inside a temporary directory.
 _OUT_PATHS = st.sampled_from(["out.json", "missing/out.json", "."])
@@ -483,13 +566,13 @@ _OUT_PATHS = st.sampled_from(["out.json", "missing/out.json", "."])
 #: every size option kept small so one example runs in milliseconds.
 _GRAMMAR = {
     "verify": (
-        st.tuples(st.sampled_from(SUITES + identities.registry_ids() + ("NOPE",))),
+        st.tuples(st.sampled_from(SUITES + tuple(cli.RECORD_KINDS) + ("NOPE",))),
         {
             "--samples": st.sampled_from(["1", "2", "3", "0", "-2", "x"]),
             "--seed": st.sampled_from(["0", "1", "7", "-3", "y"]),
             "--tolerance": st.sampled_from(["1e-9", "1e-30", "1", "0", "-1", "inf", "nan"]),
             "--exact-order": st.sampled_from(["1", "8", "40", "0", "z"]),
-            "--grid": st.sampled_from(["0", "1", "2", "-1"]),
+            "--grid": _GRIDS,
             "--format": _FORMATS,
             "--out": _OUT_PATHS,
         },
@@ -507,7 +590,7 @@ _GRAMMAR = {
             st.sampled_from([("1", "2", "0", "1"), ("0", "-1", "1", "0"), ("1", "0", "2", "1"), ("1", "1", "0", "1")]),
             st.tuples(_COUNTS, _COUNTS, _COUNTS, _COUNTS),
         ),
-        {"--tau": _COMPLEX, "--grid": st.sampled_from(["0", "1", "2", "-1"]), "--out": _OUT_PATHS},
+        {"--tau": _COMPLEX, "--grid": _GRIDS, "--out": _OUT_PATHS},
     ),
 }
 

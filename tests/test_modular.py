@@ -7,12 +7,14 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
 from appell_kit.modular import (
     GAMMA_GENERATORS,
     GAMMA_IDENTITY,
+    MAX_GRID_RADIUS,
     MIN_IM_TAU,
     GammaElement,
     ThetaZeroIndex,
@@ -181,6 +183,43 @@ def test_zero_grid_shape():
     assert ThetaZeroIndex(0, 0) in grid
     with pytest.raises(DomainError):
         zero_grid(-1)
+
+
+def test_zero_grid_radius_bound():
+    """Past MAX_GRID_RADIUS the outermost row's phase exp(pi*r*Im tau)
+    overflows at every admissible tau, so the grid is refused before any
+    index is built."""
+    assert MAX_GRID_RADIUS == 2259
+    assert math.exp(math.pi * MAX_GRID_RADIUS * MIN_IM_TAU) < sys.float_info.max
+    with pytest.raises(OverflowError):
+        math.exp(math.pi * (MAX_GRID_RADIUS + 1) * MIN_IM_TAU)
+    for radius in (MAX_GRID_RADIUS + 1, 10**9):
+        with pytest.raises(DomainError, match=r"grid radius must be in 0\.\.2259"):
+            zero_grid(radius)
+
+
+@pytest.mark.parametrize("gamma", (T2, V))
+def test_divisibility_phase_overflow_is_domain_error(gamma):
+    """At tau = 2i the phase exp(pi*i*n*(tau+1)) overflows from n = -113 on;
+    the error names the zero index and tau instead of an OverflowError."""
+    assert divisibility_residual(gamma, 2.0j, (ThetaZeroIndex(0, -112),)) < 1e-10
+    with pytest.raises(DomainError) as info:
+        divisibility_residual(gamma, 2.0j, (ThetaZeroIndex(0, -113),))
+    assert str(info.value) == (
+        "quasi-periodicity phase overflows at zero index (m, n) = (0, -113), tau = 2j"
+    )
+    with pytest.raises(DomainError, match=r"\(-120, -120\), tau = 2j"):
+        divisibility_residual(gamma, 2.0j, zero_grid(120))
+
+
+@pytest.mark.parametrize(
+    "gamma, tau, index", ((V, 1.2j, ThetaZeroIndex(300, 116)), (S, 3.0j, ThetaZeroIndex(-300, 108)))
+)
+def test_divisibility_product_overflow_is_domain_error(gamma, tau, index):
+    """Every phase is finite here, but their product is not; the residual
+    used to come out NaN and read as 0.0 through max()."""
+    with pytest.raises(DomainError, match="quasi-periodicity phase overflows"):
+        divisibility_residual(gamma, tau, (index,))
 
 
 def test_divisibility_identity_element_is_exact_zero():

@@ -244,6 +244,35 @@ def test_cli_derived_nome_underflow_exits_2(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "a, z, u, message",
+    (
+        (0.7, 1.3, 1e-320, "-a/u overflows at a = 0.7, u = 1e-320"),
+        (1e300, 1.3, 1e-300, "-a/u overflows at a = 1e+300, u = 1e-300"),
+        (-1e200 + 1e200j, 1.3, 1e-170j, "-a/u overflows at a = (-1e+200+1e+200j), u = 1e-170j"),
+        # the bindings are checked in kappa's order before -a/u is formed
+        (0.7, 1.3, 0, "half-nome u must satisfy 0 < |u| < 1, got |u| = 0"),
+        (0, 1.3, 0.3, "a must be nonzero"),
+        (math.inf, 1.3, 0.3, "a must be finite, got inf"),
+        (0.7, 0, 1e-320, "z must be nonzero"),
+    ),
+)
+def test_kappa_bar_names_the_caller_values(a, z, u, message):
+    """theta's argument -a/u is derived from a and u; its overflow is
+    reported at those values, not as a z the caller did not pass (and u = 0
+    is a nome error, not a ZeroDivisionError)."""
+    with pytest.raises(DomainError) as info:
+        kappa_bar(a, z, u)
+    assert str(info.value) == message
+
+
+def test_cli_kappa_bar_overflow_exits_2(capsys):
+    assert cli.main(["eval", "kappa_bar", "--a", "0.7", "--z", "1.3", "--u", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error: -a/u overflows at a = (0.7+0j), u = (1e-320+0j)\n"
+
+
+@pytest.mark.parametrize(
     "bad", (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0))
 )
 def test_non_finite_bindings_are_domain_errors(bad):
