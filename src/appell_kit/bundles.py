@@ -23,6 +23,7 @@ tensor(F_{ab}, L) factor in the explicit three-element section basis
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -521,9 +522,9 @@ def sample_z_points(
     """Deterministic annulus samples kept clear of the orbits +-u**odd, where
     theta(z) and the theta2 gauge denominators vanish."""
     rng = random.Random(seed)
-    lo, hi = radius_range
+    log_lo, log_hi = map(math.log, radius_range)
     return guarded_sample(
-        lambda: annulus_point(rng, lo, hi),
+        lambda: annulus_point(rng, log_lo, log_hi),
         lambda z: not near_power_orbit(z, u, sign=-1, parity=1, tol=1e-3)
         and not near_power_orbit(z, u, sign=1, parity=1, tol=1e-3),
         count,

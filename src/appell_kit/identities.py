@@ -155,10 +155,9 @@ def _pairs_sym(p: EvalPoint, nome: Nome):
 def _pairs_sqrt(p: EvalPoint, nome: Nome):
     z, v, u = p["z"], p["v"], nome.u
     d0, d1 = vartheta0(1j, v), vartheta1(1j * v * v, v)
+    lhs = kappa_bar(p["s"] * p["s"] * z, 1 / z, u)  # a = s*s is one float for s and -s
     pairs = []
     for s in (p["s"], -p["s"]):
-        a = s * s
-        lhs = kappa_bar(a * z, 1 / z, u)
         c0 = vartheta0(1j * v * s * z, v) / d0
         c1 = vartheta1(1j * v * s * z, v) / d1
         rhs = c0 * kappa_bar(s / v, v * s, u) + c1 * kappa_bar(v * s, s / v, u)
@@ -615,16 +614,29 @@ def sample_points(
     the same list.  Rejected draws advance the stream, and
     ``numeric.guarded_sample`` caps how many are drawn."""
     rng = random.Random(seed)
-    lo, hi = domain.u_abs_range
+    (lo, hi), new, put = domain.u_abs_range, object.__new__, object.__setattr__
+    symbols, derived, guard = domain.symbols, domain.derived_sqrt, domain.guard
 
-    def draw() -> tuple[EvalPoint, Nome]:
-        u = cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi))
-        bindings = {name: annulus_point(rng) for name in domain.symbols}
-        for new_name, source in domain.derived_sqrt:
+    def draw() -> tuple[dict[str, complex], complex]:
+        u = cmath.rect(lo + (hi - lo) * rng.random(), 2.0 * math.pi * rng.random())  # rng.uniform
+        bindings = {}
+        for name in symbols:  # a loop: a comprehension's frame costs more here
+            bindings[name] = annulus_point(rng)
+        for new_name, source in derived:
             bindings[new_name] = cmath.sqrt(u if source == "u" else bindings[source])
-        return EvalPoint(bindings), Nome(u)
+        if not 0.0 < abs(u) < 1.0:
+            EvalPoint(bindings), Nome(u)  # raise what the checked path raised here
+        return bindings, u
 
-    return guarded_sample(draw, lambda s: domain.guard(s[0].bindings, s[1].u), count)
+    # A draw past the |u| test meets every check of EvalPoint and Nome (annulus
+    # values, and square roots of nonzero values, are finite and nonzero).
+    points = guarded_sample(draw, lambda d: guard(*d), count)
+    for i, (bindings, u) in enumerate(points):
+        point, nome = new(EvalPoint), new(Nome)
+        put(point, "bindings", bindings)  # as the frozen dataclasses' __init__ does
+        put(nome, "u", u)
+        points[i] = point, nome
+    return points
 
 
 def max_residual_over_samples(

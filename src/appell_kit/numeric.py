@@ -156,7 +156,7 @@ def _check_finite(total: complex, name: str) -> complex:
 # The kernel's success path calls none of the helpers above, which cost a
 # call per check on every kernel call: each check runs inline, and only a
 # failing one calls its helper, which raises the message.
-_isfinite = cmath.isfinite
+_isfinite, _log2, _floor = cmath.isfinite, math.log2, math.floor
 
 
 def theta(z: complex, u: complex) -> complex:
@@ -648,17 +648,21 @@ def near_power_orbit(
         _require_nome(u)
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    if parity not in (None, 0, 1):
+    if parity not in (0, 1, None):
         raise DomainError(f"parity must be None, 0 or 1, got {parity}")
     av = abs(value)
-    thresh = tol * max(1.0, av)
+    thresh = tol * (av if av > 1.0 else 1.0)
     if av <= thresh:
         return True
     if not (thresh >= 0.0 and av == av):
         return False  # a NaN value, or a negative or NaN tol, matches nothing
-    # |u|**e lies in [av - thresh, av + thresh] for e between these bounds
-    # (log|u| < 0 reverses them).  Rounding moves them by about 1e-13 for
-    # |e| <= 400, far inside the 1e-6 margin; most calls test no e at all.
+    # |u|**e lies in [av - thresh, av + thresh] for e between these bounds (log|u| < 0
+    # reverses them); rounding moves them ~1e-13 for the |e| <= 400 tested, far inside
+    # the 1e-6 margin.  Most calls have no e in reach: cheaper base-2 bounds, 1e-5 wide.
+    log_r = _log2(r)
+    lo, hi = _log2(av + thresh) / log_r - 1e-5, _log2(av - thresh) / log_r + 1e-5
+    if _floor(hi) < lo:
+        return False
     log_r = math.log(r)
     first = math.ceil(max(-400.0, math.log(av + thresh) / log_r) - 1e-6)
     last = math.floor(min(400.0, math.log(av - thresh) / log_r) + 1e-6)
@@ -680,13 +684,11 @@ def near_power_orbit(
 T = TypeVar("T")
 
 
-def annulus_point(rng: random.Random, lo: float = 0.5, hi: float = 2.0) -> complex:
-    """One draw with log-uniform modulus in [lo, hi] and uniform argument:
-    the distribution of every sampled binding and z-point."""
-    return cmath.rect(
-        math.exp(rng.uniform(math.log(lo), math.log(hi))),
-        rng.uniform(0.0, 2.0 * math.pi),
-    )
+def annulus_point(rng: random.Random, log_lo=math.log(0.5), log_hi=math.log(2.0)) -> complex:
+    """The draw of every sampled binding and z-point: log-uniform modulus in
+    [exp(log_lo), exp(log_hi)], uniform argument (``rng.uniform`` spelled out)."""
+    modulus = math.exp(log_lo + (log_hi - log_lo) * rng.random())
+    return cmath.rect(modulus, 2.0 * math.pi * rng.random())
 
 
 def guarded_sample(draw: Callable[[], T], accept: Callable[[T], bool], count: int) -> list[T]:

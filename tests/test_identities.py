@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,7 @@ from appell_kit.identities import (
     IdentityDef,
     REGISTRY,
     UnknownIdentityError,
+    _pairs_sqrt,
     identity_residual,
     max_residual_over_samples,
     near_kappa_pole,
@@ -33,7 +36,11 @@ from appell_kit.numeric import (
     ResidualReport,
     guarded_sample,
     kappa,
+    kappa_bar,
+    near_power_orbit,
     theta,
+    vartheta0,
+    vartheta1,
 )
 from appell_kit.qexact import for1_sides
 
@@ -271,3 +278,125 @@ def test_worst_sample_keeps_first_maximum_and_nan_semantics(monkeypatch, scripte
     point, nome = sample_points(DomainSpec(symbols=("z",)), len(scripted), 3)[worst_index]
     assert (report.point, report.nome) == (point, nome)
     assert repr(report.lhs) == repr(scripted[worst_index][0][0])
+
+
+# ---------------------------------------------------------------------------
+# sample_points against the draw path it replaced: the same points, and the
+# same errors at the same draw
+# ---------------------------------------------------------------------------
+
+
+def _annulus_point_reference(rng, lo=0.5, hi=2.0):
+    return cmath.rect(
+        math.exp(rng.uniform(math.log(lo), math.log(hi))),
+        rng.uniform(0.0, 2.0 * math.pi),
+    )
+
+
+def _sample_points_reference(domain, count, seed=0):
+    """Copy of the draw path sample_points replaced: every draw is built as a
+    checked EvalPoint and Nome, and the guard reads them back."""
+    rng = random.Random(seed)
+    lo, hi = domain.u_abs_range
+
+    def draw():
+        u = cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi))
+        bindings = {name: _annulus_point_reference(rng) for name in domain.symbols}
+        for new_name, source in domain.derived_sqrt:
+            bindings[new_name] = cmath.sqrt(u if source == "u" else bindings[source])
+        return EvalPoint(bindings), Nome(u)
+
+    return guarded_sample(draw, lambda s: domain.guard(s[0].bindings, s[1].u), count)
+
+
+def _sampled(sampler, domain, count, seed):
+    """repr of the (bindings, u) list, so signed zeros count, or the type and
+    message of the error with the number of guard calls made before it."""
+    calls = []
+
+    def counted_guard(bindings, u):
+        calls.append(None)
+        return domain.guard(bindings, u)
+
+    try:
+        points = sampler(replace(domain, guard=counted_guard), count, seed)
+    except DomainError as exc:
+        return type(exc), str(exc), len(calls)
+    assert all(type(p) is EvalPoint and type(n) is Nome for p, n in points)
+    return repr([(list(p.items()), n.u) for p, n in points])
+
+
+@pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
+def test_sample_points_match_checked_draw_path(identity_id):
+    domain = REGISTRY[identity_id].domain
+    for seed in (0, 1, 7):
+        expected = _sampled(_sample_points_reference, domain, 200, seed)
+        assert isinstance(expected, str)
+        assert _sampled(sample_points, domain, 200, seed) == expected
+    near_one = replace(domain, u_abs_range=(0.95, 0.999))
+    expected = _sampled(_sample_points_reference, near_one, 200, 0)
+    assert isinstance(expected, str)
+    assert _sampled(sample_points, near_one, 200, 0) == expected
+
+
+@pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
+def test_sample_points_bad_nome_raises_at_same_draw(identity_id):
+    """|u| >= 1, u = 0 (where a square root of u is the zero binding the
+    checked path named first) and NaN raise the checked constructors' error
+    after as many guard calls as before."""
+    for u_abs_range, guard_calls in (
+        ((0.5, 1.02), None),
+        ((1.0, 1.5), 0),
+        ((0.0, 0.0), 0),
+        ((math.nan, math.nan), 0),
+    ):
+        domain = replace(REGISTRY[identity_id].domain, u_abs_range=u_abs_range)
+        for seed in (0, 3):
+            expected = _sampled(_sample_points_reference, domain, 200, seed)
+            assert _sampled(sample_points, domain, 200, seed) == expected
+            assert expected[0] is DomainError
+            assert expected[2] > 0 if guard_calls is None else expected[2] == guard_calls
+
+
+def test_sample_points_count_and_unreachable_errors_unchanged():
+    impossible = DomainSpec(symbols=("a",), guard=lambda b, u: False)
+    for domain, count in ((REGISTRY["DEF"].domain, 0), (REGISTRY["SP2"].domain, -3), (impossible, 2)):
+        expected = _sampled(_sample_points_reference, domain, count, 0)
+        assert _sampled(sample_points, domain, count, 0) == expected
+    assert expected[:2] == (NonReachableGuardError, "guard accepted only 0/2 points after 3000 draws")
+
+
+@pytest.mark.parametrize("radius_range", ((0.5, 2.0), (0.3, 3.0)))
+def test_z_points_keep_annulus_stream(radius_range):
+    from appell_kit.bundles import sample_z_points
+
+    for u in (0.2, 0.4 + 0.1j):
+        rng = random.Random(5)
+        expected = guarded_sample(
+            lambda: _annulus_point_reference(rng, *radius_range),
+            lambda z: not near_power_orbit(z, u, sign=-1, parity=1, tol=1e-3)
+            and not near_power_orbit(z, u, sign=1, parity=1, tol=1e-3),
+            100,
+        )
+        assert repr(sample_z_points(u, 100, 5, radius_range)) == repr(expected)
+
+
+def _pairs_sqrt_reference(p, nome):
+    """Copy of _pairs_sqrt before its left side was computed once."""
+    z, v, u = p["z"], p["v"], nome.u
+    d0, d1 = vartheta0(1j, v), vartheta1(1j * v * v, v)
+    pairs = []
+    for s in (p["s"], -p["s"]):
+        a = s * s
+        lhs = kappa_bar(a * z, 1 / z, u)
+        c0 = vartheta0(1j * v * s * z, v) / d0
+        c1 = vartheta1(1j * v * s * z, v) / d1
+        rhs = c0 * kappa_bar(s / v, v * s, u) + c1 * kappa_bar(v * s, s / v, u)
+        pairs.append((lhs, rhs))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_sqrt_left_side_once_keeps_pairs(seed):
+    for point, nome in sample_points(REGISTRY["SQRT"].domain, 100, seed):
+        assert repr(_pairs_sqrt(point, nome)) == repr(_pairs_sqrt_reference(point, nome))

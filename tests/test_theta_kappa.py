@@ -519,6 +519,97 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _near_power_orbit_windowed(value, u, *, sign=1, parity=None, tol=1e-3):
+    """Copy of near_power_orbit before its base-2 first test: the exponent
+    window from natural logs, with max/min clamps and a range, on every call."""
+    r = abs(u)
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"half-nome u must satisfy 0 < |u| < 1, got |u| = {r}")
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign}")
+    if parity not in (None, 0, 1):
+        raise DomainError(f"parity must be None, 0 or 1, got {parity}")
+    av = abs(value)
+    thresh = tol * max(1.0, av)
+    if av <= thresh:
+        return True
+    if not (thresh >= 0.0 and av == av):
+        return False
+    log_r = math.log(r)
+    first = math.ceil(max(-400.0, math.log(av + thresh) / log_r) - 1e-6)
+    last = math.floor(min(400.0, math.log(av - thresh) / log_r) + 1e-6)
+    floor = 0.5 * thresh
+    for e in range(max(first, -399), min(last, 399) + 1):
+        if parity is not None and e % 2 != parity:
+            continue
+        try:
+            p = u**e
+        except (OverflowError, ZeroDivisionError):
+            continue
+        if e > 0 and abs(p) < floor:
+            break
+        if abs(value - sign * p) <= thresh:
+            return True
+    return False
+
+
+def _threshold_moduli(r, tol):
+    """The moduli m whose distance from r is exactly tol * max(1, m), out
+    from r and in towards 0, where the exponent window ends."""
+    outward = r + tol if r + tol < 1.0 else r / (1.0 - tol)
+    inward = r - tol if r < 1.0 else r / (1.0 + tol)
+    return [m for m in (outward, inward) if m > 0.0]
+
+
+def _orbit_guard_table():
+    """(value, u, sign, parity, tol) rows: exact orbit points +-u**e for e in
+    -30..30, the window's ends a float apart, special values and tols, and
+    bad signs, parities and nomes."""
+    rows = []
+    for u in (cmath.rect(1e-3, 0.7), cmath.rect(0.999, 2.1), 0.3 + 0.05j, 0.5):
+        for e in range(-30, 31):
+            p = u**e
+            for orbit_sign in (1, -1):
+                for sign in (1, -1):
+                    rows += [(orbit_sign * p, u, sign, parity, 1e-3) for parity in (None, 0, 1)]
+                for tol in (1e-3, 1e-6):
+                    for m in _threshold_moduli(abs(p), tol):
+                        for value in (math.nextafter(m, 0.0), m, math.nextafter(m, math.inf)):
+                            rows.append((orbit_sign * p / abs(p) * value, u, orbit_sign, None, tol))
+        for value in (0, 0j, math.nan, complex(math.nan, 0.0), math.inf, complex(0.0, -math.inf),
+                      5e-324, 1e-310 + 1e-310j, 1e300, -1e300j, 1.7 + 1.2j):
+            for tol in (1e-3, 0.0, -0.0, -1e-3, math.nan, 0.5):
+                rows += [(value, u, sign, parity, tol) for sign in (1, -1) for parity in (None, 0, 1)]
+        for sign, parity in ((2, None), (0, 0), (1.5, 1), (1, 2), (-1, -1), (1, 0.5), (1.0, 1.0)):
+            rows.append((u * u, u, sign, parity, 1e-3))
+    for bad_u in (0, 0j, 1.0, -1.0, 1.5j, math.nan, math.inf):
+        rows.append((1.0, bad_u, 1, 0, 1e-3))
+        rows.append((1.0, bad_u, 2, 5, 1e-3))
+    return rows
+
+
+def test_near_power_orbit_matches_windowed_version_on_table():
+    rows = _orbit_guard_table()
+    assert len(rows) > 5000
+    hits = 0
+    for value, u, sign, parity, tol in rows:
+        expected = _outcome(
+            lambda: _near_power_orbit_windowed(value, u, sign=sign, parity=parity, tol=tol)
+        )
+        got = _outcome(lambda: near_power_orbit(value, u, sign=sign, parity=parity, tol=tol))
+        assert got == expected, (value, u, sign, parity, tol)
+        hits += expected == "True"
+    assert 1000 < hits < len(rows) - 1000  # both answers, many times over
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_guard_inputs())
+def test_near_power_orbit_matches_windowed_version(case):
+    value, u, sign, parity, tol = case
+    expected = _outcome(lambda: _near_power_orbit_windowed(value, u, sign=sign, parity=parity, tol=tol))
+    assert _outcome(lambda: near_power_orbit(value, u, sign=sign, parity=parity, tol=tol)) == expected
+
+
 def _scalar_outcome(scalar, zs):
     return _outcome(lambda: [scalar(z) for z in zs])
 
