@@ -230,9 +230,10 @@ def _exact_records(exact_order: int, ids: Sequence[str] = SUITE_TABLE["exact"][1
     """The exact records among ``ids``: FOR1_EXACT and FOR2_EXACT are each
     built only when wanted, the three triangular records together when any
     of them is."""
+    built: dict = {}  # the series FOR1 and FOR2 share, built once per call
     records = [
         _record(f"{relation}_EXACT", f"coefficients through u**{exact_order - 1} agree",
-                mismatch=check(exact_order))
+                mismatch=check(exact_order, built))
         for relation, check in (("FOR1", qexact.check_for1_exact), ("FOR2", qexact.check_for2_exact))
         if f"{relation}_EXACT" in ids
     ]

@@ -14,6 +14,16 @@ c * x**e / (1 - s * x**k), as in the kappa special values and both
 double-sum forms, is built in one numerator list, each row added as one
 strided slice (two interleaved ones when s = -1), not as a series of its own.
 
+A product is one big-int multiply (Kronecker substitution).  Each operand's
+numerators fill w-byte slots of one int, with 8w >= bitlen(max|a|) +
+bitlen(max|b|) + bitlen(min(nnz_a, nnz_b)) + 1 (1, 2, 4 or 8 bytes when that
+suffices), so every product coefficient c has |c| < h = 2**(8w-1).  A signed
+slot with its top bit flipped holds c + h, and subtracting h from every slot
+leaves the operand.  Adding h to every slot of the product makes each kept
+slot c + h, in [0, 2h); the mask to t slots takes the int modulo 2**(8wt),
+which drops the higher slots, however negative, without a borrow from the
+kept ones, and flipping the top bits again reads each slot as c.
+
 Two variables appear, both handled by the same USeries container:
 
 * u, the half-nome (q = u**2), used for the theta null values and the
@@ -25,6 +35,7 @@ Two variables appear, both handled by the same USeries container:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
@@ -148,29 +159,41 @@ class USeries:
         )
 
     def __mul__(self, other: "USeries") -> "USeries":
-        """Shift-and-add over the nonzero terms of the sparser factor."""
+        """Kronecker product, exact for coefficients of any size (see the
+        module docstring for the slot width, the offset and the mask)."""
         t = self._aligned(other)
         a, b = self._num[:t], other._num[:t]
-        if a.count(0) < b.count(0):  # iterate the sparser factor outermost
-            a, b = b, a
-        acc = [0] * t
-        for i in compress(range(t), a):
-            ci = a[i]
-            acc[i:] = map(add, acc[i:], map(mul, b, repeat(ci, t - i)))
+        nnz = t - max(a.count(0), b.count(0))
+        bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + nnz.bit_length() + 1
+        w = next((n for n in (1, 2, 4, 8) if 8 * n >= bits), -(-bits // 8))
+        code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(w)  # struct's signed w-byte ints
+        signs = int.from_bytes((bytes(w - 1) + b"\x80") * t, "little")  # h in every slot
+
+        def pack(num: list[int]) -> int:
+            data = (struct.pack(f"<{t}{code}", *num) if code
+                    else b"".join([c.to_bytes(w, "little", signed=True) for c in num]))
+            return (int.from_bytes(data, "little") ^ signs) - signs
+
+        low = (pack(a) * pack(b) + signs) & ((1 << 8 * w * t) - 1)
+        data = (low ^ signs).to_bytes(w * t, "little")
+        if code:
+            acc = list(struct.unpack(f"<{t}{code}", data))
+        else:
+            acc = [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, w * t, w)]
         return USeries._make(t, acc, self._den * other._den)
 
     def __pow__(self, exponent: int) -> "USeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent}")
-        result = USeries.one(self.trunc)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
-        return result
+        return USeries.one(self.trunc) if result is None else result
 
     # -- queries ------------------------------------------------------
 
@@ -218,7 +241,7 @@ def _geometric_sum(
     A row adds c at exponents e, e + k, e + 2k, ... as one strided slice;
     for s = -1 the signs alternate, so it is a slice of stride 2k adding c
     and one from e + k subtracting it.  A monomial is a row whose step
-    reaches past the truncation."""
+    reaches past the truncation; a row that starts there adds nothing."""
     acc = [0] * trunc
     for e, c, s, k in rows:
         if e >= trunc:
@@ -238,34 +261,21 @@ def _geometric_sum(
 
 
 def theta_null_plus(trunc: int) -> USeries:
-    """theta(1, u) = 1 + 2 sum_{n>=1} u**(n**2)."""
-    terms: dict[int, int] = {0: 1}
-    n = 1
-    while n * n < trunc:
-        terms[n * n] = 2
-        n += 1
-    return USeries.from_terms(terms, trunc)
+    """theta(1, u) = 1 + 2 sum_{n>=1} u**(n**2), one monomial row per term."""
+    rows = ((n * n, 2 if n else 1, 1, trunc) for n in range(math.isqrt(trunc) + 1))
+    return _geometric_sum(trunc, rows)
 
 
 def theta_null_minus(trunc: int) -> USeries:
     """theta(-1, u) = 1 + 2 sum_{n>=1} (-1)**n u**(n**2)."""
-    terms: dict[int, int] = {0: 1}
-    n = 1
-    while n * n < trunc:
-        terms[n * n] = -2 if n % 2 else 2
-        n += 1
-    return USeries.from_terms(terms, trunc)
+    rows = ((n * n, (-1) ** n * (2 if n else 1), 1, trunc) for n in range(math.isqrt(trunc) + 1))
+    return _geometric_sum(trunc, rows)
 
 
 def theta_null_half(trunc: int) -> USeries:
     """theta(u, u) = 2 sum_{n>=0} u**(n**2+n); the exponents n**2 + n are
     twice the triangular numbers, so this is 2 * psi(q) at q = u**2."""
-    terms: dict[int, int] = {}
-    n = 0
-    while n * n + n < trunc:
-        terms[n * n + n] = 2
-        n += 1
-    return USeries.from_terms(terms, trunc)
+    return _geometric_sum(trunc, ((n * n + n, 2, 1, trunc) for n in range(math.isqrt(trunc) + 1)))
 
 
 def kappa_u_at_minus_one(trunc: int) -> USeries:
@@ -298,45 +308,50 @@ def kappa_minus_one_at_u(trunc: int) -> USeries:
 # ---------------------------------------------------------------------------
 
 
-def for1_sides(trunc: int = 80) -> tuple[USeries, USeries]:
+def _for_series(trunc: int, built: dict | None) -> list[USeries]:
+    """theta(1), theta(-1), theta(u), kappa(u, -1) and kappa(-u, 1): the
+    series both relations use.  A caller that passes one dict to both
+    checks has them built once; the dict keeps them under trunc."""
+    built = {} if built is None else built
+    if trunc not in built:
+        built[trunc] = [f(trunc) for f in (theta_null_plus, theta_null_minus, theta_null_half,
+                                           kappa_u_at_minus_one, kappa_minus_u_at_one)]
+    return built[trunc]
+
+
+def for1_sides(trunc: int = 80, built: dict | None = None) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(1) kappa(u,-1) + theta(-1) kappa(-u,1)
     = theta(u)**3 / 2 as exact u-series."""
-    lhs = theta_null_plus(trunc) * kappa_u_at_minus_one(trunc) + theta_null_minus(
-        trunc
-    ) * kappa_minus_u_at_one(trunc)
-    rhs = (theta_null_half(trunc) ** 3).scale(Fraction(1, 2))
+    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)
+    lhs = plus * k_plus + minus * k_minus
+    rhs = (half**3).scale(Fraction(1, 2))
     return lhs, rhs
 
 
-def for2_sides(trunc: int = 80) -> tuple[USeries, USeries]:
+def for2_sides(trunc: int = 80, built: dict | None = None) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(u)**3 kappa(-1,u) = theta(-1)**3 kappa(u,-1)
     + theta(1)**3 kappa(-u,1) as exact u-series.
 
     Each dense kappa series is multiplied by its sparse theta null three
     times over rather than by the dense cube; truncated products are
     associative, so the coefficients are the same."""
-
-    def times_cube(kappa_series: USeries, theta_null: USeries) -> USeries:
-        return kappa_series * theta_null * theta_null * theta_null
-
-    lhs = times_cube(kappa_minus_one_at_u(trunc), theta_null_half(trunc))
-    rhs = times_cube(kappa_u_at_minus_one(trunc), theta_null_minus(trunc)) + times_cube(
-        kappa_minus_u_at_one(trunc), theta_null_plus(trunc)
-    )
+    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)
+    lhs = kappa_minus_one_at_u(trunc) * half * half * half
+    rhs = k_plus * minus * minus * minus + k_minus * plus * plus * plus
     return lhs, rhs
 
 
-def check_for1_exact(trunc: int = 80) -> int | None:
+def check_for1_exact(trunc: int = 80, built: dict | None = None) -> int | None:
     """None if the first relation holds through u**(trunc-1); otherwise the
-    first failing exponent."""
-    lhs, rhs = for1_sides(trunc)
+    first failing exponent.  Checks passed one ``built`` dict share series."""
+    lhs, rhs = for1_sides(trunc, built)
     return lhs.agrees_with(rhs)
 
 
-def check_for2_exact(trunc: int = 80) -> int | None:
+def check_for2_exact(trunc: int = 80, built: dict | None = None) -> int | None:
     """None if the second relation holds through u**(trunc-1); otherwise the
-    first failing exponent."""
-    lhs, rhs = for2_sides(trunc)
+    first failing exponent.  Checks passed one ``built`` dict share series."""
+    lhs, rhs = for2_sides(trunc, built)
     return lhs.agrees_with(rhs)
 
 
@@ -348,12 +363,8 @@ def check_for2_exact(trunc: int = 80) -> int | None:
 def triangular_gf(trunc: int) -> USeries:
     """psi(q) = sum_{n>=0} q**(n(n+1)/2), the generating function of the
     triangular numbers, as a series in q."""
-    terms: dict[int, int] = {}
-    n = 0
-    while n * (n + 1) // 2 < trunc:
-        terms[n * (n + 1) // 2] = 1
-        n += 1
-    return USeries.from_terms(terms, trunc)
+    rows = ((n * (n + 1) // 2, 1, 1, trunc) for n in range(math.isqrt(2 * trunc) + 1))
+    return _geometric_sum(trunc, rows)
 
 
 def as_q_series(series: USeries) -> USeries:
@@ -460,11 +471,12 @@ def triangular_counts_bruteforce(order: int) -> TriangularCounts:
     for a in tri:
         for b in tri:
             if a + b > order:
-                continue
+                break  # tri increases, so every later b overshoots too
             for c in tri:
                 m = a + b + c
-                if m <= order:
-                    counts[m] += 1
+                if m > order:
+                    break
+                counts[m] += 1
     return TriangularCounts(order, tuple(counts))
 
 

@@ -5,12 +5,16 @@ three-term relations, and the triangular-number triple count agreement."""
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from itertools import compress, product, repeat
+from operator import add, mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from appell_kit import qexact
+from appell_kit import cli, qexact
 from appell_kit.numeric import kappa, theta
 from appell_kit.qexact import (
     TruncationMismatchError,
@@ -345,7 +349,38 @@ def _andrews_series_loop(trunc, extra=0):
     return total
 
 
+def _monomials(trunc, exponent, coeff):
+    """sum of coeff(n) * x**exponent(n) over n >= 0 while the increasing
+    exponent stays below trunc, as one from_terms call."""
+    terms = {}
+    n = 0
+    while exponent(n) < trunc:
+        terms[exponent(n)] = coeff(n)
+        n += 1
+    return USeries.from_terms(terms, trunc)
+
+
+def _theta_null_plus_terms(trunc):
+    return _monomials(trunc, lambda n: n * n, lambda n: 2 if n else 1)
+
+
+def _theta_null_minus_terms(trunc):
+    return _monomials(trunc, lambda n: n * n, lambda n: (-1) ** n * (2 if n else 1))
+
+
+def _theta_null_half_terms(trunc):
+    return _monomials(trunc, lambda n: n * n + n, lambda n: 2)
+
+
+def _triangular_gf_terms(trunc):
+    return _monomials(trunc, lambda n: n * (n + 1) // 2, lambda n: 1)
+
+
 ROW_SUMS = [
+    (theta_null_plus, _theta_null_plus_terms, {}),
+    (theta_null_minus, _theta_null_minus_terms, {}),
+    (theta_null_half, _theta_null_half_terms, {}),
+    (triangular_gf, _triangular_gf_terms, {}),
     (kappa_u_at_minus_one, _kappa_u_at_minus_one_loop, {}),
     (kappa_minus_u_at_one, _kappa_minus_u_at_one_loop, {}),
     (kappa_minus_one_at_u, _kappa_minus_one_at_u_loop, {}),
@@ -379,3 +414,149 @@ def test_check_for2_reports_injected_half_integer_perturbation(monkeypatch, name
 
     monkeypatch.setattr(qexact, name, perturbed)
     assert check_for2_exact(80) == exponent
+
+
+# ---------------------------------------------------------------------------
+# The Kronecker product against shift-and-add and the Fraction reference.
+# ---------------------------------------------------------------------------
+
+
+def shift_and_add_mul(x: USeries, y: USeries) -> USeries:
+    """x * y by shift-and-add over the nonzero terms of the sparser factor:
+    one slice pass per term, with no bound on the coefficient size."""
+    t = min(x.trunc, y.trunc)
+    a, b = x._num[:t], y._num[:t]
+    if a.count(0) < b.count(0):
+        a, b = b, a
+    acc = [0] * t
+    for i in compress(range(t), a):
+        acc[i:] = map(add, acc[i:], map(mul, b, repeat(a[i], t - i)))
+    return USeries._make(t, acc, x._den * y._den)
+
+
+@st.composite
+def wide_series(draw):
+    """Up to 24 numerators of up to 200 bits, dense, sparse or all zero,
+    over a denominator that is not always 1."""
+    trunc = draw(st.integers(1, 24))
+    bits = draw(st.integers(0, 200))
+    value = st.integers(-(2**bits), 2**bits)
+    kind = draw(st.sampled_from(("dense", "sparse", "zero")))
+    if kind == "zero":
+        nums = [0] * trunc
+    else:
+        element = value if kind == "dense" else st.one_of(st.just(0), st.just(0), value)
+        nums = draw(st.lists(element, min_size=trunc, max_size=trunc))
+    den = draw(st.sampled_from((1, 2, 12, 2**65 + 3)))
+    return USeries(trunc, [Fraction(n, den) for n in nums])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=wide_series(), b=wide_series())
+def test_product_matches_shift_and_add(a, b):
+    result = a * b
+    assert result == shift_and_add_mul(a, b)
+    assert list(result.coeffs) == reference_mul(list(a.coeffs), list(b.coeffs))
+
+
+@pytest.mark.parametrize(
+    "width, bits, length",
+    [
+        (1, 3, 1),  # 3 + 3 + 1 + 1 = 8 bits
+        # Next, a slot needs 2 * bits + 2 + 1 = 8 * w' + 1 bits, one more than
+        # the next narrower width w' holds, and 3 * (2**bits - 1)**2 overflows w'.
+        (2, 3, 3),
+        (4, 7, 3),
+        (8, 15, 3),
+        (9, 31, 3),
+        (51, 200, 3),  # 403 bits
+    ],
+)
+def test_product_slot_widths(monkeypatch, width, bits, length):
+    """Each slot width packs through its own path, and the coefficients at
+    the top of the slot's range, of either sign, come back exactly."""
+    magnitude = 2**bits - 1
+    codes = []
+
+    def pack(fmt, *values):
+        codes.append(fmt[-1])
+        return struct.pack(fmt, *values)
+
+    monkeypatch.setattr(qexact, "struct", SimpleNamespace(pack=pack, unpack=struct.unpack))
+    a = USeries(length + 2, [magnitude] * length + [0, 0])
+    for b in (a, -a):
+        result = a * b
+        assert result == shift_and_add_mul(a, b)
+        sign = 1 if b is a else -1
+        assert result.coefficient(length - 1) == sign * length * magnitude**2
+    expected = {1: "b", 2: "h", 4: "i", 8: "q"}.get(width)
+    assert codes == ([expected] * 4 if expected else [])
+
+
+def _sides_by_shift_and_add(monkeypatch, build, trunc):
+    with monkeypatch.context() as patched:
+        patched.setattr(USeries, "__mul__", shift_and_add_mul)
+        return build(trunc)
+
+
+SIDES = {
+    "for1": for1_sides,
+    "for2": for2_sides,
+    "t3": lambda trunc: (triangular_gf(trunc) ** 3,),
+}
+
+
+@pytest.mark.parametrize("name", SIDES)
+def test_sides_match_shift_and_add(monkeypatch, name):
+    """FOR1's and FOR2's sides and the triangular cube equal the
+    shift-and-add products at orders 1 to 60 and at 2000."""
+    build = SIDES[name]
+    for trunc in (*range(1, 61), 2000):
+        assert build(trunc) == _sides_by_shift_and_add(monkeypatch, build, trunc), trunc
+
+
+def test_pow_skips_the_product_with_one(monkeypatch):
+    calls = []
+    original = USeries.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return original(x, y)
+
+    monkeypatch.setattr(USeries, "__mul__", counted)
+    x = theta_null_half(20)
+    for exponent, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        calls.clear()
+        power = x**exponent
+        assert len(calls) == products
+        calls.clear()
+        assert power == _sides_by_shift_and_add(monkeypatch, lambda t: x**exponent, 20)
+    assert x**0 == USeries.one(20)
+
+
+def test_exact_records_build_each_shared_series_once(monkeypatch):
+    """One verify exact call builds each theta null and kappa series that
+    FOR1 and FOR2 share once, and a second call builds them afresh."""
+    calls = []
+    names = ("theta_null_plus", "theta_null_minus", "theta_null_half",
+             "kappa_u_at_minus_one", "kappa_minus_u_at_one")
+    for name in names:
+        original = getattr(qexact, name)
+        monkeypatch.setattr(
+            qexact, name, lambda trunc, f=original, n=name: calls.append(n) or f(trunc)
+        )
+    for _ in range(2):
+        calls.clear()
+        records = cli._exact_records(80, ("FOR1_EXACT", "FOR2_EXACT"))
+        assert all(r["passed"] for r in records)
+        assert sorted(calls) == sorted(names)
+
+
+@pytest.mark.parametrize("order", (*range(13), 100))
+def test_triangular_counts_equal_plain_enumeration(order):
+    tri = [n * (n + 1) // 2 for n in range(order + 1) if n * (n + 1) // 2 <= order]
+    counts = [0] * (order + 1)
+    for triple in product(tri, repeat=3):
+        if sum(triple) <= order:
+            counts[sum(triple)] += 1
+    assert triangular_counts_bruteforce(order).counts == tuple(counts)
