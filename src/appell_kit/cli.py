@@ -246,7 +246,8 @@ def _exact_records(exact_order: int, ids: Sequence[str] = SUITE_TABLE["exact"][1
         detail = f"matches the cubed generating function through q**{q_order}"
         records.append(_record(name, detail, mismatch=mismatch))
     counts = qexact.triangular_counts_bruteforce(q_order).counts
-    mismatch = next((m for m in range(q_order + 1) if cube.coefficient(m) != counts[m]), None)
+    num, den = cube._num, cube._den  # compared as integers: no Fraction per coefficient
+    mismatch = next((m for m, c in enumerate(num) if c != counts[m] * den), None)
     detail = f"series coefficients equal brute-force triple counts through {q_order}"
     records.append(_record("TRIANGULAR_COUNTS", detail, mismatch=mismatch))
     return records
@@ -379,6 +380,8 @@ def _modular_records(samples: int, seed: int, tolerance: float, grid: int) -> li
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed is None:
+        args.seed = _default_seed()
     target = args.target
     records: list[dict] = []
     for suite, (_, ids, run) in SUITE_TABLE.items():
@@ -522,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a suite name or a record id",
     )
     p_verify.add_argument("--samples", type=positive_int, default=100)
-    p_verify.add_argument("--seed", type=int, default=_default_seed())
+    p_verify.add_argument("--seed", type=int, default=None)  # None: APPELL_KIT_SEED or 0
     p_verify.add_argument("--tolerance", type=positive_float, default=1e-9)
     p_verify.add_argument("--exact-order", type=positive_int, default=80, dest="exact_order")
     p_verify.add_argument("--grid", type=grid_radius, default=1)
@@ -569,8 +572,15 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+#: The parser main builds on its first call and reuses after that.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(_join_complex_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:

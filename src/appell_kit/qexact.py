@@ -1,35 +1,32 @@
 """Exact truncated power series over Q for coefficient-level identity proofs.
 
 The numeric kernel certifies identities to ~1e-13 at sampled points; this
-module removes the sampling entirely for the theta-constant identities by
-computing both sides as truncated power series with exact rational
-coefficients and comparing coefficient lists.  Agreement of two
-degree-(T-1) truncations here is a finite, exact statement: every
-coefficient through u**(T-1) matches as a rational number.
+module removes the sampling for the theta-constant identities by computing
+both sides as truncated power series with exact rational coefficients:
+agreement of two degree-(T-1) truncations is a finite, exact statement.
 
 Every series here has integer coefficients apart from two halves
 (kappa(-1, u)'s constant term and FOR1's theta(u)**3 / 2), so a series is
 stored as Python int numerators over one shared denominator.  A sum of rows
 c * x**e / (1 - s * x**k), as in the kappa special values and both
 double-sum forms, is built in one numerator list, each row added as one
-strided slice (two interleaved ones when s = -1), not as a series of its own.
+strided slice (two interleaved ones when s = -1).  The double sums are even
+in u, so they are summed in q and spread to u once.
 
-A product is one big-int multiply (Kronecker substitution).  Each operand's
-numerators fill w-byte slots of one int, with 8w >= bitlen(max|a|) +
-bitlen(max|b|) + bitlen(min(nnz_a, nnz_b)) + 1 (1, 2, 4 or 8 bytes when that
-suffices), so every product coefficient c has |c| < h = 2**(8w-1).  A signed
-slot with its top bit flipped holds c + h, and subtracting h from every slot
-leaves the operand.  Adding h to every slot of the product makes each kept
-slot c + h, in [0, 2h); the mask to t slots takes the int modulo 2**(8wt),
-which drops the higher slots, however negative, without a borrow from the
-kept ones, and flipping the top bits again reads each slot as c.
+A product is term-wise and packed.  The denser operand's numerators fill
+w-byte slots of one int, with 8w >= bitlen(max|a|) + bitlen(max|b|) +
+bitlen(min(nnz_a, nnz_b)) + 1 (1, 2, 4 or 8 bytes when that suffices), so
+every product coefficient c has |c| < h = 2**(8w-1); each nonzero term
+c * x**j of the sparser operand (here a theta null or psi, O(sqrt(t))
+terms) adds c times that int shifted by j slots.  A signed slot with its
+top bit flipped holds c + h; subtracting h from each slot gives the operand.
+With h added to every slot of the sum, each kept slot is c + h, in [0, 2h);
+the mask to t slots drops the higher slots, however negative, without a
+borrow from the kept ones, and flipping the top bits reads each slot as c.
 
-Two variables appear, both handled by the same USeries container:
-
-* u, the half-nome (q = u**2), used for the theta null values and the
-  kappa special values entering the two three-term relations;
-* q itself, used for the triangular-number generating function.  Series in
-  q are obtained from even u-series via :func:`as_q_series`.
+Series in u, the half-nome (q = u**2), hold the theta nulls and kappa
+special values of the two three-term relations; series in q, from even
+u-series via :func:`as_q_series`, the triangular-number generating function.
 """
 
 from __future__ import annotations
@@ -159,23 +156,25 @@ class USeries:
         )
 
     def __mul__(self, other: "USeries") -> "USeries":
-        """Kronecker product, exact for coefficients of any size (see the
-        module docstring for the slot width, the offset and the mask)."""
+        """Term-wise packed product, exact for coefficients of any size (see
+        the module docstring for the slot width, the offset and the mask)."""
         t = self._aligned(other)
         a, b = self._num[:t], other._num[:t]
-        nnz = t - max(a.count(0), b.count(0))
-        bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + nnz.bit_length() + 1
+        if a.count(0) < b.count(0):
+            a, b = b, a  # a is the sparser operand, b the packed one
+        nnz = t - a.count(0)
+        bits = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
+                + nnz.bit_length() + 1)
         w = next((n for n in (1, 2, 4, 8) if 8 * n >= bits), -(-bits // 8))
         code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(w)  # struct's signed w-byte ints
         signs = int.from_bytes((bytes(w - 1) + b"\x80") * t, "little")  # h in every slot
-
-        def pack(num: list[int]) -> int:
-            data = (struct.pack(f"<{t}{code}", *num) if code
-                    else b"".join([c.to_bytes(w, "little", signed=True) for c in num]))
-            return (int.from_bytes(data, "little") ^ signs) - signs
-
-        low = (pack(a) * pack(b) + signs) & ((1 << 8 * w * t) - 1)
-        data = (low ^ signs).to_bytes(w * t, "little")
+        data = (struct.pack(f"<{t}{code}", *b) if code
+                else b"".join([c.to_bytes(w, "little", signed=True) for c in b]))
+        packed = (int.from_bytes(data, "little") ^ signs) - signs
+        acc = signs
+        for shift, c in zip(compress(range(0, 8 * w * t, 8 * w), a), filter(None, a)):
+            acc += c * packed << shift
+        data = ((acc & ((1 << 8 * w * t) - 1)) ^ signs).to_bytes(w * t, "little")
         if code:
             acc = list(struct.unpack(f"<{t}{code}", data))
         else:
@@ -185,9 +184,7 @@ class USeries:
     def __pow__(self, exponent: int) -> "USeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent}")
-        result = None
-        base = self
-        e = exponent
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
                 result = base if result is None else result * base
@@ -231,28 +228,36 @@ class USeries:
         return f"USeries(trunc={self.trunc!r}, coeffs={self.coeffs!r})"
 
 
-def _geometric_sum(
-    trunc: int, rows: Iterable[tuple[int, int, int, int]], den: int = 1
-) -> USeries:
+def _geometric_sum(trunc: int, rows: Iterable[tuple[int, int, int, int]], den: int = 1) -> USeries:
     """sum of c * x**e / (1 - s * x**k) over the rows (e, c, s, k), with
     e >= 0, integer c, s = +1 or -1 and k >= 1, truncated below x**trunc
     and divided by den.
 
     A row adds c at exponents e, e + k, e + 2k, ... as one strided slice;
     for s = -1 the signs alternate, so it is a slice of stride 2k adding c
-    and one from e + k subtracting it.  A monomial is a row whose step
-    reaches past the truncation; a row that starts there adds nothing."""
+    and one from e + k subtracting it.  A row whose step reaches past the
+    truncation adds c at e alone (a monomial); a row that starts there adds
+    nothing."""
     acc = [0] * trunc
     for e, c, s, k in rows:
         if e >= trunc:
             continue  # an empty slice: skip building it
-        if s == 1:
+        if e + k >= trunc:
+            acc[e] += c
+        elif s == 1:
             acc[e::k] = map(add, acc[e::k], repeat(c))
         else:
             k2 = 2 * k
             acc[e::k2] = map(add, acc[e::k2], repeat(c))
             acc[e + k :: k2] = map(sub, acc[e + k :: k2], repeat(c))
     return USeries._make(trunc, acc, den)
+
+
+def _spread_to_u(series: USeries, trunc: int) -> USeries:
+    """The even u-series below u**trunc of a q-series of (trunc + 1) // 2 terms."""
+    num = [0] * trunc
+    num[::2] = series._num
+    return USeries._make(trunc, num, series._den)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +409,15 @@ def double_sum_series(trunc: int, extra: int = 0) -> USeries:
             terms: dict[int, int] = {}  # one row per exponent, not per l
             for l in range(-window, window + 1):
                 e = (n - l) ** 2 + l * l + n
-                for u_exp in (2 * e, 2 * (e + 2 * l + 1)):
-                    if u_exp < trunc:
-                        terms[u_exp] = terms.get(u_exp, 0) + 1
+                for q_exp in (e, e + 2 * l + 1):
+                    if q_exp <= order:
+                        terms[q_exp] = terms.get(q_exp, 0) + 1
             sign = -1 if n % 2 else 1
-            for u_exp, count in terms.items():
-                yield u_exp, sign * count, 1, 4 * n + 2
+            for q_exp, count in terms.items():
+                yield q_exp, sign * count, 1, 2 * n + 1
             n += 1
 
-    return _geometric_sum(trunc, rows())
+    return _spread_to_u(_geometric_sum(order + 1, rows()), trunc)
 
 
 def andrews_series(trunc: int, extra: int = 0) -> USeries:
@@ -437,10 +442,10 @@ def andrews_series(trunc: int, extra: int = 0) -> USeries:
                 e = 2 * n * n + 2 * n - j * (j + 1) // 2
                 if e > order:
                     break
-                yield 2 * e, 1, 1, 4 * n + 2
-                yield 2 * (e + 2 * n + 1), 1, 1, 4 * n + 2
+                yield e, 1, 1, 2 * n + 1
+                yield e + 2 * n + 1, 1, 1, 2 * n + 1
 
-    return _geometric_sum(trunc, rows())
+    return _spread_to_u(_geometric_sum(order + 1, rows()), trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +467,7 @@ def triangular_counts_bruteforce(order: int) -> TriangularCounts:
     oracle the series representations are compared against."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    tri = []
-    n = 0
-    while n * (n + 1) // 2 <= order:
-        tri.append(n * (n + 1) // 2)
-        n += 1
+    tri = [n * (n + 1) // 2 for n in range(math.isqrt(2 * order) + 1)]  # the last may pass order
     counts = [0] * (order + 1)
     for a in tri:
         for b in tri:
@@ -483,7 +484,5 @@ def triangular_counts_bruteforce(order: int) -> TriangularCounts:
 def to_csv_rows(series: USeries) -> list[str]:
     """Render a series as CSV rows 'exponent,numerator,denominator', one row
     per retained exponent, header first."""
-    rows = ["exponent,numerator,denominator"]
-    for k, c in enumerate(series.coeffs):
-        rows.append(f"{k},{c.numerator},{c.denominator}")
-    return rows
+    return ["exponent,numerator,denominator",
+            *[f"{k},{c.numerator},{c.denominator}" for k, c in enumerate(series.coeffs)]]

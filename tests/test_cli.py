@@ -218,6 +218,57 @@ def test_verify_seed_environment_default(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 0
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """main builds its parser on the first call and reuses it, yet reads
+    APPELL_KIT_SEED afresh on every call."""
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    for seed in (5, 6):
+        monkeypatch.setenv("APPELL_KIT_SEED", str(seed))
+        code, out, _ = run_cli(capsys, "verify", "FOR1_EXACT")
+        assert code == 0
+        assert json.loads(out)["seed"] == seed
+    assert len(built) == 1
+
+
+def _perturbed_counts(original, m):
+    def perturbed(order):
+        counts = list(original(order).counts)
+        counts[m] += 1
+        return qexact.TriangularCounts(order, tuple(counts))
+
+    return perturbed
+
+
+def _perturbed_series(original, m):
+    def perturbed(trunc, extra=0):
+        return original(trunc, extra) + qexact.USeries.monomial(2 * m, trunc)  # q**m
+
+    return perturbed
+
+
+@pytest.mark.parametrize("m", (0, 17, 40))
+@pytest.mark.parametrize(
+    "record_id, name, perturb",
+    [
+        ("TRIANGULAR_COUNTS", "triangular_counts_bruteforce", _perturbed_counts),
+        ("TRIANGULAR_DOUBLE_SUM", "double_sum_series", _perturbed_series),
+        ("TRIANGULAR_ANDREWS", "andrews_series", _perturbed_series),
+    ],
+)
+def test_triangular_records_fail_at_the_perturbed_exponent(capsys, monkeypatch, record_id, name, perturb, m):
+    """One brute-force count or one double-sum or Andrews coefficient off by
+    one at q**m fails that record alone, at exponent m, and exits 1."""
+    monkeypatch.setattr(qexact, name, perturb(getattr(qexact, name), m))
+    code, out, _ = run_cli(capsys, "verify", "exact", "--exact-order", "82")
+    assert code == 1
+    records = {r["record_id"]: r for r in json.loads(out)["records"]}
+    assert records[record_id]["detail"] == f"first mismatch at exponent {m}"
+    assert [i for i, r in records.items() if not r["passed"]] == [record_id]
+
+
 def test_eval_kappa(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "kappa", "--a", "0.7+0.4i", "--z", "1.3-0.2j", "--u", "0.35"

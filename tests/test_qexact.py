@@ -417,7 +417,7 @@ def test_check_for2_reports_injected_half_integer_perturbation(monkeypatch, name
 
 
 # ---------------------------------------------------------------------------
-# The Kronecker product against shift-and-add and the Fraction reference.
+# The term-wise packed product against shift-and-add and the Fraction reference.
 # ---------------------------------------------------------------------------
 
 
@@ -473,8 +473,9 @@ def test_product_matches_shift_and_add(a, b):
     ],
 )
 def test_product_slot_widths(monkeypatch, width, bits, length):
-    """Each slot width packs through its own path, and the coefficients at
-    the top of the slot's range, of either sign, come back exactly."""
+    """Each slot width packs through its own path, one packed operand per
+    product, and the coefficients at the top of the slot's range, of either
+    sign, come back exactly."""
     magnitude = 2**bits - 1
     codes = []
 
@@ -490,7 +491,24 @@ def test_product_slot_widths(monkeypatch, width, bits, length):
         sign = 1 if b is a else -1
         assert result.coefficient(length - 1) == sign * length * magnitude**2
     expected = {1: "b", 2: "h", 4: "i", 8: "q"}.get(width)
-    assert codes == ([expected] * 4 if expected else [])
+    assert codes == ([expected] * 2 if expected else [])
+
+
+@pytest.mark.parametrize("trunc", (800, 2000))
+def test_product_fixed_cases(trunc):
+    """Products at benchmark size equal shift-and-add: a sparse theta null
+    times dense kappa series on either side, with narrow and wide slots, a
+    sparse operand whose terms reach the top slot, and all-zero operands."""
+    sparse = theta_null_minus(trunc)
+    late = USeries.from_terms({0: 3, trunc // 2: -1, trunc - 1: 5}, trunc)
+    zero = USeries.zero(trunc)
+    dense = kappa_minus_one_at_u(trunc)
+    wide = (kappa_u_at_minus_one(trunc) * theta_null_half(trunc)).scale(2**70 + 1)
+    for sparse_operand in (sparse, sparse.scale(-(2**90)), late, zero):
+        for dense_operand in (dense, wide, zero):
+            for x, y in ((sparse_operand, dense_operand), (dense_operand, sparse_operand)):
+                assert x * y == shift_and_add_mul(x, y)
+    assert (zero * dense) == USeries._make(trunc, [0] * trunc, 1)
 
 
 def _sides_by_shift_and_add(monkeypatch, build, trunc):
