@@ -245,9 +245,8 @@ def _exact_records(exact_order: int, ids: Sequence[str] = SUITE_TABLE["exact"][1
         mismatch = cube.agrees_with(_qseries_build(route, q_order)[0])
         detail = f"matches the cubed generating function through q**{q_order}"
         records.append(_record(name, detail, mismatch=mismatch))
-    counts = qexact.triangular_counts_bruteforce(q_order).counts
-    num, den = cube._num, cube._den  # compared as integers: no Fraction per coefficient
-    mismatch = next((m for m, c in enumerate(num) if c != counts[m] * den), None)
+    counts = qexact.triangular_counts_bruteforce(q_order)
+    mismatch = cube.agrees_with(qexact.USeries(len(counts), counts))
     detail = f"series coefficients equal brute-force triple counts through {q_order}"
     records.append(_record("TRIANGULAR_COUNTS", detail, mismatch=mismatch))
     return records
@@ -472,9 +471,7 @@ def _cmd_qseries(args: argparse.Namespace) -> int:
         "order": args.order,
         "variable": variable,
         "trunc": series.trunc,
-        "coefficients": [
-            [k, c.numerator, c.denominator] for k, c in enumerate(series.coeffs)
-        ],
+        "coefficients": [[k, c, 1] for k, c in enumerate(series.coeffs)],
     }
     _emit_json(payload, args.out)
     return 0
@@ -607,8 +604,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (NonconvergenceError, ValueError) as exc:
+    except (NonconvergenceError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an order too large to allocate; the error has no message
+        print("error: out of memory", file=sys.stderr)
         return 2
     print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

@@ -639,7 +639,8 @@ def near_power_orbit(
     Exponents run over -399..399, and non-negative ones stop once |u**e|
     falls below half the threshold.  Only exponents with
     ``| |u|**e - |value| | <= thresh`` can match, and they form one
-    interval, so just those are tested.  A matching power has
+    interval, so just those are tested, from one base-2 window 1e-5 wider
+    at each end; an exponent in that margin cannot match.  A matching power has
     |u**e| <= |value| + thresh < 2 |value| + 1, since tol < 1 past the
     first test, so no match lies beyond that bound on the negative side.
     """
@@ -658,16 +659,13 @@ def near_power_orbit(
         return False  # a NaN value, or a negative or NaN tol, matches nothing
     # |u|**e lies in [av - thresh, av + thresh] for e between these bounds (log|u| < 0
     # reverses them); rounding moves them ~1e-13 for the |e| <= 400 tested, far inside
-    # the 1e-6 margin.  Most calls have no e in reach: cheaper base-2 bounds, 1e-5 wide.
+    # the 1e-5 margin.  Most calls have no e in reach and return here.
     log_r = _log2(r)
     lo, hi = _log2(av + thresh) / log_r - 1e-5, _log2(av - thresh) / log_r + 1e-5
     if _floor(hi) < lo:
         return False
-    log_r = math.log(r)
-    first = math.ceil(max(-400.0, math.log(av + thresh) / log_r) - 1e-6)
-    last = math.floor(min(400.0, math.log(av - thresh) / log_r) + 1e-6)
     floor = 0.5 * thresh  # half of min(thresh, |value|), as |value| > thresh
-    for e in range(max(first, -399), min(last, 399) + 1):
+    for e in range(max(math.ceil(max(lo, -400.0)), -399), min(_floor(min(hi, 400.0)), 399) + 1):
         if parity is not None and e % 2 != parity:
             continue
         try:

@@ -1,19 +1,16 @@
-"""Exact truncated power series over Q for coefficient-level identity proofs.
+"""Exact truncated power series over Z for coefficient-level identity proofs.
 
 The numeric kernel certifies identities to ~1e-13 at sampled points; this
 module removes the sampling for the theta-constant identities by computing
-both sides as truncated power series with exact rational coefficients:
+both sides as truncated power series with exact integer coefficients:
 agreement of two degree-(T-1) truncations is a finite, exact statement.
 
-Every series here has integer coefficients apart from two halves
-(kappa(-1, u)'s constant term and FOR1's theta(u)**3 / 2), so a series is
-stored as Python int numerators over one shared denominator.  A sum of rows
-c * x**e / (1 - s * x**k), as in the kappa special values and both
-double-sum forms, is built in one numerator list, each row added as one
+A sum of rows c * x**e / (1 - s * x**k), as in the kappa special values and
+both double-sum forms, is built in one list of ints, each row added as one
 strided slice (two interleaved ones when s = -1).  The double sums are even
 in u, so they are summed in q and spread to u once.
 
-A product is term-wise and packed.  The denser operand's numerators fill
+A product is term-wise and packed.  The denser operand's coefficients fill
 w-byte slots of one int, with 8w >= bitlen(max|a|) + bitlen(max|b|) +
 bitlen(min(nnz_a, nnz_b)) + 1 (1, 2, 4 or 8 bytes when that suffices), so
 every product coefficient c has |c| < h = 2**(8w-1); each nonzero term
@@ -33,10 +30,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, mul, sub
+from operator import add, index, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -46,53 +41,42 @@ class TruncationMismatchError(ValueError):
 
 class USeries:
     """Truncated power series sum_{k < trunc} coeffs[k] * x**k with exact
-    rational coefficients.  Arithmetic truncates to the shorter operand, the
+    integer coefficients.  Arithmetic truncates to the shorter operand, the
     standard semantics for series known only up to their truncation order.
 
-    Coefficients are held as int numerators over one shared positive
-    denominator in lowest terms, so ``coeffs`` and ``coefficient`` return
-    Fractions while the ring operations never build one."""
+    Every constructor takes each coefficient through ``operator.index``, so
+    a rational or a float is refused with TypeError, never truncated."""
 
-    __slots__ = ("trunc", "_num", "_den")
+    __slots__ = ("trunc", "_coeffs")
 
-    def __init__(self, trunc: int, coeffs: Sequence[Fraction | int]) -> None:
+    def __init__(self, trunc: int, coeffs: Sequence[int]) -> None:
         if trunc < 1:
             raise ValueError(f"trunc must be >= 1, got {trunc}")
         if len(coeffs) != trunc:
             raise ValueError(f"need exactly {trunc} coefficients, got {len(coeffs)}")
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*[f.denominator for f in fracs])
         self.trunc = trunc
-        self._num = [f.numerator * (den // f.denominator) for f in fracs]
-        self._den = den
+        self._coeffs = list(map(index, coeffs))
 
     @classmethod
-    def _make(cls, trunc: int, num: list[int], den: int) -> "USeries":
-        """Wrap numerators the caller hands over (and no longer touches),
-        reducing the shared denominator to lowest terms."""
-        if den != 1:
-            g = math.gcd(den, *num)
-            if g != 1:
-                num = [c // g for c in num]
-                den //= g
+    def _make(cls, trunc: int, coeffs: list[int]) -> "USeries":
+        """Wrap ints the caller hands over (and no longer touches)."""
         series = object.__new__(cls)
         series.trunc = trunc
-        series._num = num
-        series._den = den
+        series._coeffs = coeffs
         return series
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, trunc: int) -> "USeries":
-        return cls._make(trunc, [0] * trunc, 1)
+        return cls._make(trunc, [0] * trunc)
 
     @classmethod
     def one(cls, trunc: int) -> "USeries":
         return cls.monomial(0, trunc)
 
     @classmethod
-    def monomial(cls, exponent: int, trunc: int, coeff: Fraction | int = 1) -> "USeries":
+    def monomial(cls, exponent: int, trunc: int, coeff: int = 1) -> "USeries":
         if not 0 <= exponent < trunc:
             raise TruncationMismatchError(
                 f"exponent {exponent} outside retained range [0, {trunc})"
@@ -100,25 +84,18 @@ class USeries:
         return cls.from_terms({exponent: coeff}, trunc)
 
     @classmethod
-    def from_terms(cls, terms: Mapping[int, Fraction | int], trunc: int) -> "USeries":
+    def from_terms(cls, terms: Mapping[int, int], trunc: int) -> "USeries":
         """Build from an exponent -> coefficient mapping; exponents at or
         beyond trunc are discarded (they are not representable), negative
         exponents are rejected."""
-        kept = {}
+        coeffs = [0] * trunc
         for e, v in terms.items():
             if e < 0:
                 raise ValueError(f"negative exponent {e} in series terms")
+            v = index(v)
             if e < trunc:
-                kept[e] = Fraction(v)
-        # Star-args from a list, not a generator: CPython allocates a tuple
-        # built from a generator by resizing, past the tuple free lists, yet
-        # frees it onto them, so one call per series row kept filling those
-        # lists (about 2 MB over a few hundred in-process verify runs).
-        den = math.lcm(*[v.denominator for v in kept.values()])
-        num = [0] * trunc
-        for e, v in kept.items():
-            num[e] = v.numerator * (den // v.denominator)
-        return cls._make(trunc, num, den)
+                coeffs[e] = v
+        return cls._make(trunc, coeffs)
 
     # -- ring operations ----------------------------------------------
 
@@ -127,39 +104,22 @@ class USeries:
             raise TypeError(f"expected USeries, got {type(other).__name__}")
         return min(self.trunc, other.trunc)
 
-    def _over_common(self, other: "USeries") -> tuple[int, list[int], list[int], int]:
-        """(t, a, b, den): both operands' first t numerators over their
-        common denominator den."""
-        t = self._aligned(other)
-        a, b = self._num[:t], other._num[:t]
-        da, db = self._den, other._den
-        if da == db:
-            return t, a, b, da
-        den = math.lcm(da, db)
-        return t, list(map(mul, a, repeat(den // da))), list(map(mul, b, repeat(den // db))), den
-
     def __add__(self, other: "USeries") -> "USeries":
-        t, a, b, den = self._over_common(other)
-        return USeries._make(t, list(map(add, a, b)), den)
+        t = self._aligned(other)
+        return USeries._make(t, list(map(add, self._coeffs, other._coeffs)))
 
     def __sub__(self, other: "USeries") -> "USeries":
-        t, a, b, den = self._over_common(other)
-        return USeries._make(t, list(map(sub, a, b)), den)
+        t = self._aligned(other)
+        return USeries._make(t, list(map(sub, self._coeffs, other._coeffs)))
 
     def __neg__(self) -> "USeries":
-        return USeries._make(self.trunc, [-c for c in self._num], self._den)
-
-    def scale(self, factor: Fraction | int) -> "USeries":
-        f = Fraction(factor)
-        return USeries._make(
-            self.trunc, [f.numerator * c for c in self._num], self._den * f.denominator
-        )
+        return USeries._make(self.trunc, [-c for c in self._coeffs])
 
     def __mul__(self, other: "USeries") -> "USeries":
         """Term-wise packed product, exact for coefficients of any size (see
         the module docstring for the slot width, the offset and the mask)."""
         t = self._aligned(other)
-        a, b = self._num[:t], other._num[:t]
+        a, b = self._coeffs[:t], other._coeffs[:t]
         if a.count(0) < b.count(0):
             a, b = b, a  # a is the sparser operand, b the packed one
         nnz = t - a.count(0)
@@ -179,7 +139,7 @@ class USeries:
             acc = list(struct.unpack(f"<{t}{code}", data))
         else:
             acc = [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, w * t, w)]
-        return USeries._make(t, acc, self._den * other._den)
+        return USeries._make(t, acc)
 
     def __pow__(self, exponent: int) -> "USeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -195,43 +155,37 @@ class USeries:
     # -- queries ------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        den = self._den
-        return tuple(Fraction(c, den) for c in self._num)
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self._coeffs)
 
-    def coefficient(self, exponent: int) -> Fraction:
+    def coefficient(self, exponent: int) -> int:
         if not 0 <= exponent < self.trunc:
             raise TruncationMismatchError(
                 f"coefficient {exponent} not retained (trunc = {self.trunc})"
             )
-        return Fraction(self._num[exponent], self._den)
+        return self._coeffs[exponent]
 
     def agrees_with(self, other: "USeries") -> int | None:
         """First exponent (below the shorter truncation) where the two series
         differ, or None if they agree on the full shared range."""
         t = self._aligned(other)
-        a, b, da, db = self._num, other._num, self._den, other._den
-        for k in range(t):
-            if a[k] * db != b[k] * da:
-                return k
-        return None
+        return next(compress(range(t), map(ne, self._coeffs, other._coeffs)), None)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, USeries):
             return NotImplemented
-        return (self.trunc, self._den, self._num) == (other.trunc, other._den, other._num)
+        return (self.trunc, self._coeffs) == (other.trunc, other._coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.trunc, self._den, tuple(self._num)))
+        return hash((self.trunc, tuple(self._coeffs)))
 
     def __repr__(self) -> str:
         return f"USeries(trunc={self.trunc!r}, coeffs={self.coeffs!r})"
 
 
-def _geometric_sum(trunc: int, rows: Iterable[tuple[int, int, int, int]], den: int = 1) -> USeries:
+def _geometric_sum(trunc: int, rows: Iterable[tuple[int, int, int, int]]) -> USeries:
     """sum of c * x**e / (1 - s * x**k) over the rows (e, c, s, k), with
-    e >= 0, integer c, s = +1 or -1 and k >= 1, truncated below x**trunc
-    and divided by den.
+    e >= 0, integer c, s = +1 or -1 and k >= 1, truncated below x**trunc.
 
     A row adds c at exponents e, e + k, e + 2k, ... as one strided slice;
     for s = -1 the signs alternate, so it is a slice of stride 2k adding c
@@ -250,14 +204,14 @@ def _geometric_sum(trunc: int, rows: Iterable[tuple[int, int, int, int]], den: i
             k2 = 2 * k
             acc[e::k2] = map(add, acc[e::k2], repeat(c))
             acc[e + k :: k2] = map(sub, acc[e + k :: k2], repeat(c))
-    return USeries._make(trunc, acc, den)
+    return USeries._make(trunc, acc)
 
 
 def _spread_to_u(series: USeries, trunc: int) -> USeries:
     """The even u-series below u**trunc of a q-series of (trunc + 1) // 2 terms."""
-    num = [0] * trunc
-    num[::2] = series._num
-    return USeries._make(trunc, num, series._den)
+    coeffs = [0] * trunc
+    coeffs[::2] = series._coeffs
+    return USeries._make(trunc, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +231,15 @@ def theta_null_minus(trunc: int) -> USeries:
     return _geometric_sum(trunc, rows)
 
 
+def _half_rows(trunc: int, c: int) -> Iterator[tuple[int, int, int, int]]:
+    """The monomial rows c * u**(n**2+n), n >= 0; the exponents n**2 + n are
+    twice the triangular numbers, so c = 1 gives psi(q) at q = u**2."""
+    return ((n * n + n, c, 1, trunc) for n in range(math.isqrt(trunc) + 1))
+
+
 def theta_null_half(trunc: int) -> USeries:
-    """theta(u, u) = 2 sum_{n>=0} u**(n**2+n); the exponents n**2 + n are
-    twice the triangular numbers, so this is 2 * psi(q) at q = u**2."""
-    return _geometric_sum(trunc, ((n * n + n, 2, 1, trunc) for n in range(math.isqrt(trunc) + 1)))
+    """theta(u, u) = 2 sum_{n>=0} u**(n**2+n) = 2 psi(u**2)."""
+    return _geometric_sum(trunc, _half_rows(trunc, 2))
 
 
 def kappa_u_at_minus_one(trunc: int) -> USeries:
@@ -299,13 +258,13 @@ def kappa_minus_u_at_one(trunc: int) -> USeries:
     )
 
 
-def kappa_minus_one_at_u(trunc: int) -> USeries:
-    """kappa(-1, u) = 1/2 + 2 sum_{m>=1} u**(m**2+m) / (1 + u**(2m)), by
-    folding the bilateral sum at n <-> -n (the paired terms are equal).
-    Summed over the denominator 2, so the rows carry 1 and 4; m runs to
+def twice_kappa_minus_one_at_u(trunc: int) -> USeries:
+    """2 kappa(-1, u) = 1 + 4 sum_{m>=1} u**(m**2+m) / (1 + u**(2m)), by
+    folding the bilateral sum at n <-> -n (the paired terms are equal);
+    doubled, as kappa(-1, u) itself has the constant term 1/2.  m runs to
     isqrt(trunc), past which m**2 + m >= trunc."""
     rows = ((m * m + m, 4, -1, 2 * m) for m in range(1, math.isqrt(trunc) + 1))
-    return _geometric_sum(trunc, chain([(0, 1, 1, trunc)], rows), 2)
+    return _geometric_sum(trunc, chain([(0, 1, 1, trunc)], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +273,39 @@ def kappa_minus_one_at_u(trunc: int) -> USeries:
 
 
 def _for_series(trunc: int, built: dict | None) -> list[USeries]:
-    """theta(1), theta(-1), theta(u), kappa(u, -1) and kappa(-u, 1): the
-    series both relations use.  A caller that passes one dict to both
-    checks has them built once; the dict keeps them under trunc."""
+    """theta(1), theta(-1), theta(u), psi(u**2), kappa(u, -1) and
+    kappa(-u, 1): the series both relations use.  A caller that passes one
+    dict to both checks has them built once; the dict keeps them under
+    trunc.  psi(u**2) = theta(u) / 2 halves the theta(u)**3 in each
+    relation, so both sides stay integer series."""
     built = {} if built is None else built
     if trunc not in built:
-        built[trunc] = [f(trunc) for f in (theta_null_plus, theta_null_minus, theta_null_half,
-                                           kappa_u_at_minus_one, kappa_minus_u_at_one)]
+        built[trunc] = [theta_null_plus(trunc), theta_null_minus(trunc), theta_null_half(trunc),
+                        _geometric_sum(trunc, _half_rows(trunc, 1)),
+                        kappa_u_at_minus_one(trunc), kappa_minus_u_at_one(trunc)]
     return built[trunc]
 
 
 def for1_sides(trunc: int = 80, built: dict | None = None) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(1) kappa(u,-1) + theta(-1) kappa(-u,1)
-    = theta(u)**3 / 2 as exact u-series."""
-    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)
+    = theta(u)**3 / 2 as exact u-series, the right side as
+    theta(u)**2 psi(u**2)."""
+    plus, minus, half, psi, k_plus, k_minus = _for_series(trunc, built)
     lhs = plus * k_plus + minus * k_minus
-    rhs = (half**3).scale(Fraction(1, 2))
+    rhs = half * half * psi
     return lhs, rhs
 
 
 def for2_sides(trunc: int = 80, built: dict | None = None) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(u)**3 kappa(-1,u) = theta(-1)**3 kappa(u,-1)
-    + theta(1)**3 kappa(-u,1) as exact u-series.
+    + theta(1)**3 kappa(-u,1) as exact u-series, the left side as
+    2 kappa(-1,u) theta(u)**2 psi(u**2).
 
-    Each dense kappa series is multiplied by its sparse theta null three
+    Each dense kappa series is multiplied by its sparse theta nulls three
     times over rather than by the dense cube; truncated products are
     associative, so the coefficients are the same."""
-    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)
-    lhs = kappa_minus_one_at_u(trunc) * half * half * half
+    plus, minus, half, psi, k_plus, k_minus = _for_series(trunc, built)
+    lhs = twice_kappa_minus_one_at_u(trunc) * half * half * psi
     rhs = k_plus * minus * minus * minus + k_minus * plus * plus * plus
     return lhs, rhs
 
@@ -377,15 +341,15 @@ def as_q_series(series: USeries) -> USeries:
 
     Raises ValueError if any odd-exponent coefficient is nonzero, since such
     a series has no expression in q."""
-    odd = next(compress(range(1, series.trunc, 2), series._num[1::2]), None)
+    odd = next(compress(range(1, series.trunc, 2), series._coeffs[1::2]), None)
     if odd is not None:
         raise ValueError(
             f"series has nonzero coefficient at odd exponent {odd}; not a q-series"
         )
-    return USeries._make((series.trunc + 1) // 2, series._num[0::2], series._den)
+    return USeries._make((series.trunc + 1) // 2, series._coeffs[0::2])
 
 
-def double_sum_series(trunc: int, extra: int = 0) -> USeries:
+def double_sum_series(trunc: int) -> USeries:
     """Alternating double-sum form of psi(q)**3, returned as a u-series
     (q = u**2, all exponents even):
 
@@ -395,17 +359,14 @@ def double_sum_series(trunc: int, extra: int = 0) -> USeries:
     Row n's smallest q-exponent is at least n**2/2 + n, so rows with
     n**2//2 + n beyond the retained q-order contribute nothing; the l-window
     |l| <= isqrt(order) + 1 likewise covers every retained exponent because
-    each term's q-exponent is at least max((n-l)**2, l**2, (l+1)**2).  The
-    extra parameter widens both bounds; results must be independent of it.
+    each term's q-exponent is at least max((n-l)**2, l**2, (l+1)**2).
     """
-    if extra < 0:
-        raise ValueError(f"extra must be >= 0, got {extra}")
     order = (trunc - 1) // 2  # largest retained q-exponent
-    window = math.isqrt(order) + 1 + extra
+    window = math.isqrt(order) + 1
 
     def rows() -> Iterator[tuple[int, int, int, int]]:
         n = 0
-        while n * n // 2 + n <= order + extra:
+        while n * n // 2 + n <= order:
             terms: dict[int, int] = {}  # one row per exponent, not per l
             for l in range(-window, window + 1):
                 e = (n - l) ** 2 + l * l + n
@@ -420,7 +381,7 @@ def double_sum_series(trunc: int, extra: int = 0) -> USeries:
     return _spread_to_u(_geometric_sum(order + 1, rows()), trunc)
 
 
-def andrews_series(trunc: int, extra: int = 0) -> USeries:
+def andrews_series(trunc: int) -> USeries:
     """Positive double-sum form of psi(q)**3, returned as a u-series
     (q = u**2, all exponents even):
 
@@ -430,14 +391,11 @@ def andrews_series(trunc: int, extra: int = 0) -> USeries:
     E decreases from 2n**2 + 2n (j = 0) to n (j = 2n), so row n first
     contributes at q-exponent n and rows beyond the retained q-order are
     dropped; within a row, j runs down from 2n and stops at the first E
-    beyond the retained q-order.  The extra parameter keeps additional rows;
-    results must be independent of it."""
-    if extra < 0:
-        raise ValueError(f"extra must be >= 0, got {extra}")
+    beyond the retained q-order."""
     order = (trunc - 1) // 2
 
     def rows() -> Iterator[tuple[int, int, int, int]]:
-        for n in range(0, order + extra + 1):
+        for n in range(0, order + 1):
             for j in range(2 * n, -1, -1):
                 e = 2 * n * n + 2 * n - j * (j + 1) // 2
                 if e > order:
@@ -453,18 +411,11 @@ def andrews_series(trunc: int, extra: int = 0) -> USeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriangularCounts:
-    """Counts[m] = number of ordered triples (i, j, k) of nonnegative
-    integers with T_i + T_j + T_k = m, for m = 0 .. order."""
-
-    order: int
-    counts: tuple[int, ...]
-
-
-def triangular_counts_bruteforce(order: int) -> TriangularCounts:
-    """Enumerate ordered triples of triangular numbers directly; this is the
-    oracle the series representations are compared against."""
+def triangular_counts_bruteforce(order: int) -> tuple[int, ...]:
+    """counts[m], for m = 0 .. order, is the number of ordered triples
+    (i, j, k) of nonnegative integers with T_i + T_j + T_k = m, by direct
+    enumeration; this is the oracle the series representations are
+    compared against."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     tri = [n * (n + 1) // 2 for n in range(math.isqrt(2 * order) + 1)]  # the last may pass order
@@ -478,11 +429,10 @@ def triangular_counts_bruteforce(order: int) -> TriangularCounts:
                 if m > order:
                     break
                 counts[m] += 1
-    return TriangularCounts(order, tuple(counts))
+    return tuple(counts)
 
 
 def to_csv_rows(series: USeries) -> list[str]:
     """Render a series as CSV rows 'exponent,numerator,denominator', one row
-    per retained exponent, header first."""
-    return ["exponent,numerator,denominator",
-            *[f"{k},{c.numerator},{c.denominator}" for k, c in enumerate(series.coeffs)]]
+    per retained exponent, header first; every denominator is 1."""
+    return ["exponent,numerator,denominator", *[f"{k},{c},1" for k, c in enumerate(series._coeffs)]]

@@ -235,16 +235,16 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 
 def _perturbed_counts(original, m):
     def perturbed(order):
-        counts = list(original(order).counts)
+        counts = list(original(order))
         counts[m] += 1
-        return qexact.TriangularCounts(order, tuple(counts))
+        return tuple(counts)
 
     return perturbed
 
 
 def _perturbed_series(original, m):
-    def perturbed(trunc, extra=0):
-        return original(trunc, extra) + qexact.USeries.monomial(2 * m, trunc)  # q**m
+    def perturbed(trunc):
+        return original(trunc) + qexact.USeries.monomial(2 * m, trunc)  # q**m
 
     return perturbed
 
@@ -443,6 +443,37 @@ def test_grid_above_the_overflow_bound_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == f"appell-kit {argv[0]}: error: argument --grid: must be <= 2259, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "exact", "--exact-order", "100000000000000000000"),
+        ("qseries", "t3", "--order", "100000000000000000000"),
+    ],
+)
+def test_order_past_the_index_range_is_one_line_exit_2(capsys, argv):
+    """An order whose series length does not fit a Python index is an
+    ``error:`` line and exit 2, not a traceback and exit 1."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot fit 'int' into an index-sized integer\n"
+
+
+@pytest.mark.parametrize("argv", [("verify", "exact"), ("qseries", "t3")])
+def test_out_of_memory_is_one_line_exit_2(capsys, monkeypatch, argv):
+    """A series too large to allocate raises MemoryError, which has no
+    message: main names it and exits 2."""
+
+    def exhausted(trunc):
+        raise MemoryError
+
+    monkeypatch.setattr(qexact, "triangular_gf", exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_modular_phase_overflow_is_domain_error(capsys):

@@ -26,7 +26,6 @@ from appell_kit.qexact import (
     double_sum_series,
     for1_sides,
     for2_sides,
-    kappa_minus_one_at_u,
     kappa_minus_u_at_one,
     kappa_u_at_minus_one,
     theta_null_half,
@@ -35,6 +34,7 @@ from appell_kit.qexact import (
     to_csv_rows,
     triangular_counts_bruteforce,
     triangular_gf,
+    twice_kappa_minus_one_at_u,
 )
 
 TRUNC = 12
@@ -57,7 +57,7 @@ def evaluate(series: USeries, x: complex) -> complex:
 
 
 series_strategy = st.builds(
-    lambda ints: USeries(TRUNC, tuple(Fraction(i) for i in ints)),
+    lambda ints: USeries(TRUNC, ints),
     st.lists(st.integers(-9, 9), min_size=TRUNC, max_size=TRUNC),
 )
 
@@ -85,7 +85,7 @@ def test_useries_validation():
     with pytest.raises(ValueError):
         USeries(0, ())
     with pytest.raises(ValueError):
-        USeries(3, (Fraction(1),))
+        USeries(3, (1,))
     with pytest.raises(TruncationMismatchError):
         USeries.monomial(5, 5)
     with pytest.raises(ValueError):
@@ -96,6 +96,19 @@ def test_useries_validation():
         USeries.one(5) ** -1
     with pytest.raises(TypeError):
         USeries.one(5) + 3
+
+
+@pytest.mark.parametrize("value", (Fraction(1, 2), 0.5))
+def test_constructors_reject_non_integer_coefficients(value):
+    """A rational or a float coefficient is refused, never truncated, by
+    every public constructor, at or beyond the truncation."""
+    with pytest.raises(TypeError):
+        USeries(2, (1, value))
+    for exponent in (1, 5):
+        with pytest.raises(TypeError):
+            USeries.from_terms({0: 1, exponent: value}, 3)
+    with pytest.raises(TypeError):
+        USeries.monomial(1, 3, value)
 
 
 def test_useries_truncation_alignment():
@@ -109,22 +122,16 @@ def test_useries_truncation_alignment():
 
 
 def test_geom_inverse():
-    assert geom_inverse(1, 1, 6).coeffs == tuple(Fraction(1) for _ in range(6))
-    assert geom_inverse(-1, 2, 7).coeffs == tuple(
-        Fraction(c) for c in (1, 0, -1, 0, 1, 0, -1)
-    )
+    assert geom_inverse(1, 1, 6).coeffs == (1,) * 6
+    assert geom_inverse(-1, 2, 7).coeffs == (1, 0, -1, 0, 1, 0, -1)
     ones = geom_inverse(1, 1, 30)
     one_minus_u = USeries.from_terms({0: 1, 1: -1}, 30)
     assert (ones * one_minus_u).agrees_with(USeries.one(30)) is None
 
 
 def test_theta_null_literals():
-    assert theta_null_plus(10).coeffs == tuple(
-        Fraction(c) for c in (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
-    )
-    assert theta_null_minus(10).coeffs == tuple(
-        Fraction(c) for c in (1, -2, 0, 0, 2, 0, 0, 0, 0, -2)
-    )
+    assert theta_null_plus(10).coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
+    assert theta_null_minus(10).coeffs == (1, -2, 0, 0, 2, 0, 0, 0, 0, -2)
     series = theta_null_half(13)
     assert [k for k, c in enumerate(series.coeffs) if c] == [0, 2, 6, 12]
     assert all(theta_null_half(13).coefficient(e) == 2 for e in (0, 2, 6, 12))
@@ -133,7 +140,7 @@ def test_theta_null_literals():
 def test_kappa_special_series_constants():
     assert kappa_u_at_minus_one(10).coefficient(0) == 2
     assert kappa_minus_u_at_one(10).coefficient(0) == 2
-    assert kappa_minus_one_at_u(10).coefficient(0) == Fraction(1, 2)
+    assert twice_kappa_minus_one_at_u(10).coefficient(0) == 1
 
 
 def test_for1_for2_exact_pass():
@@ -147,7 +154,7 @@ def test_exact_checks_catch_perturbations():
     broken = rhs + USeries.monomial(37, 60)
     assert lhs.agrees_with(broken) == 37
     lhs2, rhs2 = for2_sides(60)
-    broken2 = lhs2 + USeries.monomial(0, 60, Fraction(1, 7))
+    broken2 = lhs2 + USeries.monomial(0, 60, -1)
     assert broken2.agrees_with(rhs2) == 0
 
 
@@ -165,16 +172,9 @@ def test_triangular_triple_agreement_order_40():
     assert cube.agrees_with(ds) is None
     assert cube.agrees_with(an) is None
     brute = triangular_counts_bruteforce(40)
-    assert tuple(int(cube.coefficient(m)) for m in range(41)) == brute.counts
-    assert all(c > 0 for c in brute.counts)
-    assert brute.counts[:7] == (1, 3, 3, 4, 6, 3, 6)
-
-
-def test_extra_shells_do_not_change_coefficients():
-    assert double_sum_series(82).agrees_with(double_sum_series(82, extra=3)) is None
-    assert andrews_series(82).agrees_with(andrews_series(82, extra=3)) is None
-    with pytest.raises(ValueError):
-        double_sum_series(10, extra=-1)
+    assert tuple(cube.coefficient(m) for m in range(41)) == brute
+    assert all(c > 0 for c in brute)
+    assert brute[:7] == (1, 3, 3, 4, 6, 3, 6)
 
 
 def test_as_q_series_rejects_odd_exponents():
@@ -194,7 +194,7 @@ def test_series_evaluate_matches_numeric():
             (evaluate(theta_null_half(160), u), theta(u, u)),
             (evaluate(kappa_u_at_minus_one(160), u), kappa(u, -1, u)),
             (evaluate(kappa_minus_u_at_one(160), u), kappa(-u, 1, u)),
-            (evaluate(kappa_minus_one_at_u(160), u), kappa(-1, u, u)),
+            (evaluate(twice_kappa_minus_one_at_u(160), u), 2 * kappa(-1, u, u)),
         ]
         for series_value, numeric_value in pairs:
             assert abs(series_value - numeric_value) <= 1e-12 * max(
@@ -203,34 +203,36 @@ def test_series_evaluate_matches_numeric():
 
 
 def test_csv_rows():
-    rows = to_csv_rows(kappa_minus_one_at_u(4))
+    rows = to_csv_rows(theta_null_minus(4))
     assert rows[0] == "exponent,numerator,denominator"
-    assert rows[1] == "0,1,2"
+    assert rows[1:] == ["0,1,1", "1,-2,1", "2,0,1", "3,0,1"]
     assert len(rows) == 5
     assert all(len(row.split(",")) == 3 for row in rows)
 
 
 def test_horner_evaluation():
-    s = USeries.from_terms({0: 1, 2: Fraction(3, 4), 5: -2}, 6)
+    s = USeries.from_terms({0: 1, 2: 3, 5: -2}, 6)
     x = 0.7 + 0.2j
-    direct = 1 + Fraction(3, 4) * 1.0 * x**2 - 2 * x**5
+    direct = 1 + 3 * x**2 - 2 * x**5
     assert abs(evaluate(s, x) - direct) < 1e-14
 
 
 # ---------------------------------------------------------------------------
-# The integer engine against plain Fraction arithmetic.
+# The integer engine against plain int-list arithmetic.
 # ---------------------------------------------------------------------------
 
-half_integer_lists = st.integers(1, TRUNC).flatmap(
+int_lists = st.integers(1, TRUNC).flatmap(
     lambda t: st.lists(
-        st.integers(-9, 9).map(lambda k: Fraction(k, 2)), min_size=t, max_size=t
+        st.one_of(st.integers(-9, 9), st.integers(2**64, 2**72), st.integers(-(2**72), -(2**64))),
+        min_size=t,
+        max_size=t,
     )
 )
 
 
 def reference_mul(a, b):
     t = min(len(a), len(b))
-    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(t)]
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(t)]
 
 
 def reference_agrees(a, b):
@@ -238,18 +240,17 @@ def reference_agrees(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=half_integer_lists, b=half_integer_lists)
-def test_integer_engine_matches_fraction_reference(a, b):
-    """Int numerators over a shared denominator give exactly the Fractions a
-    plain coefficient-by-coefficient computation gives, truncation included."""
+@given(a=int_lists, b=int_lists)
+def test_integer_engine_matches_int_list_reference(a, b):
+    """Small and beyond-64-bit coefficients at mixed truncations give
+    exactly the ints a plain coefficient-by-coefficient computation gives."""
     sa, sb = USeries(len(a), a), USeries(len(b), b)
     assert sa.coeffs == tuple(a)
-    assert all(type(c) is Fraction for c in sa.coeffs)
+    assert all(type(c) is int for c in sa.coeffs)
     assert [sa.coefficient(k) for k in range(len(a))] == a
     assert list((sa + sb).coeffs) == [x + y for x, y in zip(a, b)]
     assert list((sa - sb).coeffs) == [x - y for x, y in zip(a, b)]
     assert list((sa * sb).coeffs) == reference_mul(a, b)
-    assert list(sa.scale(Fraction(1, 2)).coeffs) == [x / 2 for x in a]
     assert sa.agrees_with(sb) == reference_agrees(a, b)
     assert sa.agrees_with(USeries(len(a), list(a))) is None
 
@@ -262,24 +263,24 @@ def _row(terms, sign, step, trunc):
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize("step", (1, 2, 3, 5, 8, 13, 40))
 def test_geom_divide_equals_geom_inverse_product(sign, step):
-    """Division by 1 - sign * x**step in the strided row builder, summed
-    over the denominator 2, equals each row's series times the dense
-    geometric series: a series with four terms, a late monomial, zero, rows
+    """Division by 1 - sign * x**step in the strided row builder equals
+    each row's series times the dense geometric series: a series with four
+    terms, a late monomial, zero, rows
     at or past the truncation, a row whose step reaches past it, and rows
     whose second slice (for sign -1) starts at or past it."""
     trunc = 40
     cases = [
-        ({0: 3, 1: Fraction(-1, 2), 6: 2, 17: Fraction(5, 2)}, step),
+        ({0: 3, 1: -1, 6: 2, 17: 5}, step),
         ({11: -4}, step),
         ({}, step),
         ({trunc: 1, trunc + step: 9}, step),
-        ({3: 7, trunc - 1: Fraction(-3, 2)}, trunc + step),
+        ({3: 7, trunc - 1: -3}, trunc + step),
         ({trunc - 1: 5}, step),
-        ({trunc - step: Fraction(7, 2)}, step),
+        ({trunc - step: 7}, step),
     ]
     for terms, k in cases:
-        rows = [(e, int(2 * c), sign, k) for e, c in terms.items()]
-        assert qexact._geometric_sum(trunc, rows, 2) == _row(terms, sign, k, trunc)
+        rows = [(e, c, sign, k) for e, c in terms.items()]
+        assert qexact._geometric_sum(trunc, rows) == _row(terms, sign, k, trunc)
 
 
 # Reference constructions of the five row sums: each row its own series,
@@ -304,11 +305,11 @@ def _kappa_minus_u_at_one_loop(trunc):
     return total
 
 
-def _kappa_minus_one_at_u_loop(trunc):
-    total = USeries.monomial(0, trunc, Fraction(1, 2))
+def _twice_kappa_minus_one_at_u_loop(trunc):
+    total = USeries.one(trunc)
     m = 1
     while m * m + m < trunc:
-        total = total + _row({m * m + m: 2}, -1, 2 * m, trunc)
+        total = total + _row({m * m + m: 4}, -1, 2 * m, trunc)
         m += 1
     return total
 
@@ -383,7 +384,7 @@ ROW_SUMS = [
     (triangular_gf, _triangular_gf_terms, {}),
     (kappa_u_at_minus_one, _kappa_u_at_minus_one_loop, {}),
     (kappa_minus_u_at_one, _kappa_minus_u_at_one_loop, {}),
-    (kappa_minus_one_at_u, _kappa_minus_one_at_u_loop, {}),
+    (twice_kappa_minus_one_at_u, _twice_kappa_minus_one_at_u_loop, {}),
     (double_sum_series, _double_sum_series_loop, {}),
     (andrews_series, _andrews_series_loop, {}),
     (double_sum_series, _double_sum_series_loop, {"extra": 3}),
@@ -398,26 +399,29 @@ ROW_SUMS = [
     ids=[f"{built.__name__}{'-extra' if kwargs else ''}" for built, _, kwargs in ROW_SUMS],
 )
 def test_row_sums_equal_per_row_reference(built, reference, kwargs, trunc):
-    """Numerators and denominator equal the per-row construction's."""
-    assert built(trunc, **kwargs) == reference(trunc, **kwargs)
+    """Coefficients equal the per-row construction's, also when that one
+    runs past the builder's bounds by extra shells."""
+    assert built(trunc) == reference(trunc, **kwargs)
 
 
-@pytest.mark.parametrize("name", ("kappa_minus_one_at_u", "kappa_u_at_minus_one"))
+@pytest.mark.parametrize("delta", (1, -1))
+@pytest.mark.parametrize("name", ("twice_kappa_minus_one_at_u", "kappa_u_at_minus_one"))
 @pytest.mark.parametrize("exponent", (0, 1, 37, 79))
-def test_check_for2_reports_injected_half_integer_perturbation(monkeypatch, name, exponent):
-    """A half added to one kappa series at u**exponent breaks FOR2 at that
-    exponent and no earlier: both theta cubes have a nonzero constant term."""
+def test_check_for2_reports_injected_perturbation(monkeypatch, name, exponent, delta):
+    """One added to or taken from one kappa series at u**exponent breaks
+    FOR2 at that exponent and no earlier: the theta factors of each kappa
+    series have a nonzero constant term."""
     original = getattr(qexact, name)
 
     def perturbed(trunc):
-        return original(trunc) + USeries.monomial(exponent, trunc, Fraction(1, 2))
+        return original(trunc) + USeries.monomial(exponent, trunc, delta)
 
     monkeypatch.setattr(qexact, name, perturbed)
     assert check_for2_exact(80) == exponent
 
 
 # ---------------------------------------------------------------------------
-# The term-wise packed product against shift-and-add and the Fraction reference.
+# The term-wise packed product against shift-and-add and the int-list reference.
 # ---------------------------------------------------------------------------
 
 
@@ -425,30 +429,26 @@ def shift_and_add_mul(x: USeries, y: USeries) -> USeries:
     """x * y by shift-and-add over the nonzero terms of the sparser factor:
     one slice pass per term, with no bound on the coefficient size."""
     t = min(x.trunc, y.trunc)
-    a, b = x._num[:t], y._num[:t]
+    a, b = x._coeffs[:t], y._coeffs[:t]
     if a.count(0) < b.count(0):
         a, b = b, a
     acc = [0] * t
     for i in compress(range(t), a):
         acc[i:] = map(add, acc[i:], map(mul, b, repeat(a[i], t - i)))
-    return USeries._make(t, acc, x._den * y._den)
+    return USeries._make(t, acc)
 
 
 @st.composite
 def wide_series(draw):
-    """Up to 24 numerators of up to 200 bits, dense, sparse or all zero,
-    over a denominator that is not always 1."""
+    """Up to 24 coefficients of up to 200 bits, dense, sparse or all zero."""
     trunc = draw(st.integers(1, 24))
     bits = draw(st.integers(0, 200))
     value = st.integers(-(2**bits), 2**bits)
     kind = draw(st.sampled_from(("dense", "sparse", "zero")))
     if kind == "zero":
-        nums = [0] * trunc
-    else:
-        element = value if kind == "dense" else st.one_of(st.just(0), st.just(0), value)
-        nums = draw(st.lists(element, min_size=trunc, max_size=trunc))
-    den = draw(st.sampled_from((1, 2, 12, 2**65 + 3)))
-    return USeries(trunc, [Fraction(n, den) for n in nums])
+        return USeries.zero(trunc)
+    element = value if kind == "dense" else st.one_of(st.just(0), st.just(0), value)
+    return USeries(trunc, draw(st.lists(element, min_size=trunc, max_size=trunc)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -494,6 +494,10 @@ def test_product_slot_widths(monkeypatch, width, bits, length):
     assert codes == ([expected] * 2 if expected else [])
 
 
+def _scaled(series, factor):
+    return USeries(series.trunc, [factor * c for c in series.coeffs])
+
+
 @pytest.mark.parametrize("trunc", (800, 2000))
 def test_product_fixed_cases(trunc):
     """Products at benchmark size equal shift-and-add: a sparse theta null
@@ -502,13 +506,13 @@ def test_product_fixed_cases(trunc):
     sparse = theta_null_minus(trunc)
     late = USeries.from_terms({0: 3, trunc // 2: -1, trunc - 1: 5}, trunc)
     zero = USeries.zero(trunc)
-    dense = kappa_minus_one_at_u(trunc)
-    wide = (kappa_u_at_minus_one(trunc) * theta_null_half(trunc)).scale(2**70 + 1)
-    for sparse_operand in (sparse, sparse.scale(-(2**90)), late, zero):
+    dense = twice_kappa_minus_one_at_u(trunc)
+    wide = _scaled(kappa_u_at_minus_one(trunc) * theta_null_half(trunc), 2**70 + 1)
+    for sparse_operand in (sparse, _scaled(sparse, -(2**90)), late, zero):
         for dense_operand in (dense, wide, zero):
             for x, y in ((sparse_operand, dense_operand), (dense_operand, sparse_operand)):
                 assert x * y == shift_and_add_mul(x, y)
-    assert (zero * dense) == USeries._make(trunc, [0] * trunc, 1)
+    assert (zero * dense) == USeries.zero(trunc)
 
 
 def _sides_by_shift_and_add(monkeypatch, build, trunc):
@@ -577,4 +581,4 @@ def test_triangular_counts_equal_plain_enumeration(order):
     for triple in product(tri, repeat=3):
         if sum(triple) <= order:
             counts[sum(triple)] += 1
-    assert triangular_counts_bruteforce(order).counts == tuple(counts)
+    assert triangular_counts_bruteforce(order) == tuple(counts)
