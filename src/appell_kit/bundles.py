@@ -25,8 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from appell_kit.numeric import (
     DomainError,
@@ -48,8 +47,7 @@ MatrixFn = Callable[[complex], Matrix]
 VectorFn = Callable[[complex], tuple[complex, ...]]
 
 
-@dataclass(frozen=True)
-class FactorOfAutomorphy:
+class FactorOfAutomorphy(NamedTuple):
     """Matrix factor A(z); sections satisfy s(q z) = A(z) s(z)."""
 
     rank: int
@@ -58,8 +56,7 @@ class FactorOfAutomorphy:
     evaluator: MatrixFn
 
 
-@dataclass(frozen=True)
-class SectionCandidate:
+class SectionCandidate(NamedTuple):
     """A vector function to be tested against a factor's section equation."""
 
     rank: int
@@ -67,8 +64,7 @@ class SectionCandidate:
     evaluator: VectorFn
 
 
-@dataclass(frozen=True)
-class GaugeMatrix:
+class GaugeMatrix(NamedTuple):
     """Holomorphic G(z) with G(q z) A_source(z) = A_target(z) G(z) and
     constant determinant det G = -constant."""
 

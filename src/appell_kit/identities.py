@@ -19,8 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # kappa0 stays bound here, unused: perfbench/tracer.py patches identities.kappa0.
 from appell_kit.modular import kappa0, kappa0_sweep  # noqa: F401
@@ -75,8 +74,7 @@ def _accept_all(bindings: dict[str, complex], u: complex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(NamedTuple):
     """Sampling recipe for one identity: which symbols to draw, which derived
     square-root bindings to attach, the admissible |u| range, and the guard
     predicate applied to candidate draws."""
@@ -87,8 +85,7 @@ class DomainSpec:
     guard: GuardFn = _accept_all
 
 
-@dataclass(frozen=True)
-class IdentityDef:
+class IdentityDef(NamedTuple):
     """One registry entry: identifier, human description, sampling domain,
     and the literal (lhs, rhs) pair evaluator."""
 
@@ -322,10 +319,8 @@ def _pairs_quasi(p: EvalPoint, nome: Nome):
     x0 = (tau + 1.0) / 2.0
     grid = [(m, n) for m in range(-2, 3) for n in range(-2, 3)]
     base, *lhs = kappa0_sweep([x0] + [x0 + m + n * tau for m, n in grid], tau)
-    return [
-        (value, cmath.exp(1j * math.pi * n * (tau + 1.0)) * base)
-        for value, (_, n) in zip(lhs, grid)
-    ]
+    rhs = {n: cmath.exp(1j * math.pi * n * (tau + 1.0)) * base for n in range(-2, 3)}
+    return [(value, rhs[n]) for value, (_, n) in zip(lhs, grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +609,7 @@ def sample_points(
     the same list.  Rejected draws advance the stream, and
     ``numeric.guarded_sample`` caps how many are drawn."""
     rng = random.Random(seed)
-    (lo, hi), new, put = domain.u_abs_range, object.__new__, object.__setattr__
+    (lo, hi), point, nome = domain.u_abs_range, EvalPoint._make, Nome._make
     symbols, derived, guard = domain.symbols, domain.derived_sqrt, domain.guard
 
     def draw() -> tuple[dict[str, complex], complex]:
@@ -629,13 +624,11 @@ def sample_points(
         return bindings, u
 
     # A draw past the |u| test meets every check of EvalPoint and Nome (annulus
-    # values, and square roots of nonzero values, are finite and nonzero).
+    # values, and square roots of nonzero values, are finite and nonzero), so
+    # each record's `_make` wraps it unchecked.
     points = guarded_sample(draw, lambda d: guard(*d), count)
     for i, (bindings, u) in enumerate(points):
-        point, nome = new(EvalPoint), new(Nome)
-        put(point, "bindings", bindings)  # as the frozen dataclasses' __init__ does
-        put(nome, "u", u)
-        points[i] = point, nome
+        points[i] = point((bindings,)), nome((u,))
     return points
 
 
@@ -657,7 +650,7 @@ def max_residual_over_samples(
     ident = get_identity(identity_id)
     domain = ident.domain
     if u_abs_range is not None:
-        domain = replace(domain, u_abs_range=u_abs_range)
+        domain = domain._replace(u_abs_range=u_abs_range)
     worst = None
     for point, nome in sample_points(domain, count, seed):
         pair = worst_pair(ident.pairs(point, nome))

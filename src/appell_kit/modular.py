@@ -30,8 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from appell_kit.numeric import DomainError, kappa, kappa_sweep, theta
 
@@ -50,28 +49,23 @@ MAX_ABS_U = 0.99
 MAX_GRID_RADIUS = math.floor(math.log(sys.float_info.max) / (math.pi * MIN_IM_TAU))
 
 
-@dataclass(frozen=True)
-class GammaElement:
+class GammaElement(NamedTuple("GammaElement", [("a", int), ("b", int), ("c", int), ("d", int)])):
     """An element [[a, b], [c, d]] of Gamma_{1,2}, validated on construction."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            if not isinstance(getattr(self, name), int):
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "GammaElement":
+        for name, entry in zip("abcd", (a, b, c, d)):
+            if not isinstance(entry, int):
                 raise DomainError(f"entry {name} must be an integer")
-        if self.a * self.d - self.b * self.c != 1:
-            raise DomainError(
-                f"determinant must be 1, got {self.a * self.d - self.b * self.c}"
-            )
-        if (self.a * self.c) % 2 != 0 or (self.b * self.d) % 2 != 0:
+        if a * d - b * c != 1:
+            raise DomainError(f"determinant must be 1, got {a * d - b * c}")
+        if (a * c) % 2 != 0 or (b * d) % 2 != 0:
             raise DomainError(
                 "not in Gamma_{1,2}: need a*c and b*d both even, got "
-                f"a*c = {self.a * self.c}, b*d = {self.b * self.d}"
+                f"a*c = {a * c}, b*d = {b * d}"
             )
+        return super().__new__(cls, a, b, c, d)
 
     def __matmul__(self, other: "GammaElement") -> "GammaElement":
         return GammaElement(
@@ -98,8 +92,7 @@ GAMMA_GENERATORS = (
 )
 
 
-@dataclass(frozen=True)
-class ThetaZeroIndex:
+class ThetaZeroIndex(NamedTuple):
     """Lattice index (m, n) selecting the theta zero x = (tau+1)/2 + m + n*tau."""
 
     m: int

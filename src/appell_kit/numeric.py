@@ -19,8 +19,7 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 
 POLE_GUARD = 1e-8
@@ -48,35 +47,59 @@ class NonReachableGuardError(DomainError):
     (a misconfigured domain, not bad luck)."""
 
 
-@dataclass(frozen=True)
-class Nome:
-    """Half-nome u = q**(1/2) with 0 < |u| < 1."""
+class Nome(NamedTuple("Nome", [("u", complex)])):
+    """Half-nome u = q**(1/2) with 0 < |u| < 1.  ``Nome._make((u,))`` builds
+    one without the check, for a u already tested."""
 
-    u: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_nome(self.u)
+    def __new__(cls, u: complex) -> "Nome":
+        _require_nome(u)
+        return super().__new__(cls, u)
 
     @property
     def q(self) -> complex:
         return self.u * self.u
 
 
-@dataclass(frozen=True)
 class EvalPoint:
     """Named nonzero complex bindings (subset of z, a, b, s, v) for one
-    evaluation of an identity."""
+    evaluation of an identity.  Immutable; ``EvalPoint._make((bindings,))``
+    wraps a dict of complex values already checked, as a named tuple's
+    ``_make`` does."""
 
-    bindings: Mapping[str, complex]
+    __slots__ = ("bindings",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, bindings: Mapping[str, complex]) -> None:
         clean = {}
-        for name, value in dict(self.bindings).items():
+        for name, value in dict(bindings).items():
             value = complex(value)
             if value == 0:
                 raise DomainError(f"binding {name!r} must be nonzero")
             clean[name] = value
         object.__setattr__(self, "bindings", clean)
+
+    @classmethod
+    def _make(cls, fields: tuple[dict[str, complex]]) -> "EvalPoint":
+        point = object.__new__(cls)
+        object.__setattr__(point, "bindings", *fields)
+        return point
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bindings == other.bindings
+
+    __hash__ = None  # its dict is unhashable
+
+    def __repr__(self) -> str:
+        return f"EvalPoint(bindings={self.bindings!r})"
 
     def __getitem__(self, name: str) -> complex:
         try:
@@ -91,8 +114,7 @@ class EvalPoint:
         return self.bindings.items()
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Outcome of one identity check: lhs, rhs and scaled residuals for the
     worst component pair."""
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -319,7 +318,7 @@ def _sampled(sampler, domain, count, seed):
         return domain.guard(bindings, u)
 
     try:
-        points = sampler(replace(domain, guard=counted_guard), count, seed)
+        points = sampler(domain._replace(guard=counted_guard), count, seed)
     except DomainError as exc:
         return type(exc), str(exc), len(calls)
     assert all(type(p) is EvalPoint and type(n) is Nome for p, n in points)
@@ -333,7 +332,7 @@ def test_sample_points_match_checked_draw_path(identity_id):
         expected = _sampled(_sample_points_reference, domain, 200, seed)
         assert isinstance(expected, str)
         assert _sampled(sample_points, domain, 200, seed) == expected
-    near_one = replace(domain, u_abs_range=(0.95, 0.999))
+    near_one = domain._replace(u_abs_range=(0.95, 0.999))
     expected = _sampled(_sample_points_reference, near_one, 200, 0)
     assert isinstance(expected, str)
     assert _sampled(sample_points, near_one, 200, 0) == expected
@@ -350,7 +349,7 @@ def test_sample_points_bad_nome_raises_at_same_draw(identity_id):
         ((0.0, 0.0), 0),
         ((math.nan, math.nan), 0),
     ):
-        domain = replace(REGISTRY[identity_id].domain, u_abs_range=u_abs_range)
+        domain = REGISTRY[identity_id].domain._replace(u_abs_range=u_abs_range)
         for seed in (0, 3):
             expected = _sampled(_sample_points_reference, domain, 200, seed)
             assert _sampled(sample_points, domain, 200, seed) == expected

@@ -3,7 +3,6 @@ rows equal a per-point loop over the window, and bad argv exits 2."""
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -43,7 +42,7 @@ def reference_rows(ids, windows, samples, seed):
         for lo, hi in windows:
             worst = 0.0
             try:
-                window = dataclasses.replace(domain, u_abs_range=(lo, hi))
+                window = domain._replace(u_abs_range=(lo, hi))
                 for point, nome in identities.sample_points(window, samples, seed):
                     report = identities.identity_residual(identity_id, point, nome)
                     worst = max(worst, report.rel_residual)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 
 import mpmath
 import pytest
@@ -156,6 +157,18 @@ def test_small_nome_reductions():
     assert abs(theta(1.3 + 0.4j, u) - 1.0) < 1e-8
     for a in (0.4 + 0.2j, -1.7, 2.5j):
         assert abs(kappa(a, 0.9 - 0.2j, u) - 1.0 / (1.0 - a)) < 1e-8
+
+
+def test_two_torsion_closed_forms():
+    """kappa(u, 1) = 0, kappa(-u, -1) = 0 and kappa(u, -u) = theta(1) theta(u) / 2
+    at seeded nomes with |u| in [0.05, 0.75], the registry's default range."""
+    rng = random.Random(2)
+    for _ in range(200):
+        u = cmath.rect(rng.uniform(0.05, 0.75), rng.uniform(0.0, 2.0 * math.pi))
+        assert abs(kappa(u, 1, u)) <= 1e-12
+        assert abs(kappa(-u, -1, u)) <= 1e-12
+        lhs, rhs = kappa(u, -u, u), 0.5 * theta(1, u) * theta(u, u)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_domain_validation_errors():
