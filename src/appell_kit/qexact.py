@@ -5,32 +5,33 @@ module removes the sampling for the theta-constant identities by computing
 both sides as truncated power series with exact integer coefficients:
 agreement of two degree-(T-1) truncations is a finite, exact statement.
 
-A sum of rows c * x**e / (1 - s * x**k), as in the kappa special values and
-both double-sum forms, is built in one list of ints, each row added as one
-strided slice (two interleaved ones when s = -1).  The double sums are even
-in u, so they are summed in q and spread to u once.
+A sum of rows c * x**e / (1 - s * x**k), as in theta and 2 kappa at the
+2-torsion points and both double-sum forms, is built in one list of ints,
+each row added as one strided slice (two interleaved ones when s = -1).  The
+double sums are even in u, so they are summed in q and spread to u once.
 
 A product is term-wise and packed.  The denser operand's coefficients fill
 w-byte slots of one int, with 8w >= bitlen(max|a|) + bitlen(max|b|) +
 bitlen(min(nnz_a, nnz_b)) + 1 (1, 2, 4 or 8 bytes when that suffices), so
 every product coefficient c has |c| < h = 2**(8w-1); each nonzero term
-c * x**j of the sparser operand (here a theta null or psi, O(sqrt(t))
+c * x**j of the sparser operand (here a theta series or psi(q), O(sqrt(t))
 terms) adds c times that int shifted by j slots.  A signed slot with its
 top bit flipped holds c + h; subtracting h from each slot gives the operand.
 With h added to every slot of the sum, each kept slot is c + h, in [0, 2h);
 the mask to t slots drops the higher slots, however negative, without a
 borrow from the kept ones, and flipping the top bits reads each slot as c.
 
-Series in u, the half-nome (q = u**2), hold the theta nulls and kappa
-special values of the two three-term relations; series in q, from even
-u-series via :func:`as_q_series`, the triangular-number generating function.
+Series in u, the half-nome (q = u**2), hold theta and 2 kappa at the
+2-torsion points +-1 and +-u, kappa doubled as kappa(-1, u) has the constant
+term 1/2; series in q, from even u-series via :func:`as_q_series`, the
+triangular-number generating function psi(q).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, index, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -215,56 +216,57 @@ def _spread_to_u(series: USeries, trunc: int) -> USeries:
 
 
 # ---------------------------------------------------------------------------
-# Theta null values and kappa special values as exact u-series.
+# theta and 2 kappa at the 2-torsion points +-1 and +-u as exact u-series.
 # ---------------------------------------------------------------------------
 
 
-def theta_null_plus(trunc: int) -> USeries:
-    """theta(1, u) = 1 + 2 sum_{n>=1} u**(n**2), one monomial row per term."""
-    rows = ((n * n, 2 if n else 1, 1, trunc) for n in range(math.isqrt(trunc) + 1))
+def _require_two_torsion(sign: int, exp: int) -> None:
+    """Refuse a point other than +-1 and +-u: its rows could start below u**0."""
+    if index(sign) not in (1, -1) or index(exp) not in (0, 1):
+        raise ValueError(f"need a sign of +-1 and an exponent of 0 or 1, got {sign} * u**{exp}")
+
+
+def theta_at(sign: int, exp: int, trunc: int) -> USeries:
+    """theta(sign * u**exp) = sum over all n of sign**n u**(n**2 + exp*n), one
+    monomial row per n; n and -n - exp share an exponent, so theta(-u) is
+    the zero series."""
+    _require_two_torsion(sign, exp)
+    r = math.isqrt(trunc)
+    rows = ((n * n + exp * n, sign ** (n & 1), 1, trunc) for n in range(-r - 1, r + 1))
     return _geometric_sum(trunc, rows)
 
 
-def theta_null_minus(trunc: int) -> USeries:
-    """theta(-1, u) = 1 + 2 sum_{n>=1} (-1)**n u**(n**2)."""
-    rows = ((n * n, (-1) ** n * (2 if n else 1), 1, trunc) for n in range(math.isqrt(trunc) + 1))
-    return _geometric_sum(trunc, rows)
+def twice_kappa_at(a_sign: int, a_exp: int, z_sign: int, z_exp: int, trunc: int) -> USeries:
+    """2 kappa(a, z) at the 2-torsion points a = s_a u**alpha and z = s_z u**zeta,
+    from kappa(a, z) = sum_n u**(n**2) z**n / (u**(2n) - a), as the rows
 
+        2n > alpha: -2 s_a s_z**n u**(n**2 + zeta n - alpha) / (1 - s_a u**(2n - alpha))
+        2n < alpha:  2 s_z**n u**(n**2 + zeta n - 2n) / (1 - s_a u**(alpha - 2n))
 
-def _half_rows(trunc: int, c: int) -> Iterator[tuple[int, int, int, int]]:
-    """The monomial rows c * u**(n**2+n), n >= 0; the exponents n**2 + n are
-    twice the triangular numbers, so c = 1 gives psi(q) at q = u**2."""
-    return ((n * n + n, c, 1, trunc) for n in range(math.isqrt(trunc) + 1))
+    and, for a = -1, the n = 0 term 2 / (1 - a) = 1; a = 1 is the pole q**0.
+    When alpha + zeta = 1, rows n and alpha - n coincide; rows that share an
+    exponent and a step are merged, so each strided slice is added once.
+    |n| runs to isqrt(trunc), past which every row starts beyond u**(trunc-1)."""
+    _require_two_torsion(a_sign, a_exp)
+    _require_two_torsion(z_sign, z_exp)
+    if (a_sign, a_exp) == (1, 0):
+        raise ValueError("kappa(a, z) has the pole q**0 at a = 1")
 
+    def rows() -> Iterator[tuple[int, int, int, int]]:
+        # run only once _geometric_sum has allocated its list, so an order
+        # too large for that list fails before any row is merged
+        merged: dict[tuple[int, int], int] = {}  # (e, k) -> c
+        for n in range(-math.isqrt(trunc), math.isqrt(trunc) + 1):
+            if 2 * n > a_exp:
+                key, c = (n * n + z_exp * n - a_exp, 2 * n - a_exp), -2 * a_sign * z_sign ** (n & 1)
+            elif 2 * n < a_exp:
+                key, c = (n * n + z_exp * n - 2 * n, a_exp - 2 * n), 2 * z_sign ** (n & 1)
+            else:
+                key, c = (0, trunc), 1
+            merged[key] = merged.get(key, 0) + c
+        yield from ((e, c, a_sign, k) for (e, k), c in merged.items() if c)
 
-def theta_null_half(trunc: int) -> USeries:
-    """theta(u, u) = 2 sum_{n>=0} u**(n**2+n) = 2 psi(u**2)."""
-    return _geometric_sum(trunc, _half_rows(trunc, 2))
-
-
-def kappa_u_at_minus_one(trunc: int) -> USeries:
-    """kappa(u, -1) = 2 sum_{n>=0} (-1)**n u**(n**2+2n) / (1 - u**(2n+1)),
-    from the one-sided kappa(u, z) series at z = -1 where the two z-powers
-    of each term coincide.  n**2 + 2n < trunc exactly for n < isqrt(trunc)."""
-    return _geometric_sum(
-        trunc, ((n * n + 2 * n, 2 * (-1) ** n, 1, 2 * n + 1) for n in range(math.isqrt(trunc)))
-    )
-
-
-def kappa_minus_u_at_one(trunc: int) -> USeries:
-    """kappa(-u, 1) = 2 sum_{n>=0} u**(n**2+2n) / (1 + u**(2n+1))."""
-    return _geometric_sum(
-        trunc, ((n * n + 2 * n, 2, -1, 2 * n + 1) for n in range(math.isqrt(trunc)))
-    )
-
-
-def twice_kappa_minus_one_at_u(trunc: int) -> USeries:
-    """2 kappa(-1, u) = 1 + 4 sum_{m>=1} u**(m**2+m) / (1 + u**(2m)), by
-    folding the bilateral sum at n <-> -n (the paired terms are equal);
-    doubled, as kappa(-1, u) itself has the constant term 1/2.  m runs to
-    isqrt(trunc), past which m**2 + m >= trunc."""
-    rows = ((m * m + m, 4, -1, 2 * m) for m in range(1, math.isqrt(trunc) + 1))
-    return _geometric_sum(trunc, chain([(0, 1, 1, trunc)], rows))
+    return _geometric_sum(trunc, rows())
 
 
 # ---------------------------------------------------------------------------
@@ -273,39 +275,32 @@ def twice_kappa_minus_one_at_u(trunc: int) -> USeries:
 
 
 def _for_series(trunc: int, built: dict | None) -> list[USeries]:
-    """theta(1), theta(-1), theta(u), psi(u**2), kappa(u, -1) and
-    kappa(-u, 1): the series both relations use.  A caller that passes one
-    dict to both checks has them built once; the dict keeps them under
-    trunc.  psi(u**2) = theta(u) / 2 halves the theta(u)**3 in each
-    relation, so both sides stay integer series."""
+    """theta(1), theta(-1), theta(u), 2 kappa(u, -1) and 2 kappa(-u, 1):
+    the series both relations use.  A caller that passes one dict to both
+    checks has them built once; the dict keeps them under trunc."""
     built = {} if built is None else built
     if trunc not in built:
-        built[trunc] = [theta_null_plus(trunc), theta_null_minus(trunc), theta_null_half(trunc),
-                        _geometric_sum(trunc, _half_rows(trunc, 1)),
-                        kappa_u_at_minus_one(trunc), kappa_minus_u_at_one(trunc)]
+        built[trunc] = [theta_at(1, 0, trunc), theta_at(-1, 0, trunc), theta_at(1, 1, trunc),
+                        twice_kappa_at(1, 1, -1, 0, trunc), twice_kappa_at(-1, 1, 1, 0, trunc)]
     return built[trunc]
 
 
 def for1_sides(trunc: int = 80, built: dict | None = None) -> tuple[USeries, USeries]:
-    """(lhs, rhs) of theta(1) kappa(u,-1) + theta(-1) kappa(-u,1)
-    = theta(u)**3 / 2 as exact u-series, the right side as
-    theta(u)**2 psi(u**2)."""
-    plus, minus, half, psi, k_plus, k_minus = _for_series(trunc, built)
-    lhs = plus * k_plus + minus * k_minus
-    rhs = half * half * psi
-    return lhs, rhs
+    """(lhs, rhs) of theta(1) 2kappa(u,-1) + theta(-1) 2kappa(-u,1)
+    = theta(u)**3 as exact u-series."""
+    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)
+    return plus * k_plus + minus * k_minus, half * half * half
 
 
 def for2_sides(trunc: int = 80, built: dict | None = None) -> tuple[USeries, USeries]:
-    """(lhs, rhs) of theta(u)**3 kappa(-1,u) = theta(-1)**3 kappa(u,-1)
-    + theta(1)**3 kappa(-u,1) as exact u-series, the left side as
-    2 kappa(-1,u) theta(u)**2 psi(u**2).
+    """(lhs, rhs) of theta(u)**3 2kappa(-1,u) = theta(-1)**3 2kappa(u,-1)
+    + theta(1)**3 2kappa(-u,1) as exact u-series.
 
     Each dense kappa series is multiplied by its sparse theta nulls three
     times over rather than by the dense cube; truncated products are
     associative, so the coefficients are the same."""
-    plus, minus, half, psi, k_plus, k_minus = _for_series(trunc, built)
-    lhs = twice_kappa_minus_one_at_u(trunc) * half * half * psi
+    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)
+    lhs = twice_kappa_at(-1, 0, 1, 1, trunc) * half * half * half
     rhs = k_plus * minus * minus * minus + k_minus * plus * plus * plus
     return lhs, rhs
 

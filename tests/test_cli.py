@@ -582,7 +582,7 @@ def test_qseries_csv(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "exponent,numerator,denominator"
-    assert lines[1] == "0,4,1"
+    assert lines[1] == "0,8,1"
     assert len(lines) == 13  # header + one row per exponent below trunc 2*5+2
 
 

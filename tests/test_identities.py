@@ -128,8 +128,8 @@ def test_for1_numeric_matches_exact_series():
     u = 0.3 and compare against direct numeric evaluation."""
     u = 0.3
     lhs_series, rhs_series = for1_sides(140)
-    numeric_lhs = theta(1, u) * kappa(u, -1, u) + theta(-1, u) * kappa(-u, 1, u)
-    numeric_rhs = theta(u, u) ** 3 / 2
+    numeric_lhs = theta(1, u) * 2 * kappa(u, -1, u) + theta(-1, u) * 2 * kappa(-u, 1, u)
+    numeric_rhs = theta(u, u) ** 3
     for series, numeric in ((lhs_series, numeric_lhs), (rhs_series, numeric_rhs)):
         value = sum(c * u**k for k, c in enumerate(series.coeffs))
         assert abs(value - numeric) < 1e-12 * abs(numeric)

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
+from collections import Counter
+from functools import partial
 from itertools import compress, product, repeat
 from operator import add, mul
 from types import SimpleNamespace
@@ -26,15 +28,11 @@ from appell_kit.qexact import (
     double_sum_series,
     for1_sides,
     for2_sides,
-    kappa_minus_u_at_one,
-    kappa_u_at_minus_one,
-    theta_null_half,
-    theta_null_minus,
-    theta_null_plus,
+    theta_at,
     to_csv_rows,
     triangular_counts_bruteforce,
     triangular_gf,
-    twice_kappa_minus_one_at_u,
+    twice_kappa_at,
 )
 
 TRUNC = 12
@@ -130,17 +128,84 @@ def test_geom_inverse():
 
 
 def test_theta_null_literals():
-    assert theta_null_plus(10).coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
-    assert theta_null_minus(10).coeffs == (1, -2, 0, 0, 2, 0, 0, 0, 0, -2)
-    series = theta_null_half(13)
+    assert theta_at(1, 0, 10).coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
+    assert theta_at(-1, 0, 10).coeffs == (1, -2, 0, 0, 2, 0, 0, 0, 0, -2)
+    series = theta_at(1, 1, 13)
     assert [k for k, c in enumerate(series.coeffs) if c] == [0, 2, 6, 12]
-    assert all(theta_null_half(13).coefficient(e) == 2 for e in (0, 2, 6, 12))
+    assert all(theta_at(1, 1, 13).coefficient(e) == 2 for e in (0, 2, 6, 12))
 
 
 def test_kappa_special_series_constants():
-    assert kappa_u_at_minus_one(10).coefficient(0) == 2
-    assert kappa_minus_u_at_one(10).coefficient(0) == 2
-    assert twice_kappa_minus_one_at_u(10).coefficient(0) == 1
+    """The constant terms of kappa(u, -1), kappa(-u, 1) and 2 kappa(-1, u),
+    the first two doubled."""
+    assert twice_kappa_at(1, 1, -1, 0, 10).coefficient(0) == 2 * 2
+    assert twice_kappa_at(-1, 1, 1, 0, 10).coefficient(0) == 2 * 2
+    assert twice_kappa_at(-1, 0, 1, 1, 10).coefficient(0) == 1
+
+
+@pytest.mark.parametrize(
+    "build, args, error, match",
+    [
+        (theta_at, (0, 0, 10), ValueError, "sign"),
+        (theta_at, (1, 2, 10), ValueError, "exponent"),
+        (theta_at, (-1.0, 0, 10), TypeError, "integer"),
+        (twice_kappa_at, (2, 1, 1, 0, 10), ValueError, "sign"),
+        (twice_kappa_at, (-1, 3, 1, 0, 10), ValueError, "exponent"),
+        (twice_kappa_at, (-1, 0, -2, 1, 10), ValueError, "sign"),
+        (twice_kappa_at, (-1, 0, 1, -1, 10), ValueError, "exponent"),
+        (twice_kappa_at, (1, 0, 1, 1, 10), ValueError, r"pole q\*\*0"),
+    ],
+    ids=["theta-sign", "theta-exp", "theta-float", "a-sign", "a-exp", "z-sign", "z-exp", "a=1"],
+)
+def test_two_torsion_builders_refuse_other_points(build, args, error, match):
+    """A point other than +-1 and +-u, whose rows could start below u**0,
+    and the pole a = 1 are refused before any row is built."""
+    with pytest.raises(error, match=match):
+        build(*args)
+
+
+def _jac_series(trunc):
+    """2 sum over all n of n (-1)**(n-1) u**(n**2 - n), term by term."""
+    terms = {}
+    r = math.isqrt(trunc) + 1
+    for n in range(-r, r + 2):
+        if n * n - n < trunc:
+            terms[n * n - n] = terms.get(n * n - n, 0) + 2 * n * (1 if n % 2 else -1)
+    return USeries.from_terms(terms, trunc)
+
+
+def _theta_product(*points):
+    return lambda trunc: math.prod((theta_at(*p, trunc) for p in points), start=USeries.one(trunc))
+
+
+TWO_TORSION_TABLE = {
+    "2kappa(-1,1)": (partial(twice_kappa_at, -1, 0, 1, 0), _theta_product((1, 0))),
+    "2kappa(-1,-1)": (partial(twice_kappa_at, -1, 0, -1, 0), _theta_product((-1, 0))),
+    "2kappa(-1,-u)": (partial(twice_kappa_at, -1, 0, -1, 1), _theta_product((1, 0), (-1, 0))),
+    "2kappa(u,u)": (partial(twice_kappa_at, 1, 1, 1, 1), _theta_product((1, 1))),
+    "2kappa(-u,u)": (partial(twice_kappa_at, -1, 1, 1, 1), _theta_product((1, 1))),
+    "2kappa(u,-u)": (partial(twice_kappa_at, 1, 1, -1, 1), _theta_product((1, 0), (1, 1))),
+    "2kappa(-u,-u)": (partial(twice_kappa_at, -1, 1, -1, 1), _theta_product((-1, 0), (1, 1))),
+    "2kappa(u,1)": (partial(twice_kappa_at, 1, 1, 1, 0), USeries.zero),
+    "2kappa(-u,-1)": (partial(twice_kappa_at, -1, 1, -1, 0), USeries.zero),
+    "theta(-u)": (partial(theta_at, -1, 1), USeries.zero),
+    "JAC": (_jac_series, _theta_product((1, 0), (-1, 0), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("trunc", (1, 2, 3, 80, 800))
+@pytest.mark.parametrize("built, closed_form", TWO_TORSION_TABLE.values(), ids=TWO_TORSION_TABLE)
+def test_two_torsion_table(built, closed_form, trunc):
+    """The nine 2-torsion values of 2 kappa with a theta-null closed form,
+    theta(-u) = 0, and JAC: 2 sum n (-1)**(n-1) u**(n**2-n) = theta(1)
+    theta(-1) theta(u)."""
+    assert built(trunc).agrees_with(closed_form(trunc)) is None
+
+
+@pytest.mark.parametrize("exponent", (0, 1, 37, 799))
+def test_two_torsion_table_reports_injected_perturbation(exponent):
+    broken = twice_kappa_at(1, 1, -1, 1, 800) + USeries.monomial(exponent, 800)
+    assert broken.agrees_with(theta_at(1, 0, 800) * theta_at(1, 1, 800)) == exponent
 
 
 def test_for1_for2_exact_pass():
@@ -160,9 +225,9 @@ def test_exact_checks_catch_perturbations():
 
 def test_for_sides_constant_terms():
     lhs1, rhs1 = for1_sides(8)
-    assert lhs1.coefficient(0) == 4 and rhs1.coefficient(0) == 4
+    assert lhs1.coefficient(0) == 8 and rhs1.coefficient(0) == 8
     lhs2, rhs2 = for2_sides(8)
-    assert lhs2.coefficient(0) == 4 and rhs2.coefficient(0) == 4
+    assert lhs2.coefficient(0) == 8 and rhs2.coefficient(0) == 8
 
 
 def test_triangular_triple_agreement_order_40():
@@ -178,10 +243,10 @@ def test_triangular_triple_agreement_order_40():
 
 
 def test_as_q_series_rejects_odd_exponents():
-    series = as_q_series(theta_null_half(13))
+    series = as_q_series(theta_at(1, 1, 13))
     assert [k for k, c in enumerate(series.coeffs) if c] == [0, 1, 3, 6]
     with pytest.raises(ValueError):
-        as_q_series(theta_null_plus(10))  # has a u**1 term
+        as_q_series(theta_at(1, 0, 10))  # has a u**1 term
 
 
 def test_series_evaluate_matches_numeric():
@@ -189,12 +254,12 @@ def test_series_evaluate_matches_numeric():
     complex nome, far below the 1e-9 working tolerance."""
     for u in (0.3, 0.25 + 0.1j):
         pairs = [
-            (evaluate(theta_null_plus(160), u), theta(1, u)),
-            (evaluate(theta_null_minus(160), u), theta(-1, u)),
-            (evaluate(theta_null_half(160), u), theta(u, u)),
-            (evaluate(kappa_u_at_minus_one(160), u), kappa(u, -1, u)),
-            (evaluate(kappa_minus_u_at_one(160), u), kappa(-u, 1, u)),
-            (evaluate(twice_kappa_minus_one_at_u(160), u), 2 * kappa(-1, u, u)),
+            (evaluate(theta_at(1, 0, 160), u), theta(1, u)),
+            (evaluate(theta_at(-1, 0, 160), u), theta(-1, u)),
+            (evaluate(theta_at(1, 1, 160), u), theta(u, u)),
+            (evaluate(twice_kappa_at(1, 1, -1, 0, 160), u), 2 * kappa(u, -1, u)),
+            (evaluate(twice_kappa_at(-1, 1, 1, 0, 160), u), 2 * kappa(-u, 1, u)),
+            (evaluate(twice_kappa_at(-1, 0, 1, 1, 160), u), 2 * kappa(-1, u, u)),
         ]
         for series_value, numeric_value in pairs:
             assert abs(series_value - numeric_value) <= 1e-12 * max(
@@ -203,7 +268,7 @@ def test_series_evaluate_matches_numeric():
 
 
 def test_csv_rows():
-    rows = to_csv_rows(theta_null_minus(4))
+    rows = to_csv_rows(theta_at(-1, 0, 4))
     assert rows[0] == "exponent,numerator,denominator"
     assert rows[1:] == ["0,1,1", "1,-2,1", "2,0,1", "3,0,1"]
     assert len(rows) == 5
@@ -287,20 +352,20 @@ def test_geom_divide_equals_geom_inverse_product(sign, step):
 # times the dense geometric series, summed with +.
 
 
-def _kappa_u_at_minus_one_loop(trunc):
+def _twice_kappa_u_at_minus_one_loop(trunc):
     total = USeries.zero(trunc)
     n = 0
     while n * n + 2 * n < trunc:
-        total = total + _row({n * n + 2 * n: 2 * (-1) ** n}, 1, 2 * n + 1, trunc)
+        total = total + _row({n * n + 2 * n: 2 * 2 * (-1) ** n}, 1, 2 * n + 1, trunc)
         n += 1
     return total
 
 
-def _kappa_minus_u_at_one_loop(trunc):
+def _twice_kappa_minus_u_at_one_loop(trunc):
     total = USeries.zero(trunc)
     n = 0
     while n * n + 2 * n < trunc:
-        total = total + _row({n * n + 2 * n: 2}, -1, 2 * n + 1, trunc)
+        total = total + _row({n * n + 2 * n: 2 * 2}, -1, 2 * n + 1, trunc)
         n += 1
     return total
 
@@ -377,47 +442,55 @@ def _triangular_gf_terms(trunc):
     return _monomials(trunc, lambda n: n * (n + 1) // 2, lambda n: 1)
 
 
-ROW_SUMS = [
-    (theta_null_plus, _theta_null_plus_terms, {}),
-    (theta_null_minus, _theta_null_minus_terms, {}),
-    (theta_null_half, _theta_null_half_terms, {}),
-    (triangular_gf, _triangular_gf_terms, {}),
-    (kappa_u_at_minus_one, _kappa_u_at_minus_one_loop, {}),
-    (kappa_minus_u_at_one, _kappa_minus_u_at_one_loop, {}),
-    (twice_kappa_minus_one_at_u, _twice_kappa_minus_one_at_u_loop, {}),
-    (double_sum_series, _double_sum_series_loop, {}),
-    (andrews_series, _andrews_series_loop, {}),
-    (double_sum_series, _double_sum_series_loop, {"extra": 3}),
-    (andrews_series, _andrews_series_loop, {"extra": 3}),
-]
+ROW_SUMS = {
+    "theta(1)": (partial(theta_at, 1, 0), _theta_null_plus_terms, {}),
+    "theta(-1)": (partial(theta_at, -1, 0), _theta_null_minus_terms, {}),
+    "theta(u)": (partial(theta_at, 1, 1), _theta_null_half_terms, {}),
+    "triangular_gf": (triangular_gf, _triangular_gf_terms, {}),
+    "2kappa(u,-1)": (partial(twice_kappa_at, 1, 1, -1, 0), _twice_kappa_u_at_minus_one_loop, {}),
+    "2kappa(-u,1)": (partial(twice_kappa_at, -1, 1, 1, 0), _twice_kappa_minus_u_at_one_loop, {}),
+    "2kappa(-1,u)": (partial(twice_kappa_at, -1, 0, 1, 1), _twice_kappa_minus_one_at_u_loop, {}),
+    "double_sum_series": (double_sum_series, _double_sum_series_loop, {}),
+    "andrews_series": (andrews_series, _andrews_series_loop, {}),
+    "double_sum_series-extra": (double_sum_series, _double_sum_series_loop, {"extra": 3}),
+    "andrews_series-extra": (andrews_series, _andrews_series_loop, {"extra": 3}),
+}
 
 
 @pytest.mark.parametrize("trunc", (1, 2, 3, 4, 80, 81, 160, 802))
-@pytest.mark.parametrize(
-    "built, reference, kwargs",
-    ROW_SUMS,
-    ids=[f"{built.__name__}{'-extra' if kwargs else ''}" for built, _, kwargs in ROW_SUMS],
-)
+@pytest.mark.parametrize("built, reference, kwargs", ROW_SUMS.values(), ids=ROW_SUMS)
 def test_row_sums_equal_per_row_reference(built, reference, kwargs, trunc):
     """Coefficients equal the per-row construction's, also when that one
     runs past the builder's bounds by extra shells."""
     assert built(trunc) == reference(trunc, **kwargs)
 
 
+FOR_KAPPAS = {
+    "FOR2-2kappa(-1,u)": (check_for2_exact, (-1, 0, 1, 1)),
+    "FOR2-2kappa(u,-1)": (check_for2_exact, (1, 1, -1, 0)),
+    "FOR2-2kappa(-u,1)": (check_for2_exact, (-1, 1, 1, 0)),
+    "FOR1-2kappa(u,-1)": (check_for1_exact, (1, 1, -1, 0)),
+    "FOR1-2kappa(-u,1)": (check_for1_exact, (-1, 1, 1, 0)),
+}
+
+
 @pytest.mark.parametrize("delta", (1, -1))
-@pytest.mark.parametrize("name", ("twice_kappa_minus_one_at_u", "kappa_u_at_minus_one"))
+@pytest.mark.parametrize("check, point", FOR_KAPPAS.values(), ids=FOR_KAPPAS)
 @pytest.mark.parametrize("exponent", (0, 1, 37, 79))
-def test_check_for2_reports_injected_perturbation(monkeypatch, name, exponent, delta):
-    """One added to or taken from one kappa series at u**exponent breaks
-    FOR2 at that exponent and no earlier: the theta factors of each kappa
-    series have a nonzero constant term."""
-    original = getattr(qexact, name)
+def test_check_for2_reports_injected_perturbation(monkeypatch, check, point, exponent, delta):
+    """One added to or taken from one 2 kappa series at u**exponent breaks
+    FOR1 or FOR2 at that exponent and no earlier: the theta factors of each
+    kappa series have a nonzero constant term."""
+    original = qexact.twice_kappa_at
 
-    def perturbed(trunc):
-        return original(trunc) + USeries.monomial(exponent, trunc, delta)
+    def perturbed(*args):
+        series = original(*args)
+        if args[:4] != point:
+            return series
+        return series + USeries.monomial(exponent, series.trunc, delta)
 
-    monkeypatch.setattr(qexact, name, perturbed)
-    assert check_for2_exact(80) == exponent
+    monkeypatch.setattr(qexact, "twice_kappa_at", perturbed)
+    assert check(80) == exponent
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +576,11 @@ def test_product_fixed_cases(trunc):
     """Products at benchmark size equal shift-and-add: a sparse theta null
     times dense kappa series on either side, with narrow and wide slots, a
     sparse operand whose terms reach the top slot, and all-zero operands."""
-    sparse = theta_null_minus(trunc)
+    sparse = theta_at(-1, 0, trunc)
     late = USeries.from_terms({0: 3, trunc // 2: -1, trunc - 1: 5}, trunc)
     zero = USeries.zero(trunc)
-    dense = twice_kappa_minus_one_at_u(trunc)
-    wide = _scaled(kappa_u_at_minus_one(trunc) * theta_null_half(trunc), 2**70 + 1)
+    dense = twice_kappa_at(-1, 0, 1, 1, trunc)
+    wide = _scaled(twice_kappa_at(1, 1, -1, 0, trunc) * theta_at(1, 1, trunc), 2**70 + 1)
     for sparse_operand in (sparse, _scaled(sparse, -(2**90)), late, zero):
         for dense_operand in (dense, wide, zero):
             for x, y in ((sparse_operand, dense_operand), (dense_operand, sparse_operand)):
@@ -546,7 +619,7 @@ def test_pow_skips_the_product_with_one(monkeypatch):
         return original(x, y)
 
     monkeypatch.setattr(USeries, "__mul__", counted)
-    x = theta_null_half(20)
+    x = theta_at(1, 1, 20)
     for exponent, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
         calls.clear()
         power = x**exponent
@@ -557,21 +630,33 @@ def test_pow_skips_the_product_with_one(monkeypatch):
 
 
 def test_exact_records_build_each_shared_series_once(monkeypatch):
-    """One verify exact call builds each theta null and kappa series that
-    FOR1 and FOR2 share once, and a second call builds them afresh."""
-    calls = []
-    names = ("theta_null_plus", "theta_null_minus", "theta_null_half",
-             "kappa_u_at_minus_one", "kappa_minus_u_at_one")
-    for name in names:
+    """One verify exact call builds each theta and 2 kappa series that FOR1
+    and FOR2 use once, the five they share included, and a second call
+    builds them afresh."""
+    calls = Counter()
+    for name in ("theta_at", "twice_kappa_at"):
         original = getattr(qexact, name)
         monkeypatch.setattr(
-            qexact, name, lambda trunc, f=original, n=name: calls.append(n) or f(trunc)
+            qexact, name, lambda *args, f=original, n=name: calls.update([(n, *args)]) or f(*args)
         )
+    expected = Counter([("theta_at", 1, 0, 80), ("theta_at", -1, 0, 80), ("theta_at", 1, 1, 80),
+                        ("twice_kappa_at", 1, 1, -1, 0, 80), ("twice_kappa_at", -1, 1, 1, 0, 80),
+                        ("twice_kappa_at", -1, 0, 1, 1, 80)])
     for _ in range(2):
         calls.clear()
         records = cli._exact_records(80, ("FOR1_EXACT", "FOR2_EXACT"))
         assert all(r["passed"] for r in records)
-        assert sorted(calls) == sorted(names)
+        assert calls == expected
+
+
+def test_exact_records_take_15_products(monkeypatch):
+    """verify exact at order 800 forms 15 series products: 4 for FOR1, 9
+    for FOR2 and 2 for the cubed triangular-number generating function."""
+    calls = []
+    original = USeries.__mul__
+    monkeypatch.setattr(USeries, "__mul__", lambda x, y: calls.append(1) or original(x, y))
+    assert all(r["passed"] for r in cli._exact_records(800))
+    assert len(calls) == 15
 
 
 @pytest.mark.parametrize("order", (*range(13), 100))
