@@ -338,15 +338,16 @@ def _modular_records(samples: int, seed: int, tolerance: float, grid: int) -> li
         )
 
     # Divisibility of the modular defect by theta, generators then random
-    # words; an element the domain guards refuse at some tau is skipped.
-    zeros = modular.zero_grid(grid)
+    # words; an element the domain guards refuse at some tau is skipped,
+    # but a bad radius is refused once, here.
+    modular.zero_grid(grid)
 
     def divisibility(record_id: str, elements) -> dict:
         worst, valid, skipped = 0.0, 0, 0
         for g in elements:
             for tau in MODULAR_TAUS:
                 try:
-                    worst = max(worst, modular.divisibility_residual(g, tau, zeros))
+                    worst = max(worst, modular.divisibility_residual(g, tau, grid))
                     valid += 1
                 except DomainError:
                     skipped += 1
@@ -482,8 +483,7 @@ def _cmd_modular(args: argparse.Namespace) -> int:
     tau = args.tau
     per_zero = []
     worst = 0.0
-    for index in modular.zero_grid(args.grid):
-        residual = modular.divisibility_residual(gamma, tau, (index,))
+    for index, residual in modular.zero_residuals(gamma, tau, modular.zero_grid(args.grid)):
         worst = max(worst, residual)
         per_zero.append({"m": index.m, "n": index.n, "residual": residual})
     payload = {

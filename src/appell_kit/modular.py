@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from appell_kit.numeric import DomainError, kappa, kappa_sweep, theta
 
@@ -104,15 +104,13 @@ def theta_zero(index: ThetaZeroIndex, tau: complex) -> complex:
     return (tau + 1.0) / 2.0 + index.m + index.n * tau
 
 
-def zero_grid(radius: int) -> tuple[ThetaZeroIndex, ...]:
-    """All ThetaZeroIndex with |m|, |n| <= radius, in row-major order."""
+def zero_grid(radius: int) -> Iterator[ThetaZeroIndex]:
+    """All ThetaZeroIndex with |m|, |n| <= radius, in row-major order, made
+    one at a time; the radius is checked when zero_grid is called."""
     if not 0 <= radius <= MAX_GRID_RADIUS:
         raise DomainError(f"grid radius must be in 0..{MAX_GRID_RADIUS}, got {radius}")
-    return tuple(
-        ThetaZeroIndex(m, n)
-        for m in range(-radius, radius + 1)
-        for n in range(-radius, radius + 1)
-    )
+    span = range(-radius, radius + 1)
+    return (ThetaZeroIndex(m, n) for m in span for n in span)
 
 
 def act_tau(gamma: GammaElement, tau: complex) -> complex:
@@ -230,33 +228,28 @@ def _require_divisibility_domain(gamma: GammaElement, tau: complex) -> complex:
     return gtau
 
 
-def divisibility_residual(
-    gamma: GammaElement,
-    tau: complex,
-    zeros: tuple[ThetaZeroIndex, ...] | None = None,
-) -> float:
-    """Max over the zero grid of |D(x)| / max(1, |terms|), where x runs over
-    theta zeros (tau+1)/2 + m + n*tau.  Small residuals witness divisibility
-    of the modular defect by theta(x, tau).
+def zero_residuals(
+    gamma: GammaElement, tau: complex, zeros: Iterable[ThetaZeroIndex]
+) -> Iterator[tuple[ThetaZeroIndex, float]]:
+    """(index, |D(x)| / max(1, |terms|)) for each theta zero
+    x = (tau+1)/2 + m + n*tau in ``zeros``.  Small residuals witness
+    divisibility of the modular defect by theta(x, tau).
 
-    Both kappa0 factors are evaluated once, at the base zero (tau+1)/2 of
-    their nome, and carried to each grid zero by the exact quasi-periodicity
-    law kappa0(x0 + m + n*tau) = exp(pi*i*n*(tau+1)) * kappa0(x0); the
-    gamma-side argument x/(c*tau+d) is itself a theta zero of gamma.tau (see
-    ``gamma_zero_index``).  Summing the bilateral series directly at
-    z = -u**(2n+1) would lose roughly |u|**(-n**2) of precision to
-    cancellation, while the phases keep every grid point well conditioned.
-    The raw-series route agrees wherever it is conditioned well enough;
-    tests/test_modular.py keeps it as the reference.  A grid zero whose
-    phase overflows is a DomainError naming its index and tau."""
+    The domain is checked and both kappa0 factors are evaluated once, at the
+    base zero (tau+1)/2 of their nome, and carried to each zero by the exact
+    quasi-periodicity law kappa0(x0 + m + n*tau) = exp(pi*i*n*(tau+1)) *
+    kappa0(x0); the gamma-side argument x/(c*tau+d) is itself a theta zero of
+    gamma.tau (see ``gamma_zero_index``).  Summing the bilateral series
+    directly at z = -u**(2n+1) would lose roughly |u|**(-n**2) of precision
+    to cancellation, while the phases keep every zero well conditioned.  The
+    raw-series route agrees wherever it is conditioned well enough;
+    tests/test_modular.py keeps it as the reference.  A zero whose phase
+    overflows is a DomainError naming its index and tau."""
     gtau = _require_divisibility_domain(gamma, tau)
-    if zeros is None:
-        zeros = zero_grid(1)
     denom = gamma.c * tau + gamma.d
     char = 1.0 / (zeta_sq(gamma) * chi(gamma))
     base_lead = kappa0((gtau + 1.0) / 2.0, gtau)
     base_trail = kappa0((tau + 1.0) / 2.0, tau)
-    worst = 0.0
     for index in zeros:
         x = theta_zero(index, tau)
         g_index = gamma_zero_index(gamma, index)
@@ -277,6 +270,9 @@ def divisibility_residual(
                 f"quasi-periodicity phase overflows at zero index (m, n) = "
                 f"({index.m}, {index.n}), tau = {tau}"
             )
-        worst = max(worst, residual)
-    return worst
+        yield index, residual
 
+
+def divisibility_residual(gamma: GammaElement, tau: complex, radius: int = 1) -> float:
+    """The worst of ``zero_residuals`` over ``zero_grid(radius)``."""
+    return max(residual for _, residual in zero_residuals(gamma, tau, zero_grid(radius)))

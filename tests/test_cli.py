@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from appell_kit import bundles, cli, identities, qexact
+from appell_kit import bundles, cli, identities, modular, qexact
 from appell_kit.cli import (
     BUNDLE_NOMES,
     MODULAR_TAUS,
@@ -27,7 +27,7 @@ from appell_kit.cli import (
     main,
     parse_complex,
 )
-from appell_kit.numeric import kappa, vartheta1
+from appell_kit.numeric import DomainError, kappa, vartheta1
 
 
 def run_cli(capsys, *argv):
@@ -496,6 +496,55 @@ def test_verify_modular_skips_elements_whose_phase_overflows(capsys, monkeypatch
     assert records["DIVISIBILITY_GENERATORS"]["detail"] == "valid=0 skipped=2"
     assert records["DIVISIBILITY_WORDS"]["detail"] == "valid=0 skipped=10"
     assert records["DIVISIBILITY_WORDS"]["worst"] is None
+
+
+def test_modular_evaluates_the_kappa0_bases_once(capsys, monkeypatch):
+    """One pass over the 7x7 grid evaluates kappa0 at the two base zeros
+    only, not twice per zero."""
+    calls = []
+    kappa0 = modular.kappa0
+    monkeypatch.setattr(modular, "kappa0", lambda x, tau: calls.append(tau) or kappa0(x, tau))
+    code, out, _ = run_cli(capsys, "modular", "1", "2", "0", "1", "--grid", "3")
+    assert code == 0
+    assert len(json.loads(out)["divisibility_per_zero"]) == 49
+    assert len(calls) == 2
+
+
+def test_modular_suite_refuses_a_bad_radius_once():
+    """A radius past the bound is one domain error, not a skip per element."""
+    with pytest.raises(DomainError, match=r"grid radius must be in 0\.\.2259"):
+        cli._modular_records(1, 0, 1e-9, 10**9)
+
+
+def _run_capped(*argv, timeout):
+    """The CLI in a child process whose address space is capped at 512 MB,
+    so a command that built the whole largest grid (about 2.3 GB) would fail
+    there instead of taking the machine's memory."""
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "appell_kit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+def test_largest_grid_radius_builds_no_grid():
+    proc = _run_capped("modular", "1", "2", "0", "1", "--tau", "2i", "--grid", "2259", timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "domain error: quasi-periodicity phase overflows at zero index (m, n) = (-2259, -2259), tau = 2j\n"
+    )
+    proc = _run_capped("verify", "modular", "--grid", "2259", timeout=60)
+    assert proc.returncode == 1
+    records = {r["record_id"]: r for r in json.loads(proc.stdout)["records"]}
+    assert records["DIVISIBILITY_GENERATORS"]["detail"] == "valid=0 skipped=6"
+    assert records["DIVISIBILITY_WORDS"]["detail"] == "valid=0 skipped=30"
 
 
 def test_unwritable_out_path_is_one_line_exit_2(tmp_path, capsys):

@@ -403,21 +403,22 @@ def test_kappa_bar_is_normalized_kappa(a, z, u):
 
 def _near_power_orbit_loop(value, u, *, sign=1, parity=None, tol=1e-3):
     """Reference copy of the exponent walk that near_power_orbit replaced:
-    up to 400 non-negative and 399 negative powers of u by repeated
-    multiplication and division."""
+    up to 400 non-negative and 399 negative powers of u, each taken as u**e
+    as near_power_orbit takes it, so no rounding builds up along the walk."""
     thresh = tol * max(1.0, abs(value))
     if abs(value) <= thresh:
         return True
-    p = 1.0 + 0.0j
     for e in range(0, 400):
+        p = u**e
+        if e > 0 and abs(p) < 0.5 * min(thresh, abs(value)):
+            break
         if (parity is None or e % 2 == parity) and abs(value - sign * p) <= thresh:
             return True
-        p *= u
-        if abs(p) < 0.5 * min(thresh, abs(value)):
-            break
-    p = 1.0 + 0.0j
     for e in range(1, 400):
-        p /= u
+        try:
+            p = u**-e
+        except OverflowError:
+            break
         if abs(p) > 2.0 * abs(value) + 1.0:
             break
         if (parity is None or e % 2 == parity) and abs(value - sign * p) <= thresh:
@@ -497,6 +498,8 @@ def _ring_edge(u, e, sign, *, inside, outward, tol=1e-6):
 
 @settings(max_examples=400, deadline=None)
 @given(orbit_guard_inputs())
+# u**-166 by 166 repeated divisions lands 4e-11*thresh outside, u**-166 inside
+@example((-8.188711342496641e49 - 4.520512875075006e49j, 0.2701511529340699 + 0.42073549240394825j, 1, None, 1e-6))
 @example((1.5 + 0j, 1e-200 + 0j, 1, None, 1e-3))  # u**-2 overflows
 @example((1.5 + 0j, 1e-200, 1, None, 1e-3))
 @example((EDGE_U**399, EDGE_U, 1, None, 1e-6))  # the last exponent on each side
