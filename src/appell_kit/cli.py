@@ -100,15 +100,6 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def grid_radius(text: str) -> int:
-    """A zero-grid radius, refused above modular.MAX_GRID_RADIUS before any
-    grid is built."""
-    value = non_negative_int(text)
-    if value > modular.MAX_GRID_RADIUS:
-        raise argparse.ArgumentTypeError(f"must be <= {modular.MAX_GRID_RADIUS}, got {value}")
-    return value
-
-
 def positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -169,7 +160,7 @@ SUITE_TABLE = {
         "modular",
         ("K_GAMMA_IDENTITY", "ZETA_SQ_COCYCLE", "CHI_MULTIPLICATIVITY", "DIVISIBILITY_GENERATORS",
          "DIVISIBILITY_WORDS"),
-        lambda args, ids: _modular_records(args.samples, args.seed, args.tolerance, args.grid),
+        lambda args, ids: _modular_records(args.samples, args.seed, args.tolerance),
     ),
 }
 
@@ -314,7 +305,7 @@ def _random_word(rng: random.Random, alphabet, max_len: int) -> modular.GammaEle
     return g
 
 
-def _modular_records(samples: int, seed: int, tolerance: float, grid: int) -> list[dict]:
+def _modular_records(samples: int, seed: int, tolerance: float) -> list[dict]:
     rng = random.Random(seed)
 
     # theta-null cocycle: theta(0, g.tau)**2 / theta(0, tau)**2 = zeta_sq * (c tau + d).
@@ -338,16 +329,13 @@ def _modular_records(samples: int, seed: int, tolerance: float, grid: int) -> li
         )
 
     # Divisibility of the modular defect by theta, generators then random
-    # words; an element the domain guards refuse at some tau is skipped,
-    # but a bad radius is refused once, here.
-    modular.zero_grid(grid)
-
+    # words; an element the domain guards refuse at some tau is skipped.
     def divisibility(record_id: str, elements) -> dict:
         worst, valid, skipped = 0.0, 0, 0
         for g in elements:
             for tau in MODULAR_TAUS:
                 try:
-                    worst = max(worst, modular.divisibility_residual(g, tau, grid))
+                    worst = max(worst, modular.divisibility_residual(g, tau))
                     valid += 1
                 except DomainError:
                     skipped += 1
@@ -398,7 +386,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "tolerance": args.tolerance,
         "exact_order": args.exact_order,
-        "grid": args.grid,
         "passed": passed,
         "records": records,
     }
@@ -481,11 +468,10 @@ def _cmd_qseries(args: argparse.Namespace) -> int:
 def _cmd_modular(args: argparse.Namespace) -> int:
     gamma = modular.GammaElement(args.a, args.b, args.c, args.d)
     tau = args.tau
-    per_zero = []
-    worst = 0.0
-    for index, residual in modular.zero_residuals(gamma, tau, modular.zero_grid(args.grid)):
-        worst = max(worst, residual)
-        per_zero.append({"m": index.m, "n": index.n, "residual": residual})
+    per_zero = [
+        {"m": index.m, "n": index.n, "residual": residual}
+        for index, residual in modular.zero_residuals(gamma, tau, modular.GENERATING_ZEROS)
+    ]
     payload = {
         "command": "modular",
         "gamma": [gamma.a, gamma.b, gamma.c, gamma.d],
@@ -494,8 +480,7 @@ def _cmd_modular(args: argparse.Namespace) -> int:
         "zeta_sq": str(modular.zeta_sq(gamma)),
         "chi": str(modular.chi(gamma)),
         "k_gamma": str(modular.k_gamma(gamma, tau)),
-        "grid": args.grid,
-        "divisibility_worst": worst,
+        "divisibility_worst": max(z["residual"] for z in per_zero),
         "divisibility_per_zero": per_zero,
     }
     _emit_json(payload, args.out)
@@ -525,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None)  # None: APPELL_KIT_SEED or 0
     p_verify.add_argument("--tolerance", type=positive_float, default=1e-9)
     p_verify.add_argument("--exact-order", type=positive_int, default=80, dest="exact_order")
-    p_verify.add_argument("--grid", type=grid_radius, default=1)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--out", default=None)
 
@@ -550,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_modular.add_argument("c", type=int)
     p_modular.add_argument("d", type=int)
     p_modular.add_argument("--tau", type=parse_complex, default=1.5j)
-    p_modular.add_argument("--grid", type=grid_radius, default=1)
     p_modular.add_argument("--out", default=None)
 
     return parser

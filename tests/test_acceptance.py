@@ -133,7 +133,7 @@ def test_acceptance_5_mu_expansion():
 
 
 def test_acceptance_6_modular_divisibility_and_characters():
-    """Divisibility of the modular defect by theta on the zero grid for both
+    """Divisibility of the modular defect by theta at the generating zeros for both
     parabolic generators and 10 random words (skips counted, some words must
     land in-domain); chi multiplicativity on 50 parabolic pairs; the scalar
     cocycle is exactly 1 at the identity; the squared theta-null cocycle
@@ -153,9 +153,7 @@ def test_acceptance_6_modular_divisibility_and_characters():
     for g in words:
         for tau in taus:
             try:
-                div_worst = max(
-                    div_worst, modular.divisibility_residual(g, tau, 1)
-                )
+                div_worst = max(div_worst, modular.divisibility_residual(g, tau))
                 valid += 1
             except DomainError:
                 skipped += 1

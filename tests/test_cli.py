@@ -113,7 +113,7 @@ def test_suite_functions_report_the_table_ids():
         "numeric": cli._numeric_records(identities.registry_ids(), 2, 0, 1e-9),
         "exact": cli._exact_records(8),
         "bundles": cli._bundle_records(2, 0, 1e-9),
-        "modular": cli._modular_records(2, 0, 1e-9, 0),
+        "modular": cli._modular_records(2, 0, 1e-9),
     }
     assert tuple(produced) == SUITES[1:]
     for suite, (kind, ids, _) in cli.SUITE_TABLE.items():
@@ -400,32 +400,15 @@ def test_verify_flag_validation_is_usage_error(capsys, target, flag, value):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (("qseries", "t3", "--order", "-1"), "--order"),
-        (("verify", "modular", "--grid", "-1"), "--grid"),
-        (("modular", "1", "2", "0", "1", "--grid", "-2"), "--grid"),
-    ],
-)
-def test_order_and_grid_bounds_are_usage_errors(capsys, argv, flag):
-    code, out, err = run_cli(capsys, *argv)
+def test_negative_order_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "qseries", "t3", "--order", "-1")
     assert code == 2
     assert out == ""
-    assert err.startswith(f"appell-kit {argv[0]}: error: argument {flag}: must be >= 0, got ")
-    assert len(err.strip().splitlines()) == 1
+    assert err == "appell-kit qseries: error: argument --order: must be >= 0, got -1\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("qseries", "t3", "--order", "0"),
-        ("verify", "modular", "--grid", "0"),
-        ("modular", "1", "2", "0", "1", "--grid", "0"),
-    ],
-)
-def test_order_and_grid_zero_stay_valid(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
+def test_order_zero_stays_valid(capsys):
+    code, out, _ = run_cli(capsys, "qseries", "t3", "--order", "0")
     assert code == 0
     json.loads(out)
 
@@ -433,16 +416,24 @@ def test_order_and_grid_zero_stay_valid(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "modular", "--grid", "2260"),
+        ("verify", "modular", "--grid", "1"),
+        ("verify", "modular", "--grid", "0"),
+        ("verify", "modular", "--grid", "-1"),
+        ("verify", "modular", "--grid", "120"),
         ("verify", "DIVISIBILITY_WORDS", "--grid", "1000000000"),
-        ("modular", "1", "2", "0", "1", "--grid", "1000000000"),
+        ("verify", "all", "--grid", "2260"),
+        ("modular", "1", "2", "0", "1", "--grid", "-2"),
+        ("modular", "--grid=3", "1", "2", "0", "1", "--tau", "2i"),
     ],
 )
-def test_grid_above_the_overflow_bound_is_usage_error(capsys, argv):
+def test_grid_option_is_gone(capsys, argv):
+    """Divisibility is checked at the three generating zeros only, so any
+    --grid is an unrecognized argument: one usage line and exit 2."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == f"appell-kit {argv[0]}: error: argument --grid: must be <= 2259, got {argv[-1]}\n"
+    assert err.startswith("appell-kit: error: unrecognized arguments: --grid")
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -476,50 +467,34 @@ def test_out_of_memory_is_one_line_exit_2(capsys, monkeypatch, argv):
     assert err == "error: out of memory\n"
 
 
-def test_modular_phase_overflow_is_domain_error(capsys):
-    code, out, err = run_cli(capsys, "modular", "1", "2", "0", "1", "--tau", "2i", "--grid", "120")
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "domain error: quasi-periodicity phase overflows at zero index (m, n) = (-120, -120), tau = 2j\n"
-    )
-
-
-def test_verify_modular_skips_elements_whose_phase_overflows(capsys, monkeypatch):
-    """At tau = 2i the grid's first row overflows, so every element is
-    skipped and the divisibility records fail with a null worst."""
-    monkeypatch.setattr(cli, "MODULAR_TAUS", (2.0j,))
-    code, out, err = run_cli(capsys, "verify", "modular", "--grid", "120")
-    assert code == 1
+def test_modular_at_tau_2i_reads_the_generating_zeros(capsys):
+    """At tau = 2i the phases of zeros far down the lattice overflow; those
+    of the three generating zeros stay finite, so the command passes."""
+    code, out, err = run_cli(capsys, "modular", "1", "2", "0", "1", "--tau", "2i")
+    assert code == 0
     assert "Traceback" not in err
-    records = {r["record_id"]: r for r in json.loads(out)["records"]}
-    assert records["DIVISIBILITY_GENERATORS"]["detail"] == "valid=0 skipped=2"
-    assert records["DIVISIBILITY_WORDS"]["detail"] == "valid=0 skipped=10"
-    assert records["DIVISIBILITY_WORDS"]["worst"] is None
+    payload = json.loads(out)
+    assert [(z["m"], z["n"]) for z in payload["divisibility_per_zero"]] == list(modular.GENERATING_ZEROS)
+    assert payload["divisibility_worst"] == max(z["residual"] for z in payload["divisibility_per_zero"])
+    assert payload["divisibility_worst"] < 1e-10
 
 
 def test_modular_evaluates_the_kappa0_bases_once(capsys, monkeypatch):
-    """One pass over the 7x7 grid evaluates kappa0 at the two base zeros
-    only, not twice per zero."""
+    """One pass over the three generating zeros evaluates kappa0 at the two
+    base zeros only, not twice per zero."""
     calls = []
     kappa0 = modular.kappa0
     monkeypatch.setattr(modular, "kappa0", lambda x, tau: calls.append(tau) or kappa0(x, tau))
-    code, out, _ = run_cli(capsys, "modular", "1", "2", "0", "1", "--grid", "3")
+    code, out, _ = run_cli(capsys, "modular", "1", "2", "0", "1")
     assert code == 0
-    assert len(json.loads(out)["divisibility_per_zero"]) == 49
+    assert len(json.loads(out)["divisibility_per_zero"]) == 3
     assert len(calls) == 2
-
-
-def test_modular_suite_refuses_a_bad_radius_once():
-    """A radius past the bound is one domain error, not a skip per element."""
-    with pytest.raises(DomainError, match=r"grid radius must be in 0\.\.2259"):
-        cli._modular_records(1, 0, 1e-9, 10**9)
 
 
 def _run_capped(*argv, timeout):
     """The CLI in a child process whose address space is capped at 512 MB,
-    so a command that built the whole largest grid (about 2.3 GB) would fail
-    there instead of taking the machine's memory."""
+    so a command whose output grew without bound would fail there instead of
+    taking the machine's memory."""
     resource = pytest.importorskip("resource")
     cap = 512 * 2**20
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -533,18 +508,14 @@ def _run_capped(*argv, timeout):
     )
 
 
-def test_largest_grid_radius_builds_no_grid():
-    proc = _run_capped("modular", "1", "2", "0", "1", "--tau", "2i", "--grid", "2259", timeout=5)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == (
-        "domain error: quasi-periodicity phase overflows at zero index (m, n) = (-2259, -2259), tau = 2j\n"
-    )
-    proc = _run_capped("verify", "modular", "--grid", "2259", timeout=60)
-    assert proc.returncode == 1
-    records = {r["record_id"]: r for r in json.loads(proc.stdout)["records"]}
-    assert records["DIVISIBILITY_GENERATORS"]["detail"] == "valid=0 skipped=6"
-    assert records["DIVISIBILITY_WORDS"]["detail"] == "valid=0 skipped=30"
+def test_modular_at_the_smallest_tau_runs_in_bounded_memory():
+    """At Im tau = 0.1, the smallest the check admits, no phase overflows to
+    cut a report short, so a per-zero list that grew with a lattice radius
+    would take the whole cap; the three generating zeros make a small one."""
+    proc = _run_capped("modular", "1", "2", "0", "1", "--tau", "0.1i", timeout=5)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert len(json.loads(proc.stdout)["divisibility_per_zero"]) == 3
 
 
 def test_unwritable_out_path_is_one_line_exit_2(tmp_path, capsys):
@@ -591,11 +562,11 @@ def test_verify_json_is_strict_when_no_element_is_valid(capsys, monkeypatch):
         raise ValueError(f"non-strict JSON constant {constant}")
 
     records = json.loads(out, parse_constant=reject)["records"]
-    divisibility = [r for r in records if r["record_id"].startswith("DIVISIBILITY_")]
-    assert len(divisibility) == 2
-    for r in divisibility:
+    divisibility = {r["record_id"]: r for r in records if r["record_id"].startswith("DIVISIBILITY_")}
+    assert divisibility["DIVISIBILITY_GENERATORS"]["detail"] == "valid=0 skipped=2"
+    assert divisibility["DIVISIBILITY_WORDS"]["detail"] == "valid=0 skipped=10"
+    for r in divisibility.values():
         assert r["worst"] is None and r["passed"] is False
-        assert r["detail"].startswith("valid=0 ")
 
 
 def test_qseries_triangular_counts(capsys):
@@ -643,10 +614,10 @@ def test_modular_subcommand(capsys):
     assert payload["chi"] == "1j"
     assert payload["zeta_sq"] == "(1+0j)"
     assert payload["divisibility_worst"] < 1e-10
-    assert len(payload["divisibility_per_zero"]) == 9
+    assert len(payload["divisibility_per_zero"]) == 3
     assert payload["divisibility_per_zero"][0] == {
-        "m": -1,
-        "n": -1,
+        "m": 0,
+        "n": 0,
         "residual": payload["divisibility_per_zero"][0]["residual"],
     }
 
@@ -687,7 +658,7 @@ _COMPLEX = st.sampled_from(
     ["0.3", "-0.2+0.1i", "1.5j", "0.5i", "-1", "2", "0", "0.9999", "inf", "-inf", "nan", "1e999", "abc",
      "1e-200", "1e-320", "-1e-170+1e-170i"]
 )
-# Every grid value either builds at most a 5x5 grid or is refused at parse time.
+# --grid is not an option: every draw that uses it must exit 2.
 _GRIDS = st.sampled_from(["0", "1", "2", "-1", "2260", "1000000000"])
 _FORMATS = st.sampled_from(["json", "csv", "xml"])
 # Relative paths: the test runs main inside a temporary directory.
@@ -768,6 +739,8 @@ def test_argv_fuzz_keeps_the_exit_contract(tmp_path_factory, argv):
         os.chdir(cwd)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    if "--grid" in argv and "-h" not in argv:  # -h prints help and exits 0 first
+        assert code == 2, argv
     if code in (0, 1) and _emits_json(argv):
 
         def reject(constant):

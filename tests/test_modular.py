@@ -7,16 +7,16 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
 
+from appell_kit import cli, modular
 from appell_kit.modular import (
     GAMMA_GENERATORS,
     GAMMA_IDENTITY,
-    MAX_GRID_RADIUS,
+    GENERATING_ZEROS,
     MIN_IM_TAU,
     GammaElement,
     ThetaZeroIndex,
@@ -28,7 +28,6 @@ from appell_kit.modular import (
     kappa0,
     theta_additive,
     theta_zero,
-    zero_grid,
     zero_residuals,
     zeta_sq,
 )
@@ -253,26 +252,57 @@ def test_zero_lattice_algebra_is_exact():
             assert _phase_exponent(g, ThetaZeroIndex(m, n + 1), tau) - base == GaussQ.lift(step_n)
 
 
-def test_zero_grid_shape():
-    grid = list(zero_grid(1))
-    assert len(grid) == 9
-    assert grid[0] == ThetaZeroIndex(-1, -1)
-    assert ThetaZeroIndex(0, 0) in grid
-    with pytest.raises(DomainError):
-        zero_grid(-1)
+def _n_step_off_by_two(g: GammaElement, index: ThetaZeroIndex) -> ThetaZeroIndex:
+    """gamma_zero_index with the n-step coefficient d read as d + 2."""
+    mapped = gamma_zero_index(g, index)
+    return ThetaZeroIndex(mapped.m, mapped.n + 2 * index.n)
 
 
-def test_zero_grid_radius_bound():
-    """Past MAX_GRID_RADIUS the outermost row's phase exp(pi*r*Im tau)
-    overflows at every admissible tau, so the grid is refused before any
-    index is built."""
-    assert MAX_GRID_RADIUS == 2259
-    assert math.exp(math.pi * MAX_GRID_RADIUS * MIN_IM_TAU) < sys.float_info.max
-    with pytest.raises(OverflowError):
-        math.exp(math.pi * (MAX_GRID_RADIUS + 1) * MIN_IM_TAU)
-    for radius in (MAX_GRID_RADIUS + 1, 10**9):
-        with pytest.raises(DomainError, match=r"grid radius must be in 0\.\.2259"):
-            zero_grid(radius)
+def _n_minus_m(g: GammaElement, index: ThetaZeroIndex) -> ThetaZeroIndex:
+    mapped = gamma_zero_index(g, index)
+    return ThetaZeroIndex(mapped.m, mapped.n - index.m)
+
+
+def _n_shifted(g: GammaElement, index: ThetaZeroIndex) -> ThetaZeroIndex:
+    mapped = gamma_zero_index(g, index)
+    return ThetaZeroIndex(mapped.m, mapped.n + 1)
+
+
+def _m_shifted(g: GammaElement, index: ThetaZeroIndex) -> ThetaZeroIndex:
+    mapped = gamma_zero_index(g, index)
+    return ThetaZeroIndex(mapped.m + 1, mapped.n)
+
+
+@pytest.mark.parametrize(
+    "mutant, seen_at_base", ((_n_step_off_by_two, False), (_n_minus_m, False), (_n_shifted, True))
+)
+def test_generating_zeros_catch_what_the_base_zero_misses(monkeypatch, mutant, seen_at_base):
+    """A wrong slope in gamma_zero_index leaves the base zero (0, 0) exact
+    and shows only at the unit steps (1, 0) and (0, 1), so both divisibility
+    records fail on GENERATING_ZEROS (about 1.34 against 5.3e-16 at the base
+    zero alone); a wrong constant shift shows at the base zero as well.
+
+    An error in m' can never show here: x -> x + 1 is a period of kappa0, so
+    the residual reads only n' (see the next test).
+    test_zero_lattice_algebra_is_exact is the only guard of m'."""
+    monkeypatch.setattr(modular, "gamma_zero_index", mutant)
+    base_worst = max(
+        r for g in GAMMA_GENERATORS for tau in TAUS for _, r in zero_residuals(g, tau, GENERATING_ZEROS[:1])
+    )
+    assert (base_worst > 1.0) is seen_at_base
+    assert base_worst > 1.0 or base_worst < 1e-15
+    records = {r["record_id"]: r for r in cli._modular_records(100, 0, 1e-9)}
+    for record_id in ("DIVISIBILITY_GENERATORS", "DIVISIBILITY_WORDS"):
+        assert not records[record_id]["passed"]
+        assert records[record_id]["worst"] > 1.0
+
+
+def test_an_m_shift_never_shows_in_the_residual(monkeypatch):
+    """gamma_zero_index with m' off by one leaves every modular record
+    unchanged, to the bit."""
+    expected = cli._modular_records(100, 0, 1e-9)
+    monkeypatch.setattr(modular, "gamma_zero_index", _m_shifted)
+    assert cli._modular_records(100, 0, 1e-9) == expected
 
 
 @pytest.mark.parametrize("gamma", (T2, V))
@@ -285,8 +315,9 @@ def test_divisibility_phase_overflow_is_domain_error(gamma):
     assert str(info.value) == (
         "quasi-periodicity phase overflows at zero index (m, n) = (0, -113), tau = 2j"
     )
+    far_row = [ThetaZeroIndex(-120, n) for n in range(-120, 121)]
     with pytest.raises(DomainError, match=r"\(-120, -120\), tau = 2j"):
-        divisibility_residual(gamma, 2.0j, 120)
+        max(residual for _, residual in zero_residuals(gamma, 2.0j, far_row))
 
 
 @pytest.mark.parametrize(
@@ -307,7 +338,7 @@ def test_divisibility_identity_element_is_exact_zero():
 @pytest.mark.parametrize("gamma", (T2, V))
 @pytest.mark.parametrize("tau", TAUS)
 def test_divisibility_generators(gamma, tau):
-    assert divisibility_residual(gamma, tau, 1) < 1e-10
+    assert divisibility_residual(gamma, tau) < 1e-10
 
 
 def test_divisibility_random_words_with_skip_accounting():
@@ -325,7 +356,7 @@ def test_divisibility_random_words_with_skip_accounting():
         g = word()
         for tau in TAUS:
             try:
-                worst = max(worst, divisibility_residual(g, tau, 1))
+                worst = max(worst, divisibility_residual(g, tau))
                 valid += 1
             except DomainError:
                 skipped += 1
@@ -349,10 +380,11 @@ def test_divisibility_domain_guard():
 
 def test_raw_defect_vanishes_on_zero_grid():
     """The raw bilateral-series route (no quasi-periodicity reduction) agrees
-    that the defect vanishes on the central grid, where conditioning allows."""
+    that the defect vanishes on the central 3x3 block of zeros, where
+    conditioning allows."""
     tau = 2.0j
     for gamma in (T2, V):
-        for index in zero_grid(1):
+        for index in (ThetaZeroIndex(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)):
             x = theta_zero(index, tau)
             assert abs(modular_defect(gamma, x, tau)) < 1e-9
 
