@@ -317,10 +317,12 @@ def _pairs_quasi(p: EvalPoint, nome: Nome):
     u = nome.u
     tau = cmath.log(u) / (1j * math.pi)
     x0 = (tau + 1.0) / 2.0
-    grid = [(m, n) for m in range(-2, 3) for n in range(-2, 3)]
-    base, *lhs = kappa0_sweep([x0] + [x0 + m + n * tau for m, n in grid], tau)
-    rhs = {n: cmath.exp(1j * math.pi * n * (tau + 1.0)) * base for n in range(-2, 3)}
-    return [(value, rhs[n]) for value, (_, n) in zip(lhs, grid)]
+    # Only the tau-translates: kappa0 sees x through z = exp(2*pi*i*x) alone,
+    # so an integer translate x + m moves z by rounding only, and n = 0 would
+    # pair the base value with itself.
+    shifts = (-2, -1, 1, 2)
+    base, *lhs = kappa0_sweep([x0] + [x0 + n * tau for n in shifts], tau)
+    return [(value, cmath.exp(1j * math.pi * n * (tau + 1.0)) * base) for value, n in zip(lhs, shifts)]
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +567,7 @@ REGISTRY: dict[str, IdentityDef] = {
         IdentityDef(
             "QUASI",
             "quasi-periodicity of kappa0 on the theta-zero translate "
-            "x -> x + m + n tau, grid (m, n) in {-2..2}**2",
+            "x -> x + n tau, n in {-2, -1, 1, 2}",
             _D(),
             _pairs_quasi,
         ),

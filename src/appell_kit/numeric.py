@@ -197,6 +197,24 @@ def theta(z: complex, u: complex) -> complex:
     u_sq = u * u
     pw = 1.0 + 0.0j  # u**(n*n), advanced by the odd power u**(2n-1)
     odd = u
+    if z == 1 or z == -1:
+        # Both terms are pw*z**(+-n) = +-pw: the general loop's pw*(+-1+0j)
+        # equals +-pw in every nonzero part (IEEE rounding is symmetric in
+        # sign), and a zero part's sign cannot reach total, which starts at
+        # 1+0j.  Negating odd at z = -1 flips pw's sign on odd n the same way.
+        if z == -1:
+            odd = -u
+        for n in range(1, MAX_TERMS + 1):
+            pw *= odd
+            odd *= u_sq
+            a = abs(pw)
+            if a < lim and n >= 3:
+                return total if _isfinite(total) else _check_finite(total, "theta")
+            total += pw + pw
+            if a > scale:
+                scale = a
+                lim = eps * scale
+        raise NonconvergenceError(f"theta did not converge within {MAX_TERMS} terms")
     zp = 1.0 + 0.0j
     zm = 1.0 + 0.0j
     for n in range(1, MAX_TERMS + 1):

@@ -141,18 +141,17 @@ def test_quasi_entry_runs_on_complex_nome():
 
 
 def _quasi_pairs_per_point(nome):
-    """The per-point QUASI loop that the kappa sweep replaced: 26 kappa0
-    calls, the base zero and each point of the 5 x 5 grid."""
+    """The per-point QUASI loop that the kappa sweep replaced: 5 kappa0
+    calls, the base zero and its translates by n tau, n in {-2, -1, 1, 2}."""
     u = nome.u
     tau = cmath.log(u) / (1j * math.pi)
     x0 = (tau + 1.0) / 2.0
     base = kappa0(x0, tau)
     pairs = []
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            lhs = kappa0(x0 + m + n * tau, tau)
-            rhs = cmath.exp(1j * math.pi * n * (tau + 1.0)) * base
-            pairs.append((lhs, rhs))
+    for n in (-2, -1, 1, 2):
+        lhs = kappa0(x0 + n * tau, tau)
+        rhs = cmath.exp(1j * math.pi * n * (tau + 1.0)) * base
+        pairs.append((lhs, rhs))
     return pairs
 
 
@@ -166,6 +165,32 @@ def test_quasi_sweep_matches_per_point_loop(seed):
         assert repr(quasi.pairs(point, nome)) == repr(expected)
         reference = ResidualReport.from_pairs("QUASI", point, nome, expected)
         assert repr(identity_residual("QUASI", point, nome)) == repr(reference)
+
+
+def test_quasi_integer_translates_move_z_by_rounding_only():
+    """kappa0 sees x only through z = exp(2 pi i x), so the translates
+    x0 + m + n tau with m != 0 would repeat x0 + n tau up to the rounding of
+    cmath.exp: QUASI checks the n tau translates alone."""
+    for _, nome in sample_points(REGISTRY["QUASI"].domain, 200, 0):
+        tau = cmath.log(nome.u) / (1j * math.pi)
+        x0 = (tau + 1.0) / 2.0
+        for n in range(-2, 3):
+            z = cmath.exp(2j * math.pi * (x0 + n * tau))
+            for m in range(-2, 3):
+                moved = cmath.exp(2j * math.pi * (x0 + m + n * tau))
+                assert abs(moved - z) <= 1e-14 * abs(z), (nome.u, m, n)
+
+
+def test_one_quasi_sample_evaluates_five_kappa0_points(monkeypatch):
+    """The base zero and its four n tau translates, in one sweep; no scalar
+    kappa0 call."""
+    points = []
+    sweep = identities.kappa0_sweep
+    monkeypatch.setattr(identities, "kappa0_sweep", lambda xs, tau: points.append(len(xs)) or sweep(xs, tau))
+    monkeypatch.setattr(identities, "kappa0", lambda x, tau: points.append("scalar"))
+    for point, nome in sample_points(REGISTRY["QUASI"].domain, 3, 0):
+        identity_residual("QUASI", point, nome)
+    assert points == [5, 5, 5]
 
 
 def test_verify_registry_shape():

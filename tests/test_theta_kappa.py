@@ -1111,3 +1111,95 @@ def test_kernel_forward_error_against_mpmath(name, z, u, a):
     with mpmath.workdps(50):
         ref, scale = reference(mpmath.mpc(z), mpmath.mpc(u), mpmath.mpc(a))
     assert abs(value - ref) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# theta at z = +-1: bit for bit the general loop
+# ---------------------------------------------------------------------------
+
+
+def _theta_general_loop(z, u):
+    """theta as it summed every z before its z = +-1 path: the same argument
+    checks and stop rule, with the terms pw * z**n and pw * z**-n."""
+    if not 0.0 < abs(u) < 1.0:
+        raise DomainError(f"half-nome u must satisfy 0 < |u| < 1, got |u| = {abs(u)}")
+    if z == 0:
+        raise DomainError("z must be nonzero")
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
+    total = 1.0 + 0.0j
+    scale = 1.0
+    lim = TERM_EPS * scale
+    u_sq = u * u
+    pw = 1.0 + 0.0j
+    odd = u
+    zp = 1.0 + 0.0j
+    zm = 1.0 + 0.0j
+    for n in range(1, MAX_TERMS + 1):
+        pw *= odd
+        odd *= u_sq
+        zp *= z
+        zm /= z
+        tp = pw * zp
+        tm = pw * zm
+        ap = abs(tp)
+        am = abs(tm)
+        if ap < lim and am < lim and n >= 3:
+            if not cmath.isfinite(total):
+                raise NonconvergenceError("theta overflowed during summation")
+            return total
+        total += tp + tm
+        if ap > scale:
+            scale = ap
+            lim = TERM_EPS * scale
+        if am > scale:
+            scale = am
+            lim = TERM_EPS * scale
+    raise NonconvergenceError(f"theta did not converge within {MAX_TERMS} terms")
+
+
+def _hex(value):
+    return value.real.hex(), value.imag.hex()
+
+
+UNIT_ARGUMENTS = (1, -1, 1.0, -1.0, 1 + 0j, -1 + 0j, complex(1, -0.0), complex(-1, -0.0))
+
+
+def _unit_path_nomes():
+    rng = random.Random(20)
+    nomes = [cmath.rect(rng.uniform(1e-3, 0.99), rng.uniform(-math.pi, math.pi)) for _ in range(1500)]
+    for _ in range(100):
+        r = rng.uniform(1e-3, 0.99)
+        nomes += [r, -r, complex(0.0, r), complex(0.0, -r), complex(-r, 0.0), complex(-0.0, r)]
+    return nomes + [complex(0.2, -0.0), complex(-0.2, -0.0), 0.99, -0.99, 1e-3]
+
+
+def test_theta_at_plus_minus_one_is_the_general_loop_bit_for_bit():
+    """Real and imaginary parts agree to the bit (float.hex) for every form
+    of z = +-1, on complex, real, imaginary and signed-zero nomes."""
+    for u in _unit_path_nomes():
+        for z in UNIT_ARGUMENTS:
+            assert _hex(theta(z, u)) == _hex(_theta_general_loop(z, u)), (z, u)
+
+
+def test_theta2_and_vartheta0_reach_the_unit_path_bit_for_bit():
+    """theta2(1, u) sums at u*u, and vartheta0(1j, v) at w = 1j*1j, which is
+    exactly -1: both equal the general loop at those arguments."""
+    assert 1j * 1j == -1
+    for u in _unit_path_nomes()[::7]:
+        assert _hex(theta2(1, u)) == _hex(_theta_general_loop(1, u * u)), u
+        v_sq = u * u
+        assert _hex(vartheta0(1j, u)) == _hex(_theta_general_loop(1j * 1j, v_sq * v_sq)), u
+
+
+@pytest.mark.parametrize("z", (1, -1, -1.0, complex(1, -0.0)))
+@pytest.mark.parametrize(
+    "u",
+    (0, 0.0j, 1, -1.0, 1j, complex(0.6, 0.8), float("nan"), complex(0.3, float("nan")), 0.9999),
+)
+def test_theta_at_plus_minus_one_refuses_as_the_general_loop(z, u):
+    """u = 0, |u| = 1 and NaN are refused with the same message, and a nome
+    too close to the unit circle exhausts MAX_TERMS with the same error."""
+    expected = _outcome(lambda: _theta_general_loop(z, u))
+    assert expected[0] in (DomainError, NonconvergenceError)
+    assert _outcome(lambda: theta(z, u)) == expected
