@@ -28,6 +28,7 @@ import random
 from typing import Callable, NamedTuple, Sequence
 
 from appell_kit.numeric import (
+    GUARD_TOL,
     DomainError,
     EvalPoint,
     Nome,
@@ -435,15 +436,15 @@ def mu_nu(a: complex, b: complex, u: complex) -> complex:
     return num / den
 
 
-def mu_sample_ok(a: complex, b: complex, u: complex, tol: float = 1e-3) -> bool:
+def mu_sample_ok(a: complex, b: complex, u: complex) -> bool:
     """Guard for the mu-expansion: the kappa parameters a, ab, -ab must stay
     off the pole orbit +u**even, and the theta arguments -u/a, ab/u, -ab/u,
     -ab**2 off the zero orbit -u**odd."""
     for w in (a, a * b, -a * b):
-        if near_power_orbit(w, u, sign=1, parity=0, tol=tol):
+        if near_power_orbit(w, u, sign=1, parity=0, tol=GUARD_TOL):
             return False
     for w in (-u / a, a * b / u, -a * b / u, -a * b * b):
-        if near_power_orbit(w, u, sign=-1, parity=1, tol=tol):
+        if near_power_orbit(w, u, sign=-1, parity=1, tol=GUARD_TOL):
             return False
     return True
 
@@ -521,7 +522,7 @@ def sample_z_points(
     log_lo, log_hi = map(math.log, radius_range)
     return guarded_sample(
         lambda: annulus_point(rng, log_lo, log_hi),
-        lambda z: not near_power_orbit(z, u, sign=-1, parity=1, tol=1e-3)
-        and not near_power_orbit(z, u, sign=1, parity=1, tol=1e-3),
+        lambda z: not near_power_orbit(z, u, sign=-1, parity=1, tol=GUARD_TOL)
+        and not near_power_orbit(z, u, sign=1, parity=1, tol=GUARD_TOL),
         count,
     )

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from appell_kit import bundles, identities, modular, qexact
 from appell_kit.numeric import (
+    GUARD_TOL,
     DomainError,
     NonconvergenceError,
     annulus_point,
@@ -112,13 +113,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("APPELL_KIT_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
@@ -257,7 +251,7 @@ def _bundle_records(samples: int, seed: int, tolerance: float) -> list[dict]:
         bump("SECTION_PUSH", bundles.check_section(bundles.make_push(u), bundles.push_section(u), zs))
         a_values = guarded_sample(
             lambda: annulus_point(rng),
-            lambda a: not near_power_orbit(a, u, sign=1, parity=0, tol=1e-3),
+            lambda a: not near_power_orbit(a, u, sign=1, parity=0, tol=GUARD_TOL),
             2,
         )
         for a in a_values:
@@ -368,8 +362,6 @@ def _modular_records(samples: int, seed: int, tolerance: float) -> list[dict]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        args.seed = _default_seed()
     target = args.target
     records: list[dict] = []
     for suite, (_, ids, run) in SUITE_TABLE.items():
@@ -507,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a suite name or a record id",
     )
     p_verify.add_argument("--samples", type=positive_int, default=100)
-    p_verify.add_argument("--seed", type=int, default=None)  # None: APPELL_KIT_SEED or 0
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tolerance", type=positive_float, default=1e-9)
     p_verify.add_argument("--exact-order", type=positive_int, default=80, dest="exact_order")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")

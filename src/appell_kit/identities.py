@@ -8,10 +8,10 @@ relative residual via :class:`ResidualReport`.
 Sampling is deterministic: ``sample_points`` draws |u| uniformly from the
 identity's range (default [0.05, 0.75], so |q| <= 0.5625), arguments
 uniformly, and |z|, |a|, |b| log-uniformly from [0.5, 2], then rejects any
-draw that lands within 1e-3 of a kappa pole orbit (+u**even) or a theta zero
-orbit (-u**odd) relevant to the identity.  Identities built on the square
-roots s = a**(1/2) and v = u**(1/2) derive them from the principal branch;
-the SQRT entry checks both signs of s at every sample.
+draw that lands within GUARD_TOL of a kappa pole orbit (+u**even) or a theta
+zero orbit (-u**odd) relevant to the identity.  Identities built on the
+square roots s = a**(1/2) and v = u**(1/2) derive them from the principal
+branch; the SQRT entry checks both signs of s at every sample.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 # kappa0 stays bound here, unused: perfbench/tracer.py patches identities.kappa0.
 from appell_kit.modular import kappa0, kappa0_sweep  # noqa: F401
 from appell_kit.numeric import (
+    GUARD_TOL,
     MAX_TERMS,
     TERM_EPS,
     DomainError,
@@ -44,11 +45,6 @@ from appell_kit.numeric import (
     worst_pair,
 )
 
-#: Sampling guard distance (relative) from pole/zero orbits.  Far more
-#: conservative than the 1e-8 evaluation guard inside kappa, it keeps the
-#: condition number of every registry formula below ~1e3.
-GUARD_TOL = 1e-3
-
 PairFn = Callable[[EvalPoint, Nome], list[tuple[complex, complex]]]
 GuardFn = Callable[[dict[str, complex], complex], bool]
 
@@ -57,17 +53,17 @@ class UnknownIdentityError(KeyError):
     """Raised for an identity_id with no registry entry."""
 
 
-def near_kappa_pole(a: complex, u: complex, tol: float = GUARD_TOL) -> bool:
-    """Whether a sits within tol of the kappa pole orbit q**Z = +u**even."""
-    return near_power_orbit(a, u, sign=1, parity=0, tol=tol)
+def near_kappa_pole(a: complex, u: complex) -> bool:
+    """Whether a sits within GUARD_TOL of the kappa pole orbit q**Z = +u**even."""
+    return near_power_orbit(a, u, sign=1, parity=0, tol=GUARD_TOL)
 
 
-def near_theta_zero(z: complex, u: complex, tol: float = GUARD_TOL) -> bool:
-    """Whether z sits within tol of the theta zero orbit -u**odd.
+def near_theta_zero(z: complex, u: complex) -> bool:
+    """Whether z sits within GUARD_TOL of the theta zero orbit -u**odd.
 
     The same orbit serves theta2(z, u) = theta(z, u**2), whose zeros are
     -u**(2k+1) as well."""
-    return near_power_orbit(z, u, sign=-1, parity=1, tol=tol)
+    return near_power_orbit(z, u, sign=-1, parity=1, tol=GUARD_TOL)
 
 
 def _accept_all(bindings: dict[str, complex], u: complex) -> bool:

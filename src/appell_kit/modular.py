@@ -44,6 +44,10 @@ MIN_IM_TAU = 0.1
 #: theta_additive); beyond this the bilateral series are numerically useless.
 MAX_ABS_U = 0.99
 
+#: Divisibility checks refuse |Re tau| or |Re gamma.tau| above this: the phase
+#: exp(2*pi*i*x) at a theta zero loses about |Re tau| * eps of precision.
+MAX_ABS_RE_TAU = 1e4
+
 
 class GammaElement(NamedTuple("GammaElement", [("a", int), ("b", int), ("c", int), ("d", int)])):
     """An element [[a, b], [c, d]] of Gamma_{1,2}, validated on construction."""
@@ -106,8 +110,8 @@ GENERATING_ZEROS = (ThetaZeroIndex(0, 0), ThetaZeroIndex(1, 0), ThetaZeroIndex(0
 
 def act_tau(gamma: GammaElement, tau: complex) -> complex:
     """Moebius action (a*tau + b) / (c*tau + d) on the upper half plane."""
-    if not complex(tau).imag > 0.0:
-        raise DomainError(f"tau must have positive imaginary part, got {tau}")
+    if not (cmath.isfinite(tau) and complex(tau).imag > 0.0):
+        raise DomainError(f"tau must be finite with positive imaginary part, got {tau}")
     return (gamma.a * tau + gamma.b) / (gamma.c * tau + gamma.d)
 
 
@@ -147,14 +151,13 @@ def k_gamma(gamma: GammaElement, tau: complex) -> complex:
 
 
 def _nome_from_tau(tau: complex) -> complex:
-    if not complex(tau).imag > 0.0:
-        raise DomainError(f"tau must have positive imaginary part, got {tau}")
+    if not (cmath.isfinite(tau) and complex(tau).imag > 0.0):
+        raise DomainError(f"tau must be finite with positive imaginary part, got {tau}")
     u = cmath.exp(1j * math.pi * tau)
     if abs(u) >= MAX_ABS_U:
-        raise DomainError(
-            f"Im tau = {complex(tau).imag:.4g} gives |u| = {abs(u):.4g} >= "
-            f"{MAX_ABS_U}; increase Im tau"
-        )
+        raise DomainError(f"Im tau = {tau.imag:.4g} gives |u| = {abs(u):.4g} >= {MAX_ABS_U}; increase Im tau")
+    if u * u == 0:
+        raise DomainError(f"Im tau = {tau.imag:.4g} gives a nome whose square underflows to 0; decrease Im tau")
     return u
 
 
@@ -204,13 +207,15 @@ def gamma_zero_index(gamma: GammaElement, index: ThetaZeroIndex) -> ThetaZeroInd
 
 
 def _require_divisibility_domain(gamma: GammaElement, tau: complex) -> complex:
-    """Check the Im >= MIN_IM_TAU guard on both tau and gamma.tau; returns
-    gamma.tau."""
+    """Check the Im >= MIN_IM_TAU and |Re| <= MAX_ABS_RE_TAU guards on both
+    tau and gamma.tau; returns gamma.tau."""
     gtau = act_tau(gamma, tau)
     if complex(tau).imag < MIN_IM_TAU:
         raise DomainError(
             f"Im tau = {complex(tau).imag:.4g} < {MIN_IM_TAU}; increase Im tau"
         )
+    if not (abs(tau.real) <= MAX_ABS_RE_TAU and abs(gtau.real) <= MAX_ABS_RE_TAU):
+        raise DomainError(f"|Re| of tau = {tau} or gamma.tau = {gtau} exceeds {MAX_ABS_RE_TAU:g}")
     if complex(gtau).imag < MIN_IM_TAU:
         raise DomainError(
             f"Im gamma.tau = {complex(gtau).imag:.4g} < {MIN_IM_TAU} for "

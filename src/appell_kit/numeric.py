@@ -24,6 +24,12 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 POLE_GUARD = 1e-8
 
+#: The one sampling distance: every sampled point keeps this distance,
+#: relative to max(1, |value|), from kappa's poles and theta's zeros.  Far
+#: more conservative than POLE_GUARD, it keeps the condition number of every
+#: registry formula below ~1e3.
+GUARD_TOL = 1e-3
+
 #: Stopping rule of every series: relative size of the first neglected
 #: terms, and the number of terms after which a series is refused.
 TERM_EPS = 1e-16
@@ -665,7 +671,7 @@ def near_power_orbit(
     *,
     sign: int = 1,
     parity: int | None = None,
-    tol: float = 1e-3,
+    tol: float = GUARD_TOL,
 ) -> bool:
     """Whether ``value`` lies within ``tol * max(1, |value|)`` of some point
     of the orbit ``{sign * u**e : e in Z}``, optionally restricted to

@@ -285,14 +285,14 @@ def _for_series(trunc: int, built: dict | None) -> list[USeries]:
     return built[trunc]
 
 
-def for1_sides(trunc: int = 80, built: dict | None = None) -> tuple[USeries, USeries]:
+def for1_sides(trunc: int, built: dict | None = None) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(1) 2kappa(u,-1) + theta(-1) 2kappa(-u,1)
     = theta(u)**3 as exact u-series."""
     plus, minus, half, k_plus, k_minus = _for_series(trunc, built)
     return plus * k_plus + minus * k_minus, half * half * half
 
 
-def for2_sides(trunc: int = 80, built: dict | None = None) -> tuple[USeries, USeries]:
+def for2_sides(trunc: int, built: dict | None = None) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(u)**3 2kappa(-1,u) = theta(-1)**3 2kappa(u,-1)
     + theta(1)**3 2kappa(-u,1) as exact u-series.
 
@@ -305,14 +305,14 @@ def for2_sides(trunc: int = 80, built: dict | None = None) -> tuple[USeries, USe
     return lhs, rhs
 
 
-def check_for1_exact(trunc: int = 80, built: dict | None = None) -> int | None:
+def check_for1_exact(trunc: int, built: dict | None = None) -> int | None:
     """None if the first relation holds through u**(trunc-1); otherwise the
     first failing exponent.  Checks passed one ``built`` dict share series."""
     lhs, rhs = for1_sides(trunc, built)
     return lhs.agrees_with(rhs)
 
 
-def check_for2_exact(trunc: int = 80, built: dict | None = None) -> int | None:
+def check_for2_exact(trunc: int, built: dict | None = None) -> int | None:
     """None if the second relation holds through u**(trunc-1); otherwise the
     first failing exponent.  Checks passed one ``built`` dict share series."""
     lhs, rhs = for2_sides(trunc, built)

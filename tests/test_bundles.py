@@ -43,8 +43,10 @@ from appell_kit.bundles import (
     tensor,
     theta_section,
 )
+from appell_kit import identities
 from appell_kit.cli import BUNDLE_NOMES
 from appell_kit.numeric import (
+    GUARD_TOL,
     DomainError,
     EvalPoint,
     Nome,
@@ -294,6 +296,20 @@ def test_mu_guard_rejects_poles():
     assert not mu_sample_ok(u * u, 1.3, u)
     with pytest.raises(DomainError):
         mu_expansion_residual(1.0, 0.9, u, [1.1])
+
+
+@pytest.mark.parametrize("phase", (0.0, 0.25, 0.5, 0.75))
+def test_mu_guard_and_kappa_pole_guard_switch_at_one_distance(phase):
+    """bundles.mu_sample_ok and identities.near_kappa_pole both reject a
+    parameter a within GUARD_TOL of the pole u**2 and accept it just past
+    that distance, from any direction: both read numeric.GUARD_TOL."""
+    u, b = 0.3, 1.3 + 0.4j
+    assert identities.GUARD_TOL is GUARD_TOL
+    step = cmath.exp(2j * math.pi * phase)
+    for scale, near in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        a = u**2 + scale * GUARD_TOL * step
+        assert identities.near_kappa_pole(a, u) is near
+        assert mu_sample_ok(a, b, u) is not near
 
 
 def test_sample_z_points_deterministic_and_guarded():

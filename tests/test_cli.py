@@ -207,27 +207,28 @@ def test_verify_out_file(tmp_path, capsys):
     assert report["target"] == "FOR1"
 
 
-def test_verify_seed_environment_default(capsys, monkeypatch):
-    monkeypatch.setenv("APPELL_KIT_SEED", "42")
+def test_verify_seed_ignores_the_environment(capsys, monkeypatch):
+    """--seed is the only seed: without it the report runs at seed 0,
+    whatever the environment holds."""
     code, out, _ = run_cli(capsys, "verify", "FOR1", "--samples", "3")
     assert code == 0
-    assert json.loads(out)["seed"] == 42
-    monkeypatch.setenv("APPELL_KIT_SEED", "not-a-number")
-    code, out, _ = run_cli(capsys, "verify", "FOR1", "--samples", "3")
-    assert code == 0
-    assert json.loads(out)["seed"] == 0
+    for value in ("42", "not-a-number"):
+        monkeypatch.setenv("APPELL_KIT_SEED", value)
+        code, env_out, _ = run_cli(capsys, "verify", "FOR1", "--samples", "3")
+        assert code == 0
+        assert json.loads(env_out)["seed"] == 0
+        assert env_out == out
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     """main builds its parser on the first call and reuses it, yet reads
-    APPELL_KIT_SEED afresh on every call."""
+    each call's --seed afresh."""
     built = []
     original = cli.build_parser
     monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
     for seed in (5, 6):
-        monkeypatch.setenv("APPELL_KIT_SEED", str(seed))
-        code, out, _ = run_cli(capsys, "verify", "FOR1_EXACT")
+        code, out, _ = run_cli(capsys, "verify", "FOR1_EXACT", "--seed", str(seed))
         assert code == 0
         assert json.loads(out)["seed"] == seed
     assert len(built) == 1
@@ -632,6 +633,37 @@ def test_modular_rejects_low_tau(capsys):
     code, _, err = run_cli(capsys, "modular", "1", "2", "0", "1", "--tau", "0.05i")
     assert code == 2
     assert "domain error" in err
+
+
+def _assert_tau_refused(capsys, tau, message, gamma=("1", "2", "0", "1")):
+    code, out, err = run_cli(capsys, "modular", *gamma, "--tau", tau)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tau", ["inf+1j", "nan+1j", "1+infj", "-inf+1j"])
+def test_modular_refuses_a_non_finite_tau(capsys, tau):
+    """gamma.tau would be NaN (0 * inf); the refusal names the tau typed."""
+    _assert_tau_refused(capsys, tau, f"tau must be finite with positive imaginary part, got {parse_complex(tau)}")
+
+
+@pytest.mark.parametrize("tau", ["119j", "236j", "240j", "800j"])
+def test_modular_refuses_a_tau_whose_nome_square_underflows(capsys, tau):
+    im = parse_complex(tau).imag
+    _assert_tau_refused(capsys, tau, f"Im tau = {im:.4g} gives a nome whose square underflows to 0")
+
+
+@pytest.mark.parametrize(
+    "gamma, tau",
+    [("1 2 0 1", "-1e300+1j"), ("1 2 0 1", "1e300+1j"), ("1 2 0 1", "9999+1j"), ("1 20000 0 1", "2j")],
+)
+def test_modular_refuses_a_very_large_re_tau(capsys, gamma, tau):
+    """The phases at the theta zeros lose about |Re tau| * eps, so |Re tau|
+    and |Re gamma.tau| above MAX_ABS_RE_TAU are refused, naming tau."""
+    message = f"|Re| of tau = {parse_complex(tau)} or gamma.tau = "
+    _assert_tau_refused(capsys, tau, message, gamma.split())
 
 
 def test_modular_out_file(tmp_path, capsys):

@@ -378,6 +378,24 @@ def test_divisibility_domain_guard():
         divisibility_residual(T2, 0.05j)
 
 
+def test_refusals_name_the_tau_given():
+    """A non-finite tau, an Im tau whose nome squares to 0 and a |Re tau| or
+    |Re gamma.tau| past MAX_ABS_RE_TAU are refused in terms of tau, not of
+    gamma.tau = NaN or of the nome.  Just inside the Re bound T**2 still
+    reads below 1e-13."""
+    for tau in (complex(math.inf, 1.0), complex(math.nan, 1.0), complex(1.0, math.inf)):
+        for call in (act_tau, divisibility_residual, lambda gamma, tau: theta_additive(0.3, tau)):
+            with pytest.raises(DomainError, match=r"^tau must be finite with positive imaginary part"):
+                call(T2, tau)
+    for call in (theta_additive, kappa0, lambda x, tau: modular.kappa0_sweep([x], tau)):
+        with pytest.raises(DomainError, match=r"^Im tau = 150 gives a nome whose square underflows to 0"):
+            call(0.3, 150j)
+    for gamma, tau in ((T2, 1e5 + 1j), (T2.inverse(), -1e4 + 1j), (GammaElement(1, 20000, 0, 1), 2j)):
+        with pytest.raises(DomainError, match=r"^\|Re\| of tau = "):
+            divisibility_residual(gamma, tau)
+    assert divisibility_residual(T2, -1e4 + 1j) < 1e-13
+
+
 def test_raw_defect_vanishes_on_zero_grid():
     """The raw bilateral-series route (no quasi-periodicity reduction) agrees
     that the defect vanishes on the central 3x3 block of zeros, where
