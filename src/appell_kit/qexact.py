@@ -7,16 +7,20 @@ agreement of two degree-(T-1) truncations is a finite, exact statement.
 
 A sum of rows c * x**e / (1 - s * x**k), as in theta and 2 kappa at the
 2-torsion points and both double-sum forms, is built in one list of ints,
-each row added as one strided slice (two interleaved ones when s = -1).  The
-double sums are even in u, so they are summed in q and spread to u once.
+each row added as one strided slice (two interleaved ones when s = -1); the
+s = +1 rows of one step k, when they outnumber k, are k running sums
+instead, one per residue class mod k.  The double sums are even in u, so
+they are summed in q and spread to u once.
 
 A product is term-wise and packed.  The denser operand's coefficients fill
 w-byte slots of one int, with 8w >= bitlen(max|a|) + bitlen(max|b|) +
 bitlen(min(nnz_a, nnz_b)) + 1 (1, 2, 4 or 8 bytes when that suffices), so
 every product coefficient c has |c| < h = 2**(8w-1); each nonzero term
 c * x**j of the sparser operand (here a theta series or psi(q), O(sqrt(t))
-terms) adds c times that int shifted by j slots.  A signed slot with its
-top bit flipped holds c + h; subtracting h from each slot gives the operand.
+terms) adds c times that int shifted by j slots; those nonzeros, listed
+once, give that operand's bound, and c times the int is formed once per
+distinct c (a theta null has only +-1 and +-2).  A signed slot with its top
+bit flipped holds c + h; subtracting h from each slot gives the operand.
 With h added to every slot of the sum, each kept slot is c + h, in [0, 2h);
 the mask to t slots drops the higher slots, however negative, without a
 borrow from the kept ones, and flipping the top bits reads each slot as c.
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, index, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -121,10 +125,14 @@ class USeries:
         the module docstring for the slot width, the offset and the mask)."""
         t = self._aligned(other)
         a, b = self._coeffs[:t], other._coeffs[:t]
-        if a.count(0) < b.count(0):
+        zeros_a, zeros_b = a.count(0), b.count(0)
+        if zeros_a < zeros_b:
             a, b = b, a  # a is the sparser operand, b the packed one
-        nnz = t - a.count(0)
-        bits = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
+        nnz = t - max(zeros_a, zeros_b)
+        terms: dict[int, list[int]] = {}  # each nonzero coefficient of a -> its exponents
+        for j, c in zip(compress(range(t), a), filter(None, a)):
+            terms.setdefault(c, []).append(j)
+        bits = (max(map(abs, terms), default=0).bit_length() + max(max(b), -min(b)).bit_length()
                 + nnz.bit_length() + 1)
         w = next((n for n in (1, 2, 4, 8) if 8 * n >= bits), -(-bits // 8))
         code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(w)  # struct's signed w-byte ints
@@ -133,8 +141,10 @@ class USeries:
                 else b"".join([c.to_bytes(w, "little", signed=True) for c in b]))
         packed = (int.from_bytes(data, "little") ^ signs) - signs
         acc = signs
-        for shift, c in zip(compress(range(0, 8 * w * t, 8 * w), a), filter(None, a)):
-            acc += c * packed << shift
+        for c, exponents in terms.items():
+            term = c * packed  # once per distinct coefficient
+            for j in exponents:
+                acc += term << 8 * w * j
         data = ((acc & ((1 << 8 * w * t) - 1)) ^ signs).to_bytes(w * t, "little")
         if code:
             acc = list(struct.unpack(f"<{t}{code}", data))
@@ -192,19 +202,31 @@ def _geometric_sum(trunc: int, rows: Iterable[tuple[int, int, int, int]]) -> USe
     for s = -1 the signs alternate, so it is a slice of stride 2k adding c
     and one from e + k subtracting it.  A row whose step reaches past the
     truncation adds c at e alone (a monomial); a row that starts there adds
-    nothing."""
+    nothing.  Rows are grouped by (s, k); when an s = +1 group has more rows
+    than k, its coefficients go into one list by exponent and each residue
+    class mod k is one running sum, k slices in place of one per row."""
     acc = [0] * trunc
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (s, k) -> its rows (e, c)
     for e, c, s, k in rows:
-        if e >= trunc:
-            continue  # an empty slice: skip building it
-        if e + k >= trunc:
+        if e + k < trunc:
+            groups.setdefault((s, k), []).append((e, c))
+        elif e < trunc:
             acc[e] += c
+    for (s, k), group in groups.items():
+        if s == 1 and len(group) > k:
+            starts = [0] * trunc
+            for e, c in group:
+                starts[e] += c
+            for r in range(k):
+                acc[r::k] = map(add, acc[r::k], accumulate(starts[r::k]))
         elif s == 1:
-            acc[e::k] = map(add, acc[e::k], repeat(c))
+            for e, c in group:
+                acc[e::k] = map(add, acc[e::k], repeat(c))
         else:
             k2 = 2 * k
-            acc[e::k2] = map(add, acc[e::k2], repeat(c))
-            acc[e + k :: k2] = map(sub, acc[e + k :: k2], repeat(c))
+            for e, c in group:
+                acc[e::k2] = map(add, acc[e::k2], repeat(c))
+                acc[e + k :: k2] = map(sub, acc[e + k :: k2], repeat(c))
     return USeries._make(trunc, acc)
 
 
@@ -351,26 +373,22 @@ def double_sum_series(trunc: int) -> USeries:
         sum_{n>=0} (-1)**n / (1 - q**(2n+1)) *
             sum_l [ q**((n-l)**2 + l**2 + n) + q**((n-l)**2 + (l+1)**2 + n) ]
 
-    Row n's smallest q-exponent is at least n**2/2 + n, so rows with
-    n**2//2 + n beyond the retained q-order contribute nothing; the l-window
-    |l| <= isqrt(order) + 1 likewise covers every retained exponent because
-    each term's q-exponent is at least max((n-l)**2, l**2, (l+1)**2).
-    """
+    With m = 2l - n the two q-exponents are (m**2 + n**2 + 2n)/2 and
+    (m'**2 + n**2 + 4n + 1)/2, m' = m + 1; each is even in its m, so row n
+    takes m >= 0 of the parity of n (m' >= 0 of the other), twice when
+    nonzero, and stops at the first exponent beyond the retained q-order.
+    Row n's smallest q-exponent is at least n**2/2 + n, so the rows stop
+    once n**2//2 + n passes that order."""
     order = (trunc - 1) // 2  # largest retained q-exponent
-    window = math.isqrt(order) + 1
 
     def rows() -> Iterator[tuple[int, int, int, int]]:
         n = 0
         while n * n // 2 + n <= order:
-            terms: dict[int, int] = {}  # one row per exponent, not per l
-            for l in range(-window, window + 1):
-                e = (n - l) ** 2 + l * l + n
-                for q_exp in (e, e + 2 * l + 1):
-                    if q_exp <= order:
-                        terms[q_exp] = terms.get(q_exp, 0) + 1
             sign = -1 if n % 2 else 1
-            for q_exp, count in terms.items():
-                yield q_exp, sign * count, 1, 2 * n + 1
+            for m, rest in ((n % 2, n * n + 2 * n), (1 - n % 2, n * n + 4 * n + 1)):
+                while (q_exp := (m * m + rest) // 2) <= order:
+                    yield q_exp, sign * (2 if m else 1), 1, 2 * n + 1
+                    m += 2
             n += 1
 
     return _spread_to_u(_geometric_sum(order + 1, rows()), trunc)
@@ -386,7 +404,8 @@ def andrews_series(trunc: int) -> USeries:
     E decreases from 2n**2 + 2n (j = 0) to n (j = 2n), so row n first
     contributes at q-exponent n and rows beyond the retained q-order are
     dropped; within a row, j runs down from 2n and stops at the first E
-    beyond the retained q-order."""
+    beyond the retained q-order.  Each pair is one row and a monomial,
+    (q**E + q**(E+k)) / (1 - q**k) = 2 q**E / (1 - q**k) - q**E."""
     order = (trunc - 1) // 2
 
     def rows() -> Iterator[tuple[int, int, int, int]]:
@@ -395,8 +414,8 @@ def andrews_series(trunc: int) -> USeries:
                 e = 2 * n * n + 2 * n - j * (j + 1) // 2
                 if e > order:
                     break
-                yield e, 1, 1, 2 * n + 1
-                yield e + 2 * n + 1, 1, 1, 2 * n + 1
+                yield e, 2, 1, 2 * n + 1
+                yield e, -1, 1, order + 1
 
     return _spread_to_u(_geometric_sum(order + 1, rows()), trunc)
 

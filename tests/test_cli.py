@@ -655,6 +655,25 @@ def test_modular_refuses_a_tau_whose_nome_square_underflows(capsys, tau):
     _assert_tau_refused(capsys, tau, f"Im tau = {im:.4g} gives a nome whose square underflows to 0")
 
 
+@pytest.mark.parametrize("tau", ["6j", "10j", "100j", "118j", "3+6j"])
+def test_modular_refuses_a_tau_whose_nome_meets_the_pole_guard(capsys, tau):
+    """From Im tau of about 5.86, kappa's absolute pole guard takes kappa0's
+    parameter -u for the pole q = u**2; the refusal names tau, not a
+    parameter a the user never typed."""
+    im = parse_complex(tau).imag
+    code, out, err = run_cli(capsys, "modular", "1", "2", "0", "1", "--tau", tau)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"domain error: Im tau = {im:.4g} gives |u| = ")
+    assert err.endswith("; decrease Im tau\n")
+    assert "a =" not in err and "Traceback" not in err
+
+
+def test_modular_accepts_im_tau_just_below_the_pole_guard(capsys):
+    code, out, _ = run_cli(capsys, "modular", "1", "2", "0", "1", "--tau", "5.8j")
+    assert code == 0
+    assert json.loads(out)["divisibility_worst"] < 1e-12
+
+
 @pytest.mark.parametrize(
     "gamma, tau",
     [("1 2 0 1", "-1e300+1j"), ("1 2 0 1", "1e300+1j"), ("1 2 0 1", "9999+1j"), ("1 20000 0 1", "2j")],

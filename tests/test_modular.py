@@ -31,7 +31,7 @@ from appell_kit.modular import (
     zero_residuals,
     zeta_sq,
 )
-from appell_kit.numeric import DomainError, theta
+from appell_kit.numeric import DomainError, PoleProximityError, theta
 
 T2 = GammaElement(1, 2, 0, 1)
 V = GammaElement(1, 0, 2, 1)
@@ -379,10 +379,10 @@ def test_divisibility_domain_guard():
 
 
 def test_refusals_name_the_tau_given():
-    """A non-finite tau, an Im tau whose nome squares to 0 and a |Re tau| or
-    |Re gamma.tau| past MAX_ABS_RE_TAU are refused in terms of tau, not of
-    gamma.tau = NaN or of the nome.  Just inside the Re bound T**2 still
-    reads below 1e-13."""
+    """A non-finite tau, an Im tau whose nome squares to 0 or meets kappa's
+    pole guard at a = -u, and a |Re tau| or |Re gamma.tau| past
+    MAX_ABS_RE_TAU are refused in terms of tau, not of gamma.tau = NaN or of
+    the nome.  Just inside the Re bound T**2 still reads below 1e-13."""
     for tau in (complex(math.inf, 1.0), complex(math.nan, 1.0), complex(1.0, math.inf)):
         for call in (act_tau, divisibility_residual, lambda gamma, tau: theta_additive(0.3, tau)):
             with pytest.raises(DomainError, match=r"^tau must be finite with positive imaginary part"):
@@ -390,6 +390,11 @@ def test_refusals_name_the_tau_given():
     for call in (theta_additive, kappa0, lambda x, tau: modular.kappa0_sweep([x], tau)):
         with pytest.raises(DomainError, match=r"^Im tau = 150 gives a nome whose square underflows to 0"):
             call(0.3, 150j)
+    for call in (kappa0, lambda x, tau: modular.kappa0_sweep([x, x + 0.5], tau),
+                 lambda x, tau: divisibility_residual(T2, tau)):
+        with pytest.raises(DomainError, match=r"^Im tau = 6 gives \|u\| = 6.51e-09, .*; decrease Im tau$") as info:
+            call(0.3, 6j)
+        assert "a =" not in str(info.value) and not isinstance(info.value, PoleProximityError)
     for gamma, tau in ((T2, 1e5 + 1j), (T2.inverse(), -1e4 + 1j), (GammaElement(1, 20000, 0, 1), 2j)):
         with pytest.raises(DomainError, match=r"^\|Re\| of tau = "):
             divisibility_residual(gamma, tau)

@@ -14,7 +14,7 @@ from operator import add, mul
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from appell_kit import cli, qexact
 from appell_kit.numeric import kappa, theta
@@ -346,6 +346,37 @@ def test_geom_divide_equals_geom_inverse_product(sign, step):
     for terms, k in cases:
         rows = [(e, c, sign, k) for e, c in terms.items()]
         assert qexact._geometric_sum(trunc, rows) == _row(terms, sign, k, trunc)
+
+
+@st.composite
+def row_lists(draw):
+    """(trunc, rows): rows (e, c, s, k) in any order, with zero, negative and
+    beyond-64-bit c; steps of 1 to 3 often enough that a group has more rows
+    than its step, and exponents and steps at or past trunc."""
+    trunc = draw(st.integers(1, 40))
+    row = st.tuples(
+        st.integers(0, trunc + 3),
+        st.one_of(st.integers(-9, 9), st.integers(-(2**72), 2**72)),
+        st.sampled_from((1, -1)),
+        st.one_of(st.integers(1, 3), st.integers(1, trunc + 3)),
+    )
+    return trunc, draw(st.lists(row, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=row_lists())
+@example(case=(30, [(e, c, s, k) for e, c in ((0, 1), (3, -2), (4, 5), (7, 0), (29, 4), (30, 9))
+                    for s in (1, -1) for k in (1, 2, 5, 13, 29, 31)][::-1]))
+def test_geometric_sum_matches_per_row_reference(case):
+    """Any row list sums to the per-row reference.  The explicit example has
+    groups with more rows than their step (summed by residue class) and
+    with fewer (row by row), for both signs, next to monomials and rows past
+    trunc."""
+    trunc, rows = case
+    total = USeries.zero(trunc)
+    for e, c, s, k in rows:
+        total = total + _row({e: c}, s, k, trunc)
+    assert qexact._geometric_sum(trunc, rows) == total
 
 
 # Reference constructions of the five row sums: each row its own series,
