@@ -10,20 +10,21 @@ A sum of rows c * x**e / (1 - s * x**k), as in theta and 2 kappa at the
 each row added as one strided slice (two interleaved ones when s = -1); the
 s = +1 rows of one step k, when they outnumber k, are k running sums
 instead, one per residue class mod k.  The double sums are even in u, so
-they are summed in q and spread to u once.
+they are summed in q and spread to u once; Andrews' monomials are one list.
 
-A product is term-wise and packed.  The denser operand's coefficients fill
-w-byte slots of one int, with 8w >= bitlen(max|a|) + bitlen(max|b|) +
-bitlen(min(nnz_a, nnz_b)) + 1 (1, 2, 4 or 8 bytes when that suffices), so
-every product coefficient c has |c| < h = 2**(8w-1); each nonzero term
-c * x**j of the sparser operand (here a theta series or psi(q), O(sqrt(t))
-terms) adds c times that int shifted by j slots; those nonzeros, listed
-once, give that operand's bound, and c times the int is formed once per
-distinct c (a theta null has only +-1 and +-2).  A signed slot with its top
-bit flipped holds c + h; subtracting h from each slot gives the operand.
-With h added to every slot of the sum, each kept slot is c + h, in [0, 2h);
-the mask to t slots drops the higher slots, however negative, without a
-borrow from the kept ones, and flipping the top bits reads each slot as c.
+A product is term-wise and packed, and reads its operands in place.  The
+denser operand's coefficients fill w-byte slots of one int, with 8w >=
+bitlen(max|a|) + bitlen(max|b|) + bitlen(min(nnz_a, nnz_b)) + 1 (1, 2, 4
+or 8 bytes when that suffices), so every product coefficient c has
+|c| < h = 2**(8w-1); each nonzero term c * x**j of the sparser operand
+(here a theta series or psi(q), O(sqrt(t)) terms) adds c times that int
+shifted by j slots; those nonzeros, listed once, give that operand's bound,
+and c times the int is formed once per distinct c (a theta null has only
++-1 and +-2).  A signed slot with its top bit flipped holds c + h;
+subtracting h from each slot gives the operand.  With h added to every
+slot of the sum, each kept slot is c + h, in [0, 2h); the mask to t slots
+drops the higher slots, however negative, without a borrow from the kept
+ones, and flipping the top bits reads each slot as c.
 
 Series in u, the half-nome (q = u**2), hold theta and 2 kappa at the
 2-torsion points +-1 and +-u, kappa doubled as kappa(-1, u) has the constant
@@ -124,7 +125,7 @@ class USeries:
         """Term-wise packed product, exact for coefficients of any size (see
         the module docstring for the slot width, the offset and the mask)."""
         t = self._aligned(other)
-        a, b = self._coeffs[:t], other._coeffs[:t]
+        a, b = (x._coeffs if x.trunc == t else x._coeffs[:t] for x in (self, other))  # read only
         zeros_a, zeros_b = a.count(0), b.count(0)
         if zeros_a < zeros_b:
             a, b = b, a  # a is the sparser operand, b the packed one
@@ -401,23 +402,24 @@ def andrews_series(trunc: int) -> USeries:
         sum_{n>=0} 1 / (1 - q**(2n+1)) *
             sum_{j=0}^{2n} [ q**E + q**(E + 2n+1) ],  E = 2n**2 + 2n - j(j+1)/2.
 
-    E decreases from 2n**2 + 2n (j = 0) to n (j = 2n), so row n first
-    contributes at q-exponent n and rows beyond the retained q-order are
-    dropped; within a row, j runs down from 2n and stops at the first E
-    beyond the retained q-order.  Each pair is one row and a monomial,
-    (q**E + q**(E+k)) / (1 - q**k) = 2 q**E / (1 - q**k) - q**E."""
+    E decreases from 2n**2 + 2n (j = 0) to n (j = 2n), so rows n past the
+    retained q-order are dropped and j runs down from 2n to the first E
+    past it.  With k = 2n + 1 each pair is a row and a monomial,
+    (q**E + q**(E+k)) / (1 - q**k) = 2 q**E / (1 - q**k) - q**E, or q**E
+    alone when E + k passes the order; the monomials are added as one list."""
     order = (trunc - 1) // 2
-
-    def rows() -> Iterator[tuple[int, int, int, int]]:
-        for n in range(0, order + 1):
-            for j in range(2 * n, -1, -1):
-                e = 2 * n * n + 2 * n - j * (j + 1) // 2
-                if e > order:
-                    break
-                yield e, 2, 1, 2 * n + 1
-                yield e, -1, 1, order + 1
-
-    return _spread_to_u(_geometric_sum(order + 1, rows()), trunc)
+    monomials, rows = [0] * (order + 1), []
+    for n in range(0, order + 1):
+        for j in range(2 * n, -1, -1):
+            e = 2 * n * n + 2 * n - j * (j + 1) // 2
+            if e > order:
+                break
+            if e + 2 * n + 1 > order:
+                monomials[e] += 1
+            else:
+                monomials[e] -= 1
+                rows.append((e, 2, 1, 2 * n + 1))
+    return _spread_to_u(_geometric_sum(order + 1, rows) + USeries._make(order + 1, monomials), trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +429,20 @@ def andrews_series(trunc: int) -> USeries:
 
 def triangular_counts_bruteforce(order: int) -> tuple[int, ...]:
     """counts[m], for m = 0 .. order, is the number of ordered triples
-    (i, j, k) of nonnegative integers with T_i + T_j + T_k = m, by direct
-    enumeration; this is the oracle the series representations are
-    compared against."""
+    (i, j, k) of nonnegative integers with T_i + T_j + T_k = m, the oracle
+    the series are compared against: the pairs (i, j) are counted once by
+    T_i + T_j, and each T_k adds those counts as one slice shifted by T_k."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     tri = [n * (n + 1) // 2 for n in range(math.isqrt(2 * order) + 1)]  # the last may pass order
-    counts = [0] * (order + 1)
+    pairs, counts = [0] * (order + 1), [0] * (order + 1)
     for a in tri:
         for b in tri:
             if a + b > order:
                 break  # tri increases, so every later b overshoots too
-            for c in tri:
-                m = a + b + c
-                if m > order:
-                    break
-                counts[m] += 1
+            pairs[a + b] += 1
+    for c in tri:
+        counts[c:] = map(add, counts[c:], pairs)  # empty when c passes order
     return tuple(counts)
 
 

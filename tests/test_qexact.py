@@ -94,6 +94,8 @@ def test_useries_validation():
         USeries.one(5) ** -1
     with pytest.raises(TypeError):
         USeries.one(5) + 3
+    with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+        triangular_counts_bruteforce(-1)
 
 
 @pytest.mark.parametrize("value", (Fraction(1, 2), 0.5))
@@ -606,7 +608,9 @@ def _scaled(series, factor):
 def test_product_fixed_cases(trunc):
     """Products at benchmark size equal shift-and-add: a sparse theta null
     times dense kappa series on either side, with narrow and wide slots, a
-    sparse operand whose terms reach the top slot, and all-zero operands."""
+    sparse operand whose terms reach the top slot, and all-zero operands.
+    The product reads its operands in place and leaves them as they were,
+    also when one object stands on both sides."""
     sparse = theta_at(-1, 0, trunc)
     late = USeries.from_terms({0: 3, trunc // 2: -1, trunc - 1: 5}, trunc)
     zero = USeries.zero(trunc)
@@ -615,7 +619,13 @@ def test_product_fixed_cases(trunc):
     for sparse_operand in (sparse, _scaled(sparse, -(2**90)), late, zero):
         for dense_operand in (dense, wide, zero):
             for x, y in ((sparse_operand, dense_operand), (dense_operand, sparse_operand)):
+                before = x.coeffs, y.coeffs
                 assert x * y == shift_and_add_mul(x, y)
+                assert (x.coeffs, y.coeffs) == before
+    for x in (sparse, late, dense, wide, zero):
+        before = x.coeffs
+        assert x * x == shift_and_add_mul(x, x)
+        assert x.coeffs == before
     assert (zero * dense) == USeries.zero(trunc)
 
 
@@ -690,7 +700,7 @@ def test_exact_records_take_15_products(monkeypatch):
     assert len(calls) == 15
 
 
-@pytest.mark.parametrize("order", (*range(13), 100))
+@pytest.mark.parametrize("order", (*range(13), 100, 400, 405, 406, 407))
 def test_triangular_counts_equal_plain_enumeration(order):
     tri = [n * (n + 1) // 2 for n in range(order + 1) if n * (n + 1) // 2 <= order]
     counts = [0] * (order + 1)
