@@ -1,17 +1,19 @@
 """Registry-driven residual checks for the theta/kappa identity corpus.
 
 Every displayed identity with free complex parameters is an entry in
-``REGISTRY``: a recipe that, given an :class:`EvalPoint` and a :class:`Nome`,
-evaluates one or more (lhs, rhs) pairs literally and reports the worst
-relative residual via :class:`ResidualReport`.
+``REGISTRY``: a recipe that, given the bindings dict and the half-nome u of
+one sample, evaluates one or more (lhs, rhs) pairs literally.  Only the
+worst sample of an identity becomes a :class:`ResidualReport`, with its
+point and nome as a checked :class:`EvalPoint` and :class:`Nome`.
 
-Sampling is deterministic: ``sample_points`` draws |u| uniformly from the
-identity's range (default [0.05, 0.75], so |q| <= 0.5625), arguments
-uniformly, and |z|, |a|, |b| log-uniformly from [0.5, 2], then rejects any
-draw that lands within GUARD_TOL of a kappa pole orbit (+u**even) or a theta
-zero orbit (-u**odd) relevant to the identity.  Identities built on the
-square roots s = a**(1/2) and v = u**(1/2) derive them from the principal
-branch; the SQRT entry checks both signs of s at every sample.
+Sampling is deterministic: ``sample_points`` draws |u| uniformly from a
+window (``U_ABS_RANGE`` = [0.05, 0.75] unless ``u_abs_range=`` says
+otherwise, so |q| <= 0.5625), arguments uniformly, and |z|, |a|, |b|
+log-uniformly from [0.5, 2], then rejects any draw that lands within
+GUARD_TOL of a kappa pole orbit (+u**even) or a theta zero orbit (-u**odd)
+relevant to the identity.  Identities built on the square roots
+s = a**(1/2) and v = u**(1/2) derive them from the principal branch; the
+SQRT entry checks both signs of s at every sample.
 """
 
 from __future__ import annotations
@@ -45,8 +47,11 @@ from appell_kit.numeric import (
     worst_pair,
 )
 
-PairFn = Callable[[EvalPoint, Nome], list[tuple[complex, complex]]]
+PairFn = Callable[[dict[str, complex], complex], list[tuple[complex, complex]]]
 GuardFn = Callable[[dict[str, complex], complex], bool]
+
+#: The window every identity samples |u| from, unless ``u_abs_range=`` replaces it.
+U_ABS_RANGE = (0.05, 0.75)
 
 
 class UnknownIdentityError(KeyError):
@@ -72,12 +77,11 @@ def _accept_all(bindings: dict[str, complex], u: complex) -> bool:
 
 class DomainSpec(NamedTuple):
     """Sampling recipe for one identity: which symbols to draw, which derived
-    square-root bindings to attach, the admissible |u| range, and the guard
-    predicate applied to candidate draws."""
+    square-root bindings to attach, and the guard predicate applied to
+    candidate draws."""
 
     symbols: tuple[str, ...] = ()
     derived_sqrt: tuple[tuple[str, str], ...] = ()  # (new_name, source: symbol or "u")
-    u_abs_range: tuple[float, float] = (0.05, 0.75)
     guard: GuardFn = _accept_all
 
 
@@ -116,22 +120,23 @@ def _half_nome_series(sign: int, z: complex, u: complex) -> complex:
 
 # ---------------------------------------------------------------------------
 # Pair evaluators.  Each returns the literal (lhs, rhs) pairs of the printed
-# identity; u is the half-nome, q = u*u throughout.
+# identity at the bindings b and the half-nome u, the arguments its guard
+# reads; q = u*u throughout.
 # ---------------------------------------------------------------------------
 
 
-def _pairs_def(p: EvalPoint, nome: Nome):
-    a, z, u = p["a"], p["z"], nome.u
+def _pairs_def(b, u):
+    a, z = b["a"], b["z"]
     return [(kappa(a, u * u * z, u), a * kappa(a, z, u) + theta(z, u))]
 
 
-def _pairs_inv(p: EvalPoint, nome: Nome):
-    a, z, u = p["a"], p["z"], nome.u
+def _pairs_inv(b, u):
+    a, z = b["a"], b["z"]
     return [(kappa(a, z, u), -kappa(1 / a, u * u / z, u) / a)]
 
 
-def _pairs_def2(p: EvalPoint, nome: Nome):
-    a, z, u = p["a"], p["z"], nome.u
+def _pairs_def2(b, u):
+    a, z = b["a"], b["z"]
     q = u * u
     lhs = kappa(q * a, z, u)
     return [
@@ -140,17 +145,17 @@ def _pairs_def2(p: EvalPoint, nome: Nome):
     ]
 
 
-def _pairs_sym(p: EvalPoint, nome: Nome):
-    a, z, u = p["a"], p["z"], nome.u
+def _pairs_sym(b, u):
+    a, z = b["a"], b["z"]
     return [(a * kappa_bar(a, z, u), -u * z * kappa_bar(-u * z, -a / u, u))]
 
 
-def _pairs_sqrt(p: EvalPoint, nome: Nome):
-    z, v, u = p["z"], p["v"], nome.u
+def _pairs_sqrt(b, u):
+    z, v, root = b["z"], b["v"], b["s"]
     d0, d1 = vartheta0(1j, v), vartheta1(1j * v * v, v)
-    lhs = kappa_bar(p["s"] * p["s"] * z, 1 / z, u)  # a = s*s is one float for s and -s
+    lhs = kappa_bar(root * root * z, 1 / z, u)  # a = s*s is one float for s and -s
     pairs = []
-    for s in (p["s"], -p["s"]):
+    for s in (root, -root):
         c0 = vartheta0(1j * v * s * z, v) / d0
         c1 = vartheta1(1j * v * s * z, v) / d1
         rhs = c0 * kappa_bar(s / v, v * s, u) + c1 * kappa_bar(v * s, s / v, u)
@@ -158,8 +163,8 @@ def _pairs_sqrt(p: EvalPoint, nome: Nome):
     return pairs
 
 
-def _pairs_addf(p: EvalPoint, nome: Nome):
-    a, z, v, u = p["a"], p["z"], p["v"], nome.u
+def _pairs_addf(b, u):
+    a, z, v = b["a"], b["z"], b["v"]
     lhs = theta(z * a, u) * theta(z / a, u)
     rhs = vartheta0(a, v) * vartheta0(z, v) + vartheta1(a, v) * vartheta1(z, v)
     return [(lhs, rhs)]
@@ -169,33 +174,33 @@ def _hadd_lhs(a, b, z, u):
     return theta(b * z, u) * kappa(a * b, z, u) - theta(z, u) * kappa(a, b * z, u) / b
 
 
-def _pairs_hadd(p: EvalPoint, nome: Nome):
-    a, b, z, u = p["a"], p["b"], p["z"], nome.u
-    rhs = theta(-u * b, u) * theta(z / a, u) / theta(-a / u, u) * kappa(a * b, -u, u)
-    return [(_hadd_lhs(a, b, z, u), rhs)]
+def _pairs_hadd(b, u):
+    a, bb, z = b["a"], b["b"], b["z"]
+    rhs = theta(-u * bb, u) * theta(z / a, u) / theta(-a / u, u) * kappa(a * bb, -u, u)
+    return [(_hadd_lhs(a, bb, z, u), rhs)]
 
 
-def _pairs_sp1(p: EvalPoint, nome: Nome):
-    a, u = p["a"], nome.u
+def _pairs_sp1(b, u):
+    a = b["a"]
     rhs = theta(1, u) * theta(-1, u) * theta(u, u) / (2 * theta(-a / u, u))
     return [(kappa(a, -u, u), rhs)]
 
 
-def _pairs_hadd2(p: EvalPoint, nome: Nome):
-    a, b, z, u = p["a"], p["b"], p["z"], nome.u
+def _pairs_hadd2(b, u):
+    a, bb, z = b["a"], b["b"], b["z"]
     rhs = (
         theta(1, u)
         * theta(-1, u)
         * theta(u, u)
-        * theta(-u * b, u)
+        * theta(-u * bb, u)
         * theta(z / a, u)
-        / (2 * theta(-a / u, u) * theta(-a * b / u, u))
+        / (2 * theta(-a / u, u) * theta(-a * bb / u, u))
     )
-    return [(_hadd_lhs(a, b, z, u), rhs)]
+    return [(_hadd_lhs(a, bb, z, u), rhs)]
 
 
-def _pairs_hadd3(p: EvalPoint, nome: Nome):
-    a, z, u = p["a"], p["z"], nome.u
+def _pairs_hadd3(b, u):
+    a, z = b["a"], b["z"]
     lhs = kappa(a, z, u)
     azu = a * z / u
     th_azu = theta(azu, u)
@@ -205,69 +210,65 @@ def _pairs_hadd3(p: EvalPoint, nome: Nome):
     return [(lhs, rhs)]
 
 
-def _pairs_sp2(p: EvalPoint, nome: Nome):
-    u = nome.u
+def _pairs_sp2(b, u):
     return [(kappa(-u, -u, u), 0.5 * theta(-1, u) * theta(u, u))]
 
 
-def _pairs_sp3(p: EvalPoint, nome: Nome):
-    u = nome.u
+def _pairs_sp3(b, u):
     return [(kappa(-1, -u, u), 0.5 * theta(1, u) * theta(-1, u))]
 
 
-def _pairs_sp4(p: EvalPoint, nome: Nome):
-    u = nome.u
+def _pairs_sp4(b, u):
     return [
         (kappa(-1, 1, u), 0.5 * theta(1, u)),
         (kappa(-1, -1, u), 0.5 * theta(-1, u)),
     ]
 
 
-def _pairs_sp5(p: EvalPoint, nome: Nome):
-    u = nome.u
+def _pairs_sp5(b, u):
     half = 0.5 * theta(u, u)
     return [(kappa(u, u, u), half), (kappa(-u, u, u), half)]
 
 
-def _pairs_halfser_p(p: EvalPoint, nome: Nome):
-    z, u = p["z"], nome.u
+def _pairs_halfser_p(b, u):
+    z = b["z"]
     return [(kappa(u, z, u), _half_nome_series(-1, z, u))]
 
 
-def _pairs_halfser_m(p: EvalPoint, nome: Nome):
-    z, u = p["z"], nome.u
+def _pairs_halfser_m(b, u):
+    z = b["z"]
     return [(kappa(-u, z, u), _half_nome_series(1, z, u))]
 
 
-def _pairs_id4(p: EvalPoint, nome: Nome):
-    b, u = p["b"], nome.u
-    lhs = 2 * kappa(u / b, u * b, u)
-    rhs = theta(b / u, u) + theta(1, u) * theta(b, u) * theta(-u / b, u) / theta(-b, u)
+def _pairs_id4(b, u):
+    bb = b["b"]
+    lhs = 2 * kappa(u / bb, u * bb, u)
+    rhs = theta(bb / u, u) + theta(1, u) * theta(bb, u) * theta(-u / bb, u) / theta(-bb, u)
     return [(lhs, rhs)]
 
 
-def _pairs_id5sum(p: EvalPoint, nome: Nome):
-    b, u = p["b"], nome.u
-    rhs = theta(u, u) * theta(b / u, u) * theta(-b / u, u) / (2 * theta(-b, u))
-    return [(kappa(u / b, b, u), rhs)]
+def _pairs_id5sum(b, u):
+    bb = b["b"]
+    rhs = theta(u, u) * theta(bb / u, u) * theta(-bb / u, u) / (2 * theta(-bb, u))
+    return [(kappa(u / bb, bb, u), rhs)]
 
 
-def _pairs_id5prod(p: EvalPoint, nome: Nome):
-    b, u = p["b"], nome.u
+def _pairs_id5prod(b, u):
+    bb = b["b"]
     q = u * u
     rhs = (
         qpochhammer(q, q) ** 2
         * qpochhammer(-q, q) ** 2
-        * qpochhammer(-b, q)
-        * qpochhammer(-q / b, q)
-        * qpochhammer(b, q)
-        * qpochhammer(q / b, q)
-    ) / (qpochhammer(u * b, q) * qpochhammer(u / b, q))
-    return [(kappa(u / b, b, u), rhs)]
+        * qpochhammer(-bb, q)
+        * qpochhammer(-q / bb, q)
+        * qpochhammer(bb, q)
+        * qpochhammer(q / bb, q)
+    ) / (qpochhammer(u * bb, q) * qpochhammer(u / bb, q))
+    return [(kappa(u / bb, bb, u), rhs)]
 
 
-def _pairs_id55(p: EvalPoint, nome: Nome):
-    a, z, u = p["a"], p["z"], nome.u
+def _pairs_id55(b, u):
+    a, z = b["a"], b["z"]
     lhs = theta(-z, u) * kappa(a, z, u) + theta(z, u) * kappa(-a, -z, u)
     rhs = (
         theta(u, u) ** 2
@@ -279,38 +280,34 @@ def _pairs_id55(p: EvalPoint, nome: Nome):
     return [(lhs, rhs)]
 
 
-def _pairs_id6(p: EvalPoint, nome: Nome):
-    b, u = p["b"], nome.u
-    lhs = theta(u, u) ** 2 * theta(-b, u) * kappa(u / b, -b, u)
+def _pairs_id6(b, u):
+    bb = b["b"]
+    lhs = theta(u, u) ** 2 * theta(-bb, u) * kappa(u / bb, -bb, u)
     rhs = (
-        theta(u / b, u) ** 2 * theta(-1, u) * kappa(u, -1, u)
-        + theta(-u / b, u) ** 2 * theta(1, u) * kappa(-u, 1, u)
+        theta(u / bb, u) ** 2 * theta(-1, u) * kappa(u, -1, u)
+        + theta(-u / bb, u) ** 2 * theta(1, u) * kappa(-u, 1, u)
     )
     return [(lhs, rhs)]
 
 
-def _pairs_for1(p: EvalPoint, nome: Nome):
-    u = nome.u
+def _pairs_for1(b, u):
     lhs = theta(1, u) * kappa(u, -1, u) + theta(-1, u) * kappa(-u, 1, u)
     return [(lhs, 0.5 * theta(u, u) ** 3)]
 
 
-def _pairs_for2(p: EvalPoint, nome: Nome):
-    u = nome.u
+def _pairs_for2(b, u):
     lhs = theta(u, u) ** 3 * kappa(-1, u, u)
     rhs = theta(-1, u) ** 3 * kappa(u, -1, u) + theta(1, u) ** 3 * kappa(-u, 1, u)
     return [(lhs, rhs)]
 
 
-def _pairs_jac(p: EvalPoint, nome: Nome):
-    u = nome.u
+def _pairs_jac(b, u):
     lhs = dtheta_dz(-1 / u, u) / u
     rhs = 0.5 * theta(1, u) * theta(-1, u) * theta(u, u)
     return [(lhs, rhs)]
 
 
-def _pairs_quasi(p: EvalPoint, nome: Nome):
-    u = nome.u
+def _pairs_quasi(b, u):
     tau = cmath.log(u) / (1j * math.pi)
     x0 = (tau + 1.0) / 2.0
     # Only the tau-translates: kappa0 sees x through z = exp(2*pi*i*x) alone,
@@ -589,25 +586,35 @@ def identity_residual(identity_id: str, point: EvalPoint, nome: Nome) -> Residua
     """Evaluate both sides of the named identity at (point, nome) and report
     the worst relative residual among its (lhs, rhs) pairs.
 
-    The point must satisfy the identity's guard; violations raise DomainError
-    so that near-pole evaluations are never silently reported as residuals."""
+    A binding the identity draws or derives that the point lacks raises
+    DomainError, and so does a point that fails the identity's guard, so
+    that near-pole evaluations are never silently reported as residuals."""
     ident = get_identity(identity_id)
-    bindings = dict(point.bindings)
-    if not ident.domain.guard(bindings, nome.u):
+    bindings, u = point.bindings, nome.u
+    domain = ident.domain
+    for name in (*domain.symbols, *(new_name for new_name, _ in domain.derived_sqrt)):
+        if name not in bindings:
+            raise DomainError(f"missing binding {name!r}")
+    if not domain.guard(bindings, u):
         raise DomainError(
             f"point {bindings} violates the sampling guard of {identity_id}"
         )
-    return ResidualReport.from_pairs(ident.identity_id, point, nome, ident.pairs(point, nome))
+    return ResidualReport.from_pairs(ident.identity_id, point, nome, ident.pairs(bindings, u))
 
 
 def sample_points(
-    domain: DomainSpec, count: int, seed: int = 0
-) -> list[tuple[EvalPoint, Nome]]:
-    """Deterministic guarded samples: same (domain, count, seed) always yields
-    the same list.  Rejected draws advance the stream, and
-    ``numeric.guarded_sample`` caps how many are drawn."""
+    domain: DomainSpec,
+    count: int,
+    seed: int = 0,
+    *,
+    u_abs_range: tuple[float, float] = U_ABS_RANGE,
+) -> list[tuple[dict[str, complex], complex]]:
+    """Deterministic guarded samples ``(bindings, u)`` with |u| drawn from
+    ``u_abs_range``: the same arguments always yield the same list.  Rejected
+    draws advance the stream, and ``numeric.guarded_sample`` caps how many
+    are drawn."""
     rng = random.Random(seed)
-    (lo, hi), point, nome = domain.u_abs_range, EvalPoint._make, Nome._make
+    lo, hi = u_abs_range
     symbols, derived, guard = domain.symbols, domain.derived_sqrt, domain.guard
 
     def draw() -> tuple[dict[str, complex], complex]:
@@ -621,13 +628,7 @@ def sample_points(
             EvalPoint(bindings), Nome(u)  # raise what the checked path raised here
         return bindings, u
 
-    # A draw past the |u| test meets every check of EvalPoint and Nome (annulus
-    # values, and square roots of nonzero values, are finite and nonzero), so
-    # each record's `_make` wraps it unchecked.
-    points = guarded_sample(draw, lambda d: guard(*d), count)
-    for i, (bindings, u) in enumerate(points):
-        points[i] = point((bindings,)), nome((u,))
-    return points
+    return guarded_sample(draw, lambda d: guard(*d), count)
 
 
 def max_residual_over_samples(
@@ -635,28 +636,24 @@ def max_residual_over_samples(
     count: int = 100,
     seed: int = 0,
     *,
-    u_abs_range: tuple[float, float] | None = None,
+    u_abs_range: tuple[float, float] = U_ABS_RANGE,
 ) -> ResidualReport:
-    """Worst-case ResidualReport for the identity over deterministic samples.
-    ``sample_points`` has already guarded each point, so it is not checked
-    again.  ``u_abs_range``, when given, replaces the range of |u| that the
-    identity's domain samples from.
+    """Worst-case ResidualReport for the identity over deterministic samples
+    with |u| drawn from ``u_abs_range``.  ``sample_points`` has already
+    guarded each sample, so it is not checked again.
 
     Only the worst sample becomes a ResidualReport; samples are compared on
     ``worst_pair``'s ``rel_residual`` with a strict ``>``, so the result
     equals the worst of the per-sample reports."""
     ident = get_identity(identity_id)
-    domain = ident.domain
-    if u_abs_range is not None:
-        domain = domain._replace(u_abs_range=u_abs_range)
     worst = None
-    for point, nome in sample_points(domain, count, seed):
-        pair = worst_pair(ident.pairs(point, nome))
+    for bindings, u in sample_points(ident.domain, count, seed, u_abs_range=u_abs_range):
+        pair = worst_pair(ident.pairs(bindings, u))
         if worst is None or pair[4] > worst[2][4]:
-            worst = (point, nome, pair)
+            worst = (bindings, u, pair)
     assert worst is not None
-    point, nome, pair = worst
-    return ResidualReport(ident.identity_id, point, nome, *pair)
+    bindings, u, pair = worst
+    return ResidualReport(ident.identity_id, EvalPoint(bindings), Nome(u), *pair)
 
 
 def verify_registry(count: int = 100, seed: int = 0) -> dict[str, ResidualReport]:

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from appell_kit.numeric import DomainError, PoleProximityError, kappa, kappa_sweep, theta
+from appell_kit.numeric import DomainError, PoleProximityError, kappa_sweep, theta
 
 #: Convergence guard for divisibility checks: both tau and gamma.tau must
 #: satisfy Im tau >= MIN_IM_TAU, i.e. |u| <= exp(-0.1*pi) ~ 0.73, which keeps
@@ -167,31 +167,25 @@ def theta_additive(x: complex, tau: complex) -> complex:
     return theta(cmath.exp(2j * math.pi * x), u)
 
 
-def _at_minus_u(tau: complex, evaluate: Callable) -> tuple[complex, Any]:
-    """(exp(3*pi*i*tau/4), evaluate(-u, u)) at the nome u of tau.  The
+def kappa0(x: complex, tau: complex) -> complex:
+    """The normalized Appell value exp(3*pi*i*tau/4) * kappa(a, z, u) at the
+    2-torsion parameter a = exp(pi*i*(tau+1)) = -u, z = exp(2*pi*i*x):
+    ``kappa0_sweep`` at the one point x."""
+    return kappa0_sweep([x], tau)[0]
+
+
+def kappa0_sweep(xs: Sequence[complex], tau: complex) -> list[complex]:
+    """[kappa0(x, tau) for x in xs], through one kappa sweep at a = -u.  The
     parameter -u never meets the pole orbit q**Z, but kappa's absolute pole
     guard takes it for q once |u| is below about 1e-8 (Im tau above about
     5.86); that refusal is raised in terms of tau."""
     u = _nome_from_tau(tau)
+    lead = cmath.exp(0.75j * math.pi * tau)
     try:
-        return cmath.exp(0.75j * math.pi * tau), evaluate(-u, u)
+        values = kappa_sweep(-u, [cmath.exp(2j * math.pi * x) for x in xs], u)
     except PoleProximityError:
         raise DomainError(f"Im tau = {tau.imag:.4g} gives |u| = {abs(u):.3g}, so small that kappa's "
                           "pole guard takes the parameter -u for the pole q = u**2; decrease Im tau") from None
-
-
-def kappa0(x: complex, tau: complex) -> complex:
-    """The normalized Appell value exp(3*pi*i*tau/4) * kappa(a, z, u) at the
-    2-torsion parameter a = exp(pi*i*(tau+1)) = -u, z = exp(2*pi*i*x)."""
-    lead, value = _at_minus_u(tau, lambda a, u: kappa(a, cmath.exp(2j * math.pi * x), u))
-    return lead * value
-
-
-def kappa0_sweep(xs: Sequence[complex], tau: complex) -> list[complex]:
-    """[kappa0(x, tau) for x in xs], bit for bit, through one kappa sweep at
-    a = -u."""
-    lead, values = _at_minus_u(
-        tau, lambda a, u: kappa_sweep(a, [cmath.exp(2j * math.pi * x) for x in xs], u))
     return [lead * k for k in values]
 
 

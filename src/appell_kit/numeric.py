@@ -54,8 +54,7 @@ class NonReachableGuardError(DomainError):
 
 
 class Nome(NamedTuple("Nome", [("u", complex)])):
-    """Half-nome u = q**(1/2) with 0 < |u| < 1.  ``Nome._make((u,))`` builds
-    one without the check, for a u already tested."""
+    """Half-nome u = q**(1/2) with 0 < |u| < 1."""
 
     __slots__ = ()
 
@@ -68,56 +67,20 @@ class Nome(NamedTuple("Nome", [("u", complex)])):
         return self.u * self.u
 
 
-class EvalPoint:
+class EvalPoint(NamedTuple("EvalPoint", [("bindings", dict)])):
     """Named nonzero complex bindings (subset of z, a, b, s, v) for one
-    evaluation of an identity.  Immutable; ``EvalPoint._make((bindings,))``
-    wraps a dict of complex values already checked, as a named tuple's
-    ``_make`` does."""
+    evaluation of an identity, read as ``point.bindings[name]``."""
 
-    __slots__ = ("bindings",)
+    __slots__ = ()
 
-    def __init__(self, bindings: Mapping[str, complex]) -> None:
+    def __new__(cls, bindings: Mapping[str, complex]) -> "EvalPoint":
         clean = {}
         for name, value in dict(bindings).items():
             value = complex(value)
             if value == 0:
                 raise DomainError(f"binding {name!r} must be nonzero")
             clean[name] = value
-        object.__setattr__(self, "bindings", clean)
-
-    @classmethod
-    def _make(cls, fields: tuple[dict[str, complex]]) -> "EvalPoint":
-        point = object.__new__(cls)
-        object.__setattr__(point, "bindings", *fields)
-        return point
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bindings == other.bindings
-
-    __hash__ = None  # its dict is unhashable
-
-    def __repr__(self) -> str:
-        return f"EvalPoint(bindings={self.bindings!r})"
-
-    def __getitem__(self, name: str) -> complex:
-        try:
-            return self.bindings[name]
-        except KeyError:
-            raise DomainError(f"missing binding {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.bindings
-
-    def items(self):
-        return self.bindings.items()
+        return super().__new__(cls, clean)
 
 
 class ResidualReport(NamedTuple):

@@ -24,9 +24,7 @@ def test_acceptance_1_registry_residuals():
     reports = identities.verify_registry(count=100, seed=0)
     elapsed = time.monotonic() - started
     worst = max(r.rel_residual for r in reports.values())
-    q_bound = max(
-        identities.REGISTRY[i].domain.u_abs_range[1] ** 2 for i in reports
-    )
+    q_bound = identities.U_ABS_RANGE[1] ** 2
     ok = len(reports) == 25 and worst < 1e-9 and q_bound <= 0.57 and elapsed < 60.0
     assert _report(
         1,

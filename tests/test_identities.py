@@ -16,6 +16,7 @@ from appell_kit.identities import (
     DomainSpec,
     IdentityDef,
     REGISTRY,
+    U_ABS_RANGE,
     UnknownIdentityError,
     _pairs_sqrt,
     identity_residual,
@@ -77,25 +78,43 @@ def test_sampling_determinism():
     domain = REGISTRY["HADD"].domain
     first = sample_points(domain, 12, seed=7)
     second = sample_points(domain, 12, seed=7)
-    assert [
-        (sorted(p.bindings.items()), n.u) for p, n in first
-    ] == [(sorted(p.bindings.items()), n.u) for p, n in second]
+    assert [(sorted(b.items()), u) for b, u in first] == [(sorted(b.items()), u) for b, u in second]
     third = sample_points(domain, 12, seed=8)
-    assert [n.u for _, n in first] != [n.u for _, n in third]
+    assert [u for _, u in first] != [u for _, u in third]
 
 
 def test_sampling_respects_guard_and_range():
     domain = REGISTRY["ID55"].domain
-    for point, nome in sample_points(domain, 40, seed=3):
-        assert domain.guard(dict(point.bindings), nome.u)
-        assert 0.05 <= abs(nome.u) <= 0.75
+    for bindings, u in sample_points(domain, 40, seed=3):
+        assert domain.guard(bindings, u)
+        assert 0.05 <= abs(u) <= 0.75
         for name in domain.symbols:
-            assert 0.5 <= abs(point[name]) <= 2.0
+            assert 0.5 <= abs(bindings[name]) <= 2.0
 
 
 def test_guard_violation_raises():
     with pytest.raises(DomainError):
         identity_residual("DEF", EvalPoint({"a": 1.0 + 0j, "z": 1.2}), Nome(0.3))
+
+
+@pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
+def test_missing_binding_is_one_domain_error(identity_id):
+    """Dropping any one binding the identity draws or derives is the same
+    DomainError naming it, guarded identity or not, before the guard runs."""
+    domain = REGISTRY[identity_id].domain
+    bindings, u = sample_points(domain, 1, seed=0)[0]
+    names = [*domain.symbols, *(new_name for new_name, _ in domain.derived_sqrt)]
+    assert sorted(names) == sorted(bindings)
+    for name in names:
+        partial = EvalPoint({k: v for k, v in bindings.items() if k != name})
+        with pytest.raises(DomainError) as info:
+            identity_residual(identity_id, partial, Nome(u))
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"missing binding {name!r}"
+    if names:
+        with pytest.raises(DomainError, match=f"^missing binding {names[0]!r}$"):
+            identity_residual(identity_id, EvalPoint({}), Nome(u))
+    assert identity_residual(identity_id, EvalPoint(bindings), Nome(u)).rel_residual < 1e-9
 
 
 def test_special_value_example():
@@ -107,10 +126,10 @@ def test_special_value_example():
 
 
 def test_sqrt_checks_both_branches():
-    point, nome = sample_points(REGISTRY["SQRT"].domain, 1, seed=11)[0]
-    s = point["s"]
-    assert abs(s * s - point["a"]) < 1e-12 * abs(point["a"])
-    report = identity_residual("SQRT", point, nome)
+    bindings, u = sample_points(REGISTRY["SQRT"].domain, 1, seed=11)[0]
+    s = bindings["s"]
+    assert abs(s * s - bindings["a"]) < 1e-12 * abs(bindings["a"])
+    report = identity_residual("SQRT", EvalPoint(bindings), Nome(u))
     assert report.rel_residual < 1e-10
 
 
@@ -140,10 +159,9 @@ def test_quasi_entry_runs_on_complex_nome():
     assert report.rel_residual < 1e-9
 
 
-def _quasi_pairs_per_point(nome):
+def _quasi_pairs_per_point(u):
     """The per-point QUASI loop that the kappa sweep replaced: 5 kappa0
     calls, the base zero and its translates by n tau, n in {-2, -1, 1, 2}."""
-    u = nome.u
     tau = cmath.log(u) / (1j * math.pi)
     x0 = (tau + 1.0) / 2.0
     base = kappa0(x0, tau)
@@ -160,9 +178,10 @@ def test_quasi_sweep_matches_per_point_loop(seed):
     """On seeded QUASI samples the pairs equal the per-point loop's bit for
     bit (compared by repr), and so does the report: lhs, rhs and residual."""
     quasi = REGISTRY["QUASI"]
-    for point, nome in sample_points(quasi.domain, 40, seed):
-        expected = _quasi_pairs_per_point(nome)
-        assert repr(quasi.pairs(point, nome)) == repr(expected)
+    for bindings, u in sample_points(quasi.domain, 40, seed):
+        expected = _quasi_pairs_per_point(u)
+        assert repr(quasi.pairs(bindings, u)) == repr(expected)
+        point, nome = EvalPoint(bindings), Nome(u)
         reference = ResidualReport.from_pairs("QUASI", point, nome, expected)
         assert repr(identity_residual("QUASI", point, nome)) == repr(reference)
 
@@ -171,14 +190,14 @@ def test_quasi_integer_translates_move_z_by_rounding_only():
     """kappa0 sees x only through z = exp(2 pi i x), so the translates
     x0 + m + n tau with m != 0 would repeat x0 + n tau up to the rounding of
     cmath.exp: QUASI checks the n tau translates alone."""
-    for _, nome in sample_points(REGISTRY["QUASI"].domain, 200, 0):
-        tau = cmath.log(nome.u) / (1j * math.pi)
+    for _, u in sample_points(REGISTRY["QUASI"].domain, 200, 0):
+        tau = cmath.log(u) / (1j * math.pi)
         x0 = (tau + 1.0) / 2.0
         for n in range(-2, 3):
             z = cmath.exp(2j * math.pi * (x0 + n * tau))
             for m in range(-2, 3):
                 moved = cmath.exp(2j * math.pi * (x0 + m + n * tau))
-                assert abs(moved - z) <= 1e-14 * abs(z), (nome.u, m, n)
+                assert abs(moved - z) <= 1e-14 * abs(z), (u, m, n)
 
 
 def test_one_quasi_sample_evaluates_five_kappa0_points(monkeypatch):
@@ -188,8 +207,8 @@ def test_one_quasi_sample_evaluates_five_kappa0_points(monkeypatch):
     sweep = identities.kappa0_sweep
     monkeypatch.setattr(identities, "kappa0_sweep", lambda xs, tau: points.append(len(xs)) or sweep(xs, tau))
     monkeypatch.setattr(identities, "kappa0", lambda x, tau: points.append("scalar"))
-    for point, nome in sample_points(REGISTRY["QUASI"].domain, 3, 0):
-        identity_residual("QUASI", point, nome)
+    for bindings, u in sample_points(REGISTRY["QUASI"].domain, 3, 0):
+        identity_residual("QUASI", EvalPoint(bindings), Nome(u))
     assert points == [5, 5, 5]
 
 
@@ -234,8 +253,8 @@ def test_samples_are_guarded_once(monkeypatch, identity_id, seed):
     identity_residual over those points."""
     domain = REGISTRY[identity_id].domain
     expected = None
-    for point, nome in sample_points(domain, 50, seed):
-        report = identity_residual(identity_id, point, nome)
+    for bindings, u in sample_points(domain, 50, seed):
+        report = identity_residual(identity_id, EvalPoint(bindings), Nome(u))
         if expected is None or report.rel_residual > expected.rel_residual:
             expected = report
     worst = max_residual_over_samples(identity_id, 50, seed)
@@ -261,8 +280,9 @@ def _max_residual_reference(ident, count, seed):
     """The loop max_residual_over_samples replaced: one ResidualReport per
     sample, keeping the first strict maximum."""
     worst = None
-    for point, nome in sample_points(ident.domain, count, seed):
-        report = ResidualReport.from_pairs(ident.identity_id, point, nome, ident.pairs(point, nome))
+    for bindings, u in sample_points(ident.domain, count, seed):
+        point, nome = EvalPoint(bindings), Nome(u)
+        report = ResidualReport.from_pairs(ident.identity_id, point, nome, ident.pairs(bindings, u))
         if worst is None or report.rel_residual > worst.rel_residual:
             worst = report
     return worst
@@ -293,14 +313,14 @@ NAN = float("nan")
 def test_worst_sample_keeps_first_maximum_and_nan_semantics(monkeypatch, scripted, worst_index):
     def scripted_identity():
         script = iter(scripted)
-        return IdentityDef("SCRIPTED", "scripted pairs", DomainSpec(symbols=("z",)), lambda p, n: next(script))
+        return IdentityDef("SCRIPTED", "scripted pairs", DomainSpec(symbols=("z",)), lambda b, u: next(script))
 
     reference = _max_residual_reference(scripted_identity(), len(scripted), 3)
     monkeypatch.setitem(REGISTRY, "SCRIPTED", scripted_identity())
     report = max_residual_over_samples("SCRIPTED", len(scripted), 3)
     assert repr(report) == repr(reference)
-    point, nome = sample_points(DomainSpec(symbols=("z",)), len(scripted), 3)[worst_index]
-    assert (report.point, report.nome) == (point, nome)
+    bindings, u = sample_points(DomainSpec(symbols=("z",)), len(scripted), 3)[worst_index]
+    assert (report.point, report.nome) == (EvalPoint(bindings), Nome(u))
     assert repr(report.lhs) == repr(scripted[worst_index][0][0])
 
 
@@ -317,23 +337,24 @@ def _annulus_point_reference(rng, lo=0.5, hi=2.0):
     )
 
 
-def _sample_points_reference(domain, count, seed=0):
+def _sample_points_reference(domain, count, seed=0, *, u_abs_range=U_ABS_RANGE):
     """Copy of the draw path sample_points replaced: every draw is built as a
     checked EvalPoint and Nome, and the guard reads them back."""
     rng = random.Random(seed)
-    lo, hi = domain.u_abs_range
+    lo, hi = u_abs_range
 
     def draw():
         u = cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, 2.0 * math.pi))
         bindings = {name: _annulus_point_reference(rng) for name in domain.symbols}
         for new_name, source in domain.derived_sqrt:
             bindings[new_name] = cmath.sqrt(u if source == "u" else bindings[source])
-        return EvalPoint(bindings), Nome(u)
+        point, nome = EvalPoint(bindings), Nome(u)
+        return point.bindings, nome.u
 
-    return guarded_sample(draw, lambda s: domain.guard(s[0].bindings, s[1].u), count)
+    return guarded_sample(draw, lambda s: domain.guard(*s), count)
 
 
-def _sampled(sampler, domain, count, seed):
+def _sampled(sampler, domain, count, seed, u_abs_range=U_ABS_RANGE):
     """repr of the (bindings, u) list, so signed zeros count, or the type and
     message of the error with the number of guard calls made before it."""
     calls = []
@@ -343,11 +364,11 @@ def _sampled(sampler, domain, count, seed):
         return domain.guard(bindings, u)
 
     try:
-        points = sampler(domain._replace(guard=counted_guard), count, seed)
+        points = sampler(domain._replace(guard=counted_guard), count, seed, u_abs_range=u_abs_range)
     except DomainError as exc:
         return type(exc), str(exc), len(calls)
-    assert all(type(p) is EvalPoint and type(n) is Nome for p, n in points)
-    return repr([(list(p.items()), n.u) for p, n in points])
+    assert all(type(b) is dict and type(u) is complex for b, u in points)
+    return repr([(list(b.items()), u) for b, u in points])
 
 
 @pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
@@ -357,10 +378,9 @@ def test_sample_points_match_checked_draw_path(identity_id):
         expected = _sampled(_sample_points_reference, domain, 200, seed)
         assert isinstance(expected, str)
         assert _sampled(sample_points, domain, 200, seed) == expected
-    near_one = domain._replace(u_abs_range=(0.95, 0.999))
-    expected = _sampled(_sample_points_reference, near_one, 200, 0)
+    expected = _sampled(_sample_points_reference, domain, 200, 0, (0.95, 0.999))
     assert isinstance(expected, str)
-    assert _sampled(sample_points, near_one, 200, 0) == expected
+    assert _sampled(sample_points, domain, 200, 0, (0.95, 0.999)) == expected
 
 
 @pytest.mark.parametrize("identity_id", sorted(EXPECTED_IDS))
@@ -374,10 +394,10 @@ def test_sample_points_bad_nome_raises_at_same_draw(identity_id):
         ((0.0, 0.0), 0),
         ((math.nan, math.nan), 0),
     ):
-        domain = REGISTRY[identity_id].domain._replace(u_abs_range=u_abs_range)
+        domain = REGISTRY[identity_id].domain
         for seed in (0, 3):
-            expected = _sampled(_sample_points_reference, domain, 200, seed)
-            assert _sampled(sample_points, domain, 200, seed) == expected
+            expected = _sampled(_sample_points_reference, domain, 200, seed, u_abs_range)
+            assert _sampled(sample_points, domain, 200, seed, u_abs_range) == expected
             assert expected[0] is DomainError
             assert expected[2] > 0 if guard_calls is None else expected[2] == guard_calls
 
@@ -405,9 +425,9 @@ def test_z_points_keep_annulus_stream(radius_range):
         assert repr(sample_z_points(u, 100, 5, radius_range)) == repr(expected)
 
 
-def _pairs_sqrt_reference(p, nome):
+def _pairs_sqrt_reference(p, u):
     """Copy of _pairs_sqrt before its left side was computed once."""
-    z, v, u = p["z"], p["v"], nome.u
+    z, v = p["z"], p["v"]
     d0, d1 = vartheta0(1j, v), vartheta1(1j * v * v, v)
     pairs = []
     for s in (p["s"], -p["s"]):
@@ -422,5 +442,5 @@ def _pairs_sqrt_reference(p, nome):
 
 @pytest.mark.parametrize("seed", (0, 1, 7))
 def test_sqrt_left_side_once_keeps_pairs(seed):
-    for point, nome in sample_points(REGISTRY["SQRT"].domain, 100, seed):
-        assert repr(_pairs_sqrt(point, nome)) == repr(_pairs_sqrt_reference(point, nome))
+    for bindings, u in sample_points(REGISTRY["SQRT"].domain, 100, seed):
+        assert repr(_pairs_sqrt(bindings, u)) == repr(_pairs_sqrt_reference(bindings, u))

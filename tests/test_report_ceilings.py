@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from appell_kit import bundles, modular
 from appell_kit.cli import RECORD_KINDS, main
 
 #: Headroom over the pinned worst: room for platform libm differences, yet a
@@ -78,12 +79,16 @@ EXACT_RECORDS = (
 )
 
 
-@pytest.fixture(scope="module")
-def records() -> dict[str, dict]:
+def _report() -> dict[str, dict]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         main(["verify", "all", "--seed", "0"])
     return {r["record_id"]: r for r in json.loads(out.getvalue())["records"]}
+
+
+@pytest.fixture(scope="module")
+def records() -> dict[str, dict]:
+    return _report()
 
 
 def test_the_ceilings_cover_every_record(records):
@@ -107,3 +112,29 @@ def test_exact_root_of_unity_records_read_zero(records, record_id):
 @pytest.mark.parametrize("record_id", EXACT_RECORDS)
 def test_exact_records_pass(records, record_id):
     assert records[record_id]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "module, sweep, record_id",
+    (
+        (modular, "kappa_sweep", "QUASI"),
+        (bundles, "kappa_sweep", "MU_EXPANSION"),
+        (bundles, "theta_sweep", "MU_EXPANSION"),
+    ),
+)
+def test_sweep_errors_lift_the_records_they_feed(monkeypatch, module, sweep, record_id):
+    """An error of 1e-12 * z on every value a sweep returns, patched where the
+    module binds that sweep, lifts the record it feeds past its ceiling.  A
+    relative error would not do for QUASI: its law is homogeneous in kappa0."""
+    original = getattr(module, sweep)
+
+    def shifted(*args):
+        zs = args[-2]  # kappa_sweep(a, zs, u) and theta_sweep(zs, u)
+        return [value + 1e-12 * z for value, z in zip(original(*args), zs)]
+
+    monkeypatch.setattr(module, sweep, shifted)
+    records = _report()
+    lifted = [
+        name for name, pinned in PINNED_WORSTS.items() if records[name]["worst"] > CEILING_FACTOR * pinned
+    ]
+    assert record_id in lifted, f"{module.__name__}.{sweep} + 1e-12*z lifted only {lifted}"

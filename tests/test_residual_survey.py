@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from appell_kit import identities
-from appell_kit.numeric import DomainError, NonconvergenceError
+from appell_kit.numeric import DomainError, EvalPoint, Nome, NonconvergenceError
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "residual_survey.py"
 
@@ -42,9 +42,8 @@ def reference_rows(ids, windows, samples, seed):
         for lo, hi in windows:
             worst = 0.0
             try:
-                window = domain._replace(u_abs_range=(lo, hi))
-                for point, nome in identities.sample_points(window, samples, seed):
-                    report = identities.identity_residual(identity_id, point, nome)
+                for bindings, u in identities.sample_points(domain, samples, seed, u_abs_range=(lo, hi)):
+                    report = identities.identity_residual(identity_id, EvalPoint(bindings), Nome(u))
                     worst = max(worst, report.rel_residual)
             except (DomainError, NonconvergenceError) as exc:
                 yield identity_id, lo, hi, samples, None, str(exc)
