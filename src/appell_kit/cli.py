@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import time
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from appell_kit import bundles, identities, modular, qexact
 from appell_kit.numeric import (
@@ -361,14 +361,121 @@ def _modular_records(samples: int, seed: int, tolerance: float) -> list[dict]:
     ]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    target = args.target
-    records: list[dict] = []
-    for suite, (_, ids, run) in SUITE_TABLE.items():
+#: A verify task: a suite and the record ids it reports.
+Task = tuple[str, Sequence[str]]
+
+
+def _verify_tasks(target: str) -> list[Task]:
+    """The records ``target`` wants as independent tasks, in serial order:
+    one per numeric identity, and each other suite whole."""
+    tasks: list[Task] = []
+    for suite, (_, ids, _) in SUITE_TABLE.items():
         # A record id also reports its exact companion: FOR1 adds FOR1_EXACT.
         wanted = ids if target in ("all", suite) else [i for i in ids if i in (target, f"{target}_EXACT")]
-        if wanted:
-            records += [r for r in run(args, wanted) if r["record_id"] in wanted]
+        if suite == "numeric":
+            tasks += [(suite, (identity_id,)) for identity_id in wanted]
+        elif wanted:
+            tasks.append((suite, wanted))
+    return tasks
+
+
+def _run_task(args: argparse.Namespace, task: Task) -> list[dict]:
+    suite, wanted = task
+    return [r for r in SUITE_TABLE[suite][2](args, wanted) if r["record_id"] in wanted]
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker(args: argparse.Namespace, tasks: list[Task], claims: int, results: int) -> NoReturn:
+    """A forked worker's whole life: claim task indices until the pipe is
+    empty and write one JSON line ``[index, records]`` per task, with null
+    records for a task that raised.  It ends with ``os._exit``, so it never
+    returns into the caller's stack and flushes nothing it inherited."""
+    status = 1
+    try:
+        with open(results, "w", encoding="utf-8") as pipe:
+            while claim := os.read(claims, 1):
+                try:
+                    records = _run_task(args, tasks[claim[0]])
+                except Exception:  # the parent runs the task again to raise its error
+                    records = None
+                pipe.write(json.dumps([claim[0], records]) + "\n")
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_tasks(args: argparse.Namespace, tasks: list[Task]) -> list[dict]:
+    """Every task's records, as running them one after another gives them.
+
+    This process and one forked worker per further CPU claim task indices
+    from a pipe, the bundle suite first because it takes longest.  Each
+    worker sends its records back as JSON lines on its own pipe; a float
+    survives that trip exactly.  The first task in serial order that raised
+    or went missing decides the error: a task that raised in a worker runs
+    again here to raise it.  With one CPU or one task, or without
+    ``os.fork``, the tasks run here in serial order."""
+    workers = min(_cpu_count(), len(tasks)) - 1 if hasattr(os, "fork") else 0
+    if workers < 1:
+        return [r for task in tasks for r in _run_task(args, task)]
+    claims, claims_in = os.pipe()
+    # Under 256 tasks (25 identities and three suites), so an index is a byte.
+    os.write(claims_in, bytes(sorted(range(len(tasks)), key=lambda i: tasks[i][0] != "bundles")))
+    os.close(claims_in)
+    outcomes: dict[int, list[dict] | Exception | None] = {}
+    pipes: dict[int, int] = {}  # worker pid -> read end of its results pipe
+    failed_exits = []
+    try:
+        for _ in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                for other in pipes.values():
+                    os.close(other)
+                _worker(args, tasks, claims, write_end)
+            os.close(write_end)
+            pipes[pid] = read_end
+        while claim := os.read(claims, 1):
+            try:
+                outcomes[claim[0]] = _run_task(args, tasks[claim[0]])
+            except Exception as exc:  # raised below if no earlier task failed
+                outcomes[claim[0]] = exc
+    finally:
+        os.read(claims, len(tasks))  # an early exit leaves the workers no more tasks
+        os.close(claims)
+        for pid, read_end in pipes.items():
+            try:
+                with open(read_end, "rb") as pipe:
+                    for line in pipe.read().split(b"\n")[:-1]:  # a cut-off last line is lost
+                        index, records = json.loads(line)
+                        outcomes[index] = records
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code:
+                    failed_exits.append(code)
+    records = []
+    for index, task in enumerate(tasks):
+        if index not in outcomes:
+            raise ChildProcessError(
+                f"a verify worker ended with exit code {', '.join(map(str, failed_exits))} "
+                f"before reporting {', '.join(task[1])}"
+            )
+        outcome = outcomes[index]
+        if isinstance(outcome, Exception):
+            raise outcome
+        records += _run_task(args, task) if outcome is None else outcome
+    return records
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    target = args.target
+    records = _run_tasks(args, _verify_tasks(target))
     records.sort(key=lambda r: r["record_id"])
     passed = all(r["passed"] for r in records)
     report = {

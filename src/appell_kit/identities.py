@@ -154,11 +154,13 @@ def _pairs_sqrt(b, u):
     z, v, root = b["z"], b["v"], b["s"]
     d0, d1 = vartheta0(1j, v), vartheta1(1j * v * v, v)
     lhs = kappa_bar(root * root * z, 1 / z, u)  # a = s*s is one float for s and -s
+    # At -s the argument is exactly -w: vartheta0 squares it, so its value
+    # is the same, and vartheta1 is its exact negation.
+    w = 1j * v * root * z
+    c0, c1 = vartheta0(w, v) / d0, vartheta1(w, v) / d1
     pairs = []
-    for s in (root, -root):
-        c0 = vartheta0(1j * v * s * z, v) / d0
-        c1 = vartheta1(1j * v * s * z, v) / d1
-        rhs = c0 * kappa_bar(s / v, v * s, u) + c1 * kappa_bar(v * s, s / v, u)
+    for s, c1_s in ((root, c1), (-root, -c1)):
+        rhs = c0 * kappa_bar(s / v, v * s, u) + c1_s * kappa_bar(v * s, s / v, u)
         pairs.append((lhs, rhs))
     return pairs
 

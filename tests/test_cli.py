@@ -9,8 +9,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,11 +29,18 @@ from appell_kit.cli import (
     main,
     parse_complex,
 )
-from appell_kit.numeric import DomainError, kappa, vartheta1
+from appell_kit.numeric import DomainError, NonconvergenceError, kappa, vartheta1
+
+
+def _assert_no_child_left():
+    """main reaps every worker it forked before it returns."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
+    _assert_no_child_left()
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -103,6 +112,7 @@ def _verify_report(*argv: str) -> tuple[int, dict]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", *argv])
+    _assert_no_child_left()
     return code, json.loads(out.getvalue())
 
 
@@ -166,6 +176,99 @@ def test_verify_reports_are_byte_identical(capsys):
     assert out1 == out2
     report = json.loads(out1)
     assert len(report["records"]) == 25
+
+
+def _set_cpus(monkeypatch, count):
+    """The CLI sees ``count`` CPUs, and forks ``count - 1`` workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("target", ("all", "numeric", "bundles", "modular", "FOR1", "BEZOUT_PAIR"))
+def test_one_cpu_gives_the_default_report(capsys, monkeypatch, target):
+    argv = ("verify", target, "--samples", "200")
+    code, out, _ = run_cli(capsys, *argv)
+    assert out.count('"command": "verify"') == 1
+    _set_cpus(monkeypatch, 1)
+    assert run_cli(capsys, *argv)[:2] == (code, out)
+
+
+def test_more_workers_or_no_fork_give_the_serial_report(capsys, monkeypatch):
+    argv = ("verify", "all", "--samples", "20", "--seed", "3")
+    _set_cpus(monkeypatch, 1)
+    serial = run_cli(capsys, *argv)[:2]
+    _set_cpus(monkeypatch, 4)
+    assert run_cli(capsys, *argv)[:2] == serial
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert run_cli(capsys, *argv)[:2] == serial
+
+
+def _raising_pairs(monkeypatch, identity_id, error, delay=0.0):
+    def pairs(b, u):
+        time.sleep(delay)
+        raise error
+
+    ident = identities.REGISTRY[identity_id]
+    monkeypatch.setitem(identities.REGISTRY, identity_id, ident._replace(pairs=pairs))
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_the_first_failing_task_in_serial_order_decides_the_error(capsys, monkeypatch, cpus):
+    """ADDF comes before SYM in serial order.  It raises later in time, yet
+    its message is the one a run on any number of CPUs reports."""
+    _set_cpus(monkeypatch, cpus)
+    _raising_pairs(monkeypatch, "ADDF", DomainError("ADDF is broken"), delay=0.2)
+    _raising_pairs(monkeypatch, "SYM", DomainError("SYM is broken"))
+    assert run_cli(capsys, "verify", "numeric", "--samples", "3") == (2, "", "domain error: ADDF is broken\n")
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_nonconvergence_in_a_task_keeps_its_error_line(capsys, monkeypatch, cpus):
+    _set_cpus(monkeypatch, cpus)
+    _raising_pairs(monkeypatch, "SP1", NonconvergenceError("SP1 did not converge"))
+    assert run_cli(capsys, "verify", "all", "--samples", "3") == (2, "", "error: SP1 did not converge\n")
+
+
+def test_a_worker_that_ends_without_its_records_is_exit_2(capsys, monkeypatch):
+    """The worker dies on its first task; this process runs its own first
+    task only after that, and reports the lost task as one error line."""
+    _set_cpus(monkeypatch, 2)
+    parent, run_task = os.getpid(), cli._run_task
+    died, died_in = os.pipe()
+    waited = []
+
+    def dying(args, task):
+        if os.getpid() != parent:
+            os.write(died_in, b"x")
+            os._exit(7)
+        if not waited:
+            waited.append(os.read(died, 1))
+        return run_task(args, task)
+
+    monkeypatch.setattr(cli, "_run_task", dying)
+    try:
+        code, out, err = run_cli(capsys, "verify", "numeric", "--samples", "3")
+    finally:
+        os.close(died)
+        os.close(died_in)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: a verify worker ended with exit code 7 before reporting [A-Z0-9_]+\n", err)
+
+
+def test_keyboard_interrupt_reaps_the_workers(monkeypatch):
+    _set_cpus(monkeypatch, 3)
+    parent, run_task = os.getpid(), cli._run_task
+
+    def interrupted(args, task):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return run_task(args, task)
+
+    monkeypatch.setattr(cli, "_run_task", interrupted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(KeyboardInterrupt):
+        main(["verify", "numeric", "--samples", "3"])
+    _assert_no_child_left()
+    assert out.getvalue() == ""
 
 
 def test_verify_csv_format(capsys):
@@ -788,6 +891,7 @@ def test_argv_fuzz_keeps_the_exit_contract(tmp_path_factory, argv):
             code = main(argv)
     finally:
         os.chdir(cwd)
+    _assert_no_child_left()
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
     if "--grid" in argv and "-h" not in argv:  # -h prints help and exits 0 first

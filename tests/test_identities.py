@@ -133,6 +133,38 @@ def test_sqrt_checks_both_branches():
     assert report.rel_residual < 1e-10
 
 
+def _sqrt_pairs_per_branch(b, u):
+    """The SQRT loop that evaluated both vartheta values at s and at -s."""
+    z, v, root = b["z"], b["v"], b["s"]
+    d0, d1 = vartheta0(1j, v), vartheta1(1j * v * v, v)
+    lhs = kappa_bar(root * root * z, 1 / z, u)
+    pairs = []
+    for s in (root, -root):
+        c0 = vartheta0(1j * v * s * z, v) / d0
+        c1 = vartheta1(1j * v * s * z, v) / d1
+        rhs = c0 * kappa_bar(s / v, v * s, u) + c1 * kappa_bar(v * s, s / v, u)
+        pairs.append((lhs, rhs))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_sqrt_evaluates_each_vartheta_once_per_sample(monkeypatch, seed):
+    """vartheta0 is even and vartheta1 odd in an argument that flips sign
+    exactly with s, so SQRT evaluates each once per sample, next to its
+    normalizer, and its pairs equal the per-branch loop's bit for bit."""
+    samples = sample_points(REGISTRY["SQRT"].domain, 2000, seed)
+    for bindings, u in samples:
+        assert repr(_pairs_sqrt(bindings, u)) == repr(_sqrt_pairs_per_branch(bindings, u))
+    calls = []
+    for name in ("vartheta0", "vartheta1"):
+        original = getattr(identities, name)
+        monkeypatch.setattr(
+            identities, name, lambda z, v, f=original, n=name: calls.append(n) or f(z, v)
+        )
+    _pairs_sqrt(*samples[0])
+    assert sorted(calls) == ["vartheta0", "vartheta0", "vartheta1", "vartheta1"]
+
+
 def test_def_identity_at_tiny_nome():
     """The defining relation degenerates gracefully: at u = 1e-9 both sides
     reduce to their n = 0 terms."""
