@@ -433,7 +433,12 @@ def _run_tasks(args: argparse.Namespace, tasks: list[Task]) -> list[dict]:
     try:
         for _ in range(workers):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # at a process limit: this process and the workers so far share the tasks
+                os.close(read_end)
+                os.close(write_end)
+                break
             if pid == 0:
                 os.close(read_end)
                 for other in pipes.values():

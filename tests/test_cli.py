@@ -202,6 +202,19 @@ def test_more_workers_or_no_fork_give_the_serial_report(capsys, monkeypatch):
     assert run_cli(capsys, *argv)[:2] == serial
 
 
+def test_a_failed_fork_leaves_the_tasks_to_this_process(capsys, monkeypatch):
+    argv = ("verify", "all", "--samples", "20", "--seed", "3")
+    _set_cpus(monkeypatch, 1)
+    serial = run_cli(capsys, *argv)[:2]
+
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    _set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", refused)
+    assert run_cli(capsys, *argv)[:2] == serial
+
+
 def _raising_pairs(monkeypatch, identity_id, error, delay=0.0):
     def pairs(b, u):
         time.sleep(delay)
