@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import time
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from appell_kit import bundles, identities, modular, qexact
 from appell_kit.numeric import (
@@ -384,6 +384,12 @@ def _run_task(args: argparse.Namespace, task: Task) -> list[dict]:
     return [r for r in SUITE_TABLE[suite][2](args, wanted) if r["record_id"] in wanted]
 
 
+#: At most this many processes share the verify tasks.  The bundle suite,
+#: the longest task, is about a sixth of the work at --samples 2000, so more
+#: processes would gain little, and each worker adds its own memory.
+MAX_VERIFY_PROCESSES = 4
+
+
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -391,13 +397,33 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _worker(args: argparse.Namespace, tasks: list[Task], claims: int, results: int) -> NoReturn:
+def _sigint_switches(forking: bool) -> tuple[Callable[[], object], Callable[[], object]]:
+    """``hold`` blocks SIGINT and ``release`` restores the signal mask found
+    here, so a Ctrl-C cannot cut forking or reaping a worker short: it waits,
+    and raises its ``KeyboardInterrupt`` at ``release``.  A run that forks
+    nothing switches nothing and does not import ``signal``."""
+    if not forking:
+        return (lambda: None), (lambda: None)
+    import signal
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    return (
+        lambda: signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT}),
+        lambda: signal.pthread_sigmask(signal.SIG_SETMASK, mask),
+    )
+
+
+def _worker(
+    args: argparse.Namespace, tasks: list[Task], claims: int, results: int, release: Callable[[], object]
+) -> NoReturn:
     """A forked worker's whole life: claim task indices until the pipe is
     empty and write one JSON line ``[index, records]`` per task, with null
-    records for a task that raised.  It ends with ``os._exit``, so it never
-    returns into the caller's stack and flushes nothing it inherited."""
+    records for a task that raised.  It ends with ``os._exit``, a Ctrl-C
+    included, so it never returns into the caller's stack and flushes
+    nothing it inherited."""
     status = 1
     try:
+        release()  # forked with SIGINT held back
         with open(results, "w", encoding="utf-8") as pipe:
             while claim := os.read(claims, 1):
                 try:
@@ -413,24 +439,26 @@ def _worker(args: argparse.Namespace, tasks: list[Task], claims: int, results: i
 def _run_tasks(args: argparse.Namespace, tasks: list[Task]) -> list[dict]:
     """Every task's records, as running them one after another gives them.
 
-    This process and one forked worker per further CPU claim task indices
-    from a pipe, the bundle suite first because it takes longest.  Each
-    worker sends its records back as JSON lines on its own pipe; a float
-    survives that trip exactly.  The first task in serial order that raised
-    or went missing decides the error: a task that raised in a worker runs
-    again here to raise it.  With one CPU or one task, or without
-    ``os.fork``, the tasks run here in serial order."""
-    workers = min(_cpu_count(), len(tasks)) - 1 if hasattr(os, "fork") else 0
-    if workers < 1:
-        return [r for task in tasks for r in _run_task(args, task)]
+    This process and one forked worker per further CPU, up to
+    ``MAX_VERIFY_PROCESSES`` in all, claim task indices from a pipe, the
+    bundle suite first because it takes longest.  With one CPU or one task,
+    or without ``os.fork``, this process claims them all.  Each worker sends
+    its records back as JSON lines on its own pipe; a float survives that
+    trip exactly.  The first task in serial order that raised or went
+    missing decides the error: a task that raised in a worker runs again
+    here to raise it.  SIGINT is held back while workers are forked and
+    reaped, so every worker is reaped, a Ctrl-C included."""
+    workers = min(_cpu_count(), len(tasks), MAX_VERIFY_PROCESSES) - 1 if hasattr(os, "fork") else 0
+    hold, release = _sigint_switches(workers > 0)
     claims, claims_in = os.pipe()
     # Under 256 tasks (25 identities and three suites), so an index is a byte.
     os.write(claims_in, bytes(sorted(range(len(tasks)), key=lambda i: tasks[i][0] != "bundles")))
     os.close(claims_in)
     outcomes: dict[int, list[dict] | Exception | None] = {}
     pipes: dict[int, int] = {}  # worker pid -> read end of its results pipe
-    failed_exits = []
+    lines: list[bytes] = []  # the workers' JSON lines
     try:
+        hold()
         for _ in range(workers):
             read_end, write_end = os.pipe()
             try:
@@ -443,32 +471,37 @@ def _run_tasks(args: argparse.Namespace, tasks: list[Task]) -> list[dict]:
                 os.close(read_end)
                 for other in pipes.values():
                     os.close(other)
-                _worker(args, tasks, claims, write_end)
+                _worker(args, tasks, claims, write_end, release)
             os.close(write_end)
             pipes[pid] = read_end
+        release()  # a Ctrl-C held back while forking raises here
         while claim := os.read(claims, 1):
             try:
                 outcomes[claim[0]] = _run_task(args, tasks[claim[0]])
             except Exception as exc:  # raised below if no earlier task failed
                 outcomes[claim[0]] = exc
     finally:
-        os.read(claims, len(tasks))  # an early exit leaves the workers no more tasks
-        os.close(claims)
-        for pid, read_end in pipes.items():
-            try:
-                with open(read_end, "rb") as pipe:
-                    for line in pipe.read().split(b"\n")[:-1]:  # a cut-off last line is lost
-                        index, records = json.loads(line)
-                        outcomes[index] = records
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code:
-                    failed_exits.append(code)
+        hold()
+        try:
+            os.read(claims, len(tasks))  # an early exit leaves the workers no more tasks
+            os.close(claims)
+            for read_end in pipes.values():  # every pipe is read and closed before any wait
+                try:
+                    with open(read_end, "rb") as pipe:
+                        lines += pipe.read().split(b"\n")[:-1]  # a cut-off last line is lost
+                except OSError:  # that worker's tasks go unreported
+                    pass
+        finally:
+            exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pipes]
+            release()
+    for line in lines:
+        index, records = json.loads(line)
+        outcomes[index] = records
     records = []
     for index, task in enumerate(tasks):
         if index not in outcomes:
             raise ChildProcessError(
-                f"a verify worker ended with exit code {', '.join(map(str, failed_exits))} "
+                f"a verify worker ended with exit code {', '.join(str(code) for code in exits if code)} "
                 f"before reporting {', '.join(task[1])}"
             )
         outcome = outcomes[index]

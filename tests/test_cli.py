@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -277,11 +278,69 @@ def test_keyboard_interrupt_reaps_the_workers(monkeypatch):
         return run_task(args, task)
 
     monkeypatch.setattr(cli, "_run_task", interrupted)
+    _interrupted_main(["verify", "numeric", "--samples", "3"])
+
+
+def _interrupted_main(argv):
+    """``main(argv)`` raises KeyboardInterrupt, prints nothing and leaves no
+    child behind."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(KeyboardInterrupt):
-        main(["verify", "numeric", "--samples", "3"])
+        main(argv)
     _assert_no_child_left()
     assert out.getvalue() == ""
+
+
+def test_a_ctrl_c_while_reading_a_workers_pipe_reaps_every_worker(monkeypatch):
+    """Both workers sleep on their first task, so this process has run the
+    other tasks and is reading the first worker's pipe when they send it a
+    SIGINT.  The interrupt waits until every worker is reaped."""
+    _set_cpus(monkeypatch, 3)
+    parent, run_task = os.getpid(), cli._run_task
+    slept = []
+
+    def slow_then_interrupt(args, task):
+        if os.getpid() != parent and not slept:
+            slept.append(time.sleep(0.3))
+            os.kill(parent, signal.SIGINT)
+        return run_task(args, task)
+
+    monkeypatch.setattr(cli, "_run_task", slow_then_interrupt)
+    _interrupted_main(["verify", "numeric", "--samples", "3"])
+
+
+def test_a_ctrl_c_right_after_a_fork_still_reaps_that_worker(monkeypatch):
+    """A SIGINT that arrives as soon as ``os.fork`` returns in this process,
+    before the worker's pid is recorded, waits until the forking is done."""
+    _set_cpus(monkeypatch, 3)
+    parent, fork = os.getpid(), os.fork
+
+    def fork_then_interrupt():
+        pid = fork()
+        if pid:
+            os.kill(parent, signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_interrupt)
+    _interrupted_main(["verify", "numeric", "--samples", "3"])
+
+
+def test_workers_are_capped_whatever_the_cpu_count(capsys, monkeypatch):
+    argv = ("verify", "all", "--samples", "20", "--seed", "3")
+    _set_cpus(monkeypatch, 1)
+    serial = run_cli(capsys, *argv)[:2]
+    parent, fork, forked = os.getpid(), os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if os.getpid() == parent:
+            forked.append(pid)
+        return pid
+
+    _set_cpus(monkeypatch, 64)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert run_cli(capsys, *argv)[:2] == serial
+    assert len(forked) == cli.MAX_VERIFY_PROCESSES - 1
 
 
 def test_verify_csv_format(capsys):
