@@ -18,6 +18,8 @@ checks here compare against the kappa special-value forms.
 The mu-expansion utilities express a b-translated section of the
 tensor(F_{ab}, L) factor in the explicit three-element section basis
 (v0, v1, v-1), with coefficients that are pure theta quotients.
+
+``suite_outcomes`` is the verify report's bundle suite: these checks at two nomes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from appell_kit.numeric import (
     DomainError,
     EvalPoint,
     Nome,
+    Outcome,
     ResidualReport,
     annulus_point,
     guarded_sample,
@@ -526,3 +529,61 @@ def sample_z_points(
         and not near_power_orbit(z, u, sign=1, parity=1, tol=GUARD_TOL),
         count,
     )
+
+
+# ---------------------------------------------------------------------------
+# The bundle verify suite.
+# ---------------------------------------------------------------------------
+
+#: Nome values swept by the bundle suite; one real, one complex.
+BUNDLE_NOMES = (0.2 + 0.0j, 0.4 + 0.1j)
+
+#: MU_EXPANSION checks each (a, b) pair on this many of the suite's z-points,
+#: a prefix of the same list, so the record's cost grows linearly in samples.
+MU_Z_POINTS = 50
+
+RECORD_IDS = ("SECTION_THETA", "SECTION_PUSH", "SECTION_KAPPA_THETA", "SECTION_BASIS", "GAUGE_B_CONJ",
+              "DET_B_SPREAD", "CONST_CA_CROSS", "GAUGE_C_CONJ", "DET_C_SPREAD", "CONST_C_CROSS",
+              "BEZOUT_PAIR", "MU_EXPANSION")
+
+
+def suite_outcomes(samples: int, seed: int) -> list[Outcome]:
+    """Every bundle record, sorted by id: each one's worst residual over
+    ``BUNDLE_NOMES``, on max(8, samples // 10) z-points per nome."""
+    rng = random.Random(seed)
+    z_count = max(8, samples // 10)
+    worst = dict.fromkeys(RECORD_IDS, 0.0)
+
+    def bump(key: str, value: float) -> None:
+        worst[key] = max(worst[key], value)
+
+    for u in BUNDLE_NOMES:
+        zs = sample_z_points(u, z_count, seed)
+        bump("SECTION_THETA", check_section(make_L(u), theta_section(u), zs))
+        bump("SECTION_PUSH", check_section(make_push(u), push_section(u), zs))
+        a_values = guarded_sample(lambda: annulus_point(rng),
+                                  lambda a: not near_power_orbit(a, u, sign=1, parity=0, tol=GUARD_TOL), 2)
+        for a in a_values:
+            bump("SECTION_KAPPA_THETA", check_section(make_Fa(a, u), kappa_theta_section(a, u), zs))
+            factor = tensor(make_Fa(a, u), make_L(u))
+            for section in basis_sections(a, u):
+                bump("SECTION_BASIS", check_section(factor, section, zs))
+            gauge_b = build_B(a, u)
+            bump("GAUGE_B_CONJ", gauge_residual(gauge_b, zs))
+            bump("DET_B_SPREAD", determinant_spread(gauge_b, zs))
+            ca_t = c_a_theta(a, u)
+            bump("CONST_CA_CROSS", abs(ca_t - c_a_kappa(a, u)) / max(1.0, abs(ca_t)))
+        gauge_c = build_C(u)
+        bump("GAUGE_C_CONJ", gauge_residual(gauge_c, zs))
+        bump("DET_C_SPREAD", determinant_spread(gauge_c, zs))
+        c_t = c_constant_theta(u)
+        bump("CONST_C_CROSS", abs(c_t - c_constant_kappa(u)) / max(1.0, abs(c_t)))
+        ws = sample_z_points(u, samples, seed + 1, radius_range=(0.3, 3.0))
+        bump("BEZOUT_PAIR", max(bezout_residual(u, w) for w in ws))
+        mu_pairs = guarded_sample(lambda: (annulus_point(rng), annulus_point(rng)),
+                                  lambda ab: mu_sample_ok(*ab, u), max(4, samples // 20))
+        mu_zs = zs[:MU_Z_POINTS]
+        thetas = mu_thetas(u, mu_zs)
+        for a, b in mu_pairs:
+            bump("MU_EXPANSION", mu_expansion_residual(a, b, u, mu_zs, thetas).rel_residual)
+    return [Outcome(key, value, "") for key, value in sorted(worst.items())]

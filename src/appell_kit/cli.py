@@ -14,36 +14,22 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import time
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from appell_kit import bundles, identities, modular, qexact
 from appell_kit.numeric import (
-    GUARD_TOL,
     DomainError,
     NonconvergenceError,
-    annulus_point,
-    guarded_sample,
+    Outcome,
     kappa,
     kappa_bar,
-    near_power_orbit,
     theta,
     vartheta0,
     vartheta1,
 )
 
-#: Nome values swept by the bundle suite; one real, one complex.
-BUNDLE_NOMES = (0.2 + 0.0j, 0.4 + 0.1j)
-
-#: MU_EXPANSION checks each (a, b) pair on this many of the bundle suite's
-#: z-points, a prefix of the same list, so the record's cost grows linearly
-#: in --samples.
-MU_Z_POINTS = 50
-
-#: tau values swept by the modular suite.
-MODULAR_TAUS = (1.2j, 2.0j, 0.5 + 1.5j)
 
 def parse_complex(text: str) -> complex:
     """Parse a complex number accepting both 'i' and 'j' notation.  Only a
@@ -127,35 +113,16 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-#: Each verify suite: the kind of its records, their ids, and how it runs
-#: for ``ids``, the wanted subset of them.  The runners look the suite
-#: functions up by name when called, so a wrapper installed on
+#: Each verify suite: the kind of its records, their ids, and the name of
+#: the cli function that runs it for ``args`` and ``ids``, the wanted subset
+#: of them.  The name is looked up when called, so a wrapper installed on
 #: ``cli._bundle_records`` sees every call.  The numeric and exact suites
 #: build only what ``ids`` needs; bundles and modular run whole.
 SUITE_TABLE = {
-    "numeric": (
-        "numeric-sampled",
-        identities.registry_ids(),
-        lambda args, ids: _numeric_records(ids, args.samples, args.seed, args.tolerance),
-    ),
-    "exact": (
-        "exact-coefficients",
-        ("FOR1_EXACT", "FOR2_EXACT", "TRIANGULAR_DOUBLE_SUM", "TRIANGULAR_ANDREWS", "TRIANGULAR_COUNTS"),
-        lambda args, ids: _exact_records(args.exact_order, ids),
-    ),
-    "bundles": (
-        "bundle",
-        ("SECTION_THETA", "SECTION_PUSH", "SECTION_KAPPA_THETA", "SECTION_BASIS", "GAUGE_B_CONJ",
-         "DET_B_SPREAD", "CONST_CA_CROSS", "GAUGE_C_CONJ", "DET_C_SPREAD", "CONST_C_CROSS",
-         "BEZOUT_PAIR", "MU_EXPANSION"),
-        lambda args, ids: _bundle_records(args.samples, args.seed, args.tolerance),
-    ),
-    "modular": (
-        "modular",
-        ("K_GAMMA_IDENTITY", "ZETA_SQ_COCYCLE", "CHI_MULTIPLICATIVITY", "DIVISIBILITY_GENERATORS",
-         "DIVISIBILITY_WORDS"),
-        lambda args, ids: _modular_records(args.samples, args.seed, args.tolerance),
-    ),
+    "numeric": ("numeric-sampled", identities.registry_ids(), "_numeric_records"),
+    "exact": ("exact-coefficients", qexact.RECORD_IDS, "_exact_records"),
+    "bundles": ("bundle", bundles.RECORD_IDS, "_bundle_records"),
+    "modular": ("modular", modular.RECORD_IDS, "_modular_records"),
 }
 
 SUITES = ("all", *SUITE_TABLE)
@@ -164,19 +131,32 @@ SUITES = ("all", *SUITE_TABLE)
 RECORD_KINDS = {record_id: kind for kind, ids, _ in SUITE_TABLE.values() for record_id in ids}
 
 
-def _record(
-    record_id: str,
-    detail: str,
-    worst: float | None = None,
-    tolerance: float | None = None,
-    mismatch: int | None = None,
-) -> dict:
-    """One report row, its kind read from SUITE_TABLE.  A measured record
+def _numeric_records(args: argparse.Namespace, ids: Sequence[str]) -> list[Outcome]:
+    return identities.suite_outcomes(ids, args.samples, args.seed)
+
+
+def _exact_records(args: argparse.Namespace, ids: Sequence[str]) -> list[Outcome]:
+    return qexact.suite_outcomes(args.exact_order, ids)
+
+
+def _bundle_records(args: argparse.Namespace, ids: Sequence[str]) -> list[Outcome]:
+    return bundles.suite_outcomes(args.samples, args.seed)
+
+
+def _modular_records(args: argparse.Namespace, ids: Sequence[str]) -> list[Outcome]:
+    return modular.suite_outcomes(args.samples, args.seed)
+
+
+def _record(outcome: Outcome, tolerance: float) -> dict:
+    """The report row of ``outcome``, its kind read from SUITE_TABLE; the
+    only place where a tolerance decides ``passed``.  A measured record
     passes when its worst residual is below tolerance; a non-finite worst
     (no valid evaluation) is written as null and fails.  An exact record
-    carries no worst and passes when no coefficient mismatches."""
+    carries no worst and no tolerance, and passes when no coefficient
+    mismatches."""
+    record_id, worst, detail, mismatch = outcome
     if worst is None:
-        passed = mismatch is None
+        tolerance, passed = None, mismatch is None
         detail = detail if passed else f"first mismatch at exponent {mismatch}"
     elif math.isfinite(worst):
         passed = worst < tolerance
@@ -190,175 +170,6 @@ def _record(
         "passed": passed,
         "detail": detail,
     }
-
-
-# ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-
-def _numeric_records(
-    ids: Sequence[str], samples: int, seed: int, tolerance: float
-) -> list[dict]:
-    return [
-        _record(
-            identity_id,
-            identities.REGISTRY[identity_id].description,
-            identities.max_residual_over_samples(identity_id, samples, seed).rel_residual,
-            tolerance,
-        )
-        for identity_id in ids
-    ]
-
-
-def _exact_records(exact_order: int, ids: Sequence[str] = SUITE_TABLE["exact"][1]) -> list[dict]:
-    """The exact records among ``ids``: FOR1_EXACT and FOR2_EXACT are each
-    built only when wanted, the three triangular records together when any
-    of them is."""
-    built: dict = {}  # the series FOR1 and FOR2 share, built once per call
-    records = [
-        _record(f"{relation}_EXACT", f"coefficients through u**{exact_order - 1} agree",
-                mismatch=check(exact_order, built))
-        for relation, check in (("FOR1", qexact.check_for1_exact), ("FOR2", qexact.check_for2_exact))
-        if f"{relation}_EXACT" in ids
-    ]
-    if not any(record_id.startswith("TRIANGULAR_") for record_id in ids):
-        return records
-    q_order = exact_order // 2
-    cube, _ = _qseries_build("t3", q_order)
-    for name, route in (("TRIANGULAR_DOUBLE_SUM", "double_sum"), ("TRIANGULAR_ANDREWS", "andrews")):
-        mismatch = cube.agrees_with(_qseries_build(route, q_order)[0])
-        detail = f"matches the cubed generating function through q**{q_order}"
-        records.append(_record(name, detail, mismatch=mismatch))
-    counts = qexact.triangular_counts_bruteforce(q_order)
-    mismatch = cube.agrees_with(qexact.USeries(len(counts), counts))
-    detail = f"series coefficients equal brute-force triple counts through {q_order}"
-    records.append(_record("TRIANGULAR_COUNTS", detail, mismatch=mismatch))
-    return records
-
-
-def _bundle_records(samples: int, seed: int, tolerance: float) -> list[dict]:
-    rng = random.Random(seed)
-    z_count = max(8, samples // 10)
-    worst = dict.fromkeys(SUITE_TABLE["bundles"][1], 0.0)
-
-    def bump(key: str, value: float) -> None:
-        worst[key] = max(worst[key], value)
-
-    for u in BUNDLE_NOMES:
-        zs = bundles.sample_z_points(u, z_count, seed)
-        bump("SECTION_THETA", bundles.check_section(bundles.make_L(u), bundles.theta_section(u), zs))
-        bump("SECTION_PUSH", bundles.check_section(bundles.make_push(u), bundles.push_section(u), zs))
-        a_values = guarded_sample(
-            lambda: annulus_point(rng),
-            lambda a: not near_power_orbit(a, u, sign=1, parity=0, tol=GUARD_TOL),
-            2,
-        )
-        for a in a_values:
-            bump(
-                "SECTION_KAPPA_THETA",
-                bundles.check_section(bundles.make_Fa(a, u), bundles.kappa_theta_section(a, u), zs),
-            )
-            factor = bundles.tensor(bundles.make_Fa(a, u), bundles.make_L(u))
-            for section in bundles.basis_sections(a, u):
-                bump("SECTION_BASIS", bundles.check_section(factor, section, zs))
-            gauge_b = bundles.build_B(a, u)
-            bump("GAUGE_B_CONJ", bundles.gauge_residual(gauge_b, zs))
-            bump("DET_B_SPREAD", bundles.determinant_spread(gauge_b, zs))
-            ca_t = bundles.c_a_theta(a, u)
-            bump(
-                "CONST_CA_CROSS",
-                abs(ca_t - bundles.c_a_kappa(a, u)) / max(1.0, abs(ca_t)),
-            )
-        gauge_c = bundles.build_C(u)
-        bump("GAUGE_C_CONJ", bundles.gauge_residual(gauge_c, zs))
-        bump("DET_C_SPREAD", bundles.determinant_spread(gauge_c, zs))
-        c_t = bundles.c_constant_theta(u)
-        bump(
-            "CONST_C_CROSS",
-            abs(c_t - bundles.c_constant_kappa(u)) / max(1.0, abs(c_t)),
-        )
-        ws = bundles.sample_z_points(u, samples, seed + 1, radius_range=(0.3, 3.0))
-        bump("BEZOUT_PAIR", max(bundles.bezout_residual(u, w) for w in ws))
-        mu_pairs = guarded_sample(
-            lambda: (annulus_point(rng), annulus_point(rng)),
-            lambda ab: bundles.mu_sample_ok(*ab, u),
-            max(4, samples // 20),
-        )
-        mu_zs = zs[:MU_Z_POINTS]
-        thetas = bundles.mu_thetas(u, mu_zs)
-        for a, b in mu_pairs:
-            bump("MU_EXPANSION", bundles.mu_expansion_residual(a, b, u, mu_zs, thetas).rel_residual)
-    return [_record(key, "", value, tolerance) for key, value in sorted(worst.items())]
-
-
-def _random_word(rng: random.Random, alphabet, max_len: int) -> modular.GammaElement:
-    g = modular.GAMMA_IDENTITY
-    for _ in range(rng.randint(1, max_len)):
-        g = g @ rng.choice(alphabet)
-    return g
-
-
-def _modular_records(samples: int, seed: int, tolerance: float) -> list[dict]:
-    rng = random.Random(seed)
-
-    # theta-null cocycle: theta(0, g.tau)**2 / theta(0, tau)**2 = zeta_sq * (c tau + d).
-    t2, v_elt = modular.GammaElement(1, 2, 0, 1), modular.GammaElement(1, 0, 2, 1)
-    s_elt = modular.GammaElement(0, -1, 1, 0)
-    cocycle_worst = 0.0
-    for g in (t2, v_elt, s_elt, t2 @ v_elt, v_elt @ v_elt @ t2, s_elt @ t2):
-        for tau in (0.3 + 1.1j, 1.7j):
-            lhs = modular.theta_additive(0, modular.act_tau(g, tau)) ** 2 / modular.theta_additive(0, tau) ** 2
-            rhs = modular.zeta_sq(g) * (g.c * tau + g.d)
-            cocycle_worst = max(cocycle_worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-
-    # chi is multiplicative on words in the parabolic generators.
-    parabolic = modular.GAMMA_GENERATORS[:4]
-    chi_worst = 0.0
-    for _ in range(max(1, samples // 2)):
-        g1 = _random_word(rng, parabolic, 4)
-        g2 = _random_word(rng, parabolic, 4)
-        chi_worst = max(
-            chi_worst, abs(modular.chi(g1 @ g2) - modular.chi(g1) * modular.chi(g2))
-        )
-
-    # Divisibility of the modular defect by theta, generators then random
-    # words; an element the domain guards refuse at some tau is skipped.
-    def divisibility(record_id: str, elements) -> dict:
-        worst, valid, skipped = 0.0, 0, 0
-        for g in elements:
-            for tau in MODULAR_TAUS:
-                try:
-                    worst = max(worst, modular.divisibility_residual(g, tau))
-                    valid += 1
-                except DomainError:
-                    skipped += 1
-        return _record(record_id, f"valid={valid} skipped={skipped}", worst if valid else math.inf, tolerance)
-
-    words = [_random_word(rng, modular.GAMMA_GENERATORS, 3) for _ in range(10)]
-    return [
-        # k_gamma at the identity is exactly 1.
-        _record(
-            "K_GAMMA_IDENTITY",
-            "scalar cocycle equals 1 at the identity element",
-            abs(modular.k_gamma(modular.GAMMA_IDENTITY, 1.3j) - 1.0),
-            tolerance,
-        ),
-        _record(
-            "ZETA_SQ_COCYCLE",
-            "squared theta-null transformation matches zeta_sq * (c tau + d)",
-            cocycle_worst,
-            tolerance,
-        ),
-        _record(
-            "CHI_MULTIPLICATIVITY",
-            "character of a product equals the product of characters",
-            chi_worst,
-            tolerance,
-        ),
-        divisibility("DIVISIBILITY_GENERATORS", (t2, v_elt)),
-        divisibility("DIVISIBILITY_WORDS", words),
-    ]
 
 
 #: A verify task: a suite and the record ids it reports.
@@ -381,7 +192,26 @@ def _verify_tasks(target: str) -> list[Task]:
 
 def _run_task(args: argparse.Namespace, task: Task) -> list[dict]:
     suite, wanted = task
-    return [r for r in SUITE_TABLE[suite][2](args, wanted) if r["record_id"] in wanted]
+    outcomes = globals()[SUITE_TABLE[suite][2]](args, wanted)
+    return [_record(outcome, args.tolerance) for outcome in outcomes if outcome.record_id in wanted]
+
+
+def _claim_tasks(
+    args: argparse.Namespace, tasks: list[Task], claims: int
+) -> Iterator[tuple[int, list[dict] | Exception | None]]:
+    """Claim task indices from the ``claims`` pipe until it is empty, and
+    yield each with its records or the error it raised.  Once a task has
+    raised, a task claimed later with a higher index is not run (None): the
+    report will raise at or before the failed one."""
+    failed = len(tasks)  # the lowest index that raised here
+    while claim := os.read(claims, 1):
+        index, result = claim[0], None
+        if index < failed:
+            try:
+                result = _run_task(args, tasks[index])
+            except Exception as exc:  # raised by _run_tasks if no earlier task failed
+                result, failed = exc, index
+        yield index, result
 
 
 #: At most this many processes share the verify tasks.  The bundle suite,
@@ -418,19 +248,15 @@ def _worker(
 ) -> NoReturn:
     """A forked worker's whole life: claim task indices until the pipe is
     empty and write one JSON line ``[index, records]`` per task, with null
-    records for a task that raised.  It ends with ``os._exit``, a Ctrl-C
-    included, so it never returns into the caller's stack and flushes
-    nothing it inherited."""
+    records for a task that raised or was not run.  It ends with
+    ``os._exit``, a Ctrl-C included, so it never returns into the caller's
+    stack and flushes nothing it inherited."""
     status = 1
     try:
         release()  # forked with SIGINT held back
         with open(results, "w", encoding="utf-8") as pipe:
-            while claim := os.read(claims, 1):
-                try:
-                    records = _run_task(args, tasks[claim[0]])
-                except Exception:  # the parent runs the task again to raise its error
-                    records = None
-                pipe.write(json.dumps([claim[0], records]) + "\n")
+            for index, result in _claim_tasks(args, tasks, claims):  # the parent reruns a task that raised
+                pipe.write(json.dumps([index, None if isinstance(result, Exception) else result]) + "\n")
         status = 0
     finally:
         os._exit(status)
@@ -446,8 +272,9 @@ def _run_tasks(args: argparse.Namespace, tasks: list[Task]) -> list[dict]:
     its records back as JSON lines on its own pipe; a float survives that
     trip exactly.  The first task in serial order that raised or went
     missing decides the error: a task that raised in a worker runs again
-    here to raise it.  SIGINT is held back while workers are forked and
-    reaped, so every worker is reaped, a Ctrl-C included."""
+    here to raise it, and a task a process skipped after a failure runs
+    here only if no earlier task failed.  SIGINT is held back while workers
+    are forked and reaped, so every worker is reaped, a Ctrl-C included."""
     workers = min(_cpu_count(), len(tasks), MAX_VERIFY_PROCESSES) - 1 if hasattr(os, "fork") else 0
     hold, release = _sigint_switches(workers > 0)
     claims, claims_in = os.pipe()
@@ -475,11 +302,7 @@ def _run_tasks(args: argparse.Namespace, tasks: list[Task]) -> list[dict]:
             os.close(write_end)
             pipes[pid] = read_end
         release()  # a Ctrl-C held back while forking raises here
-        while claim := os.read(claims, 1):
-            try:
-                outcomes[claim[0]] = _run_task(args, tasks[claim[0]])
-            except Exception as exc:  # raised below if no earlier task failed
-                outcomes[claim[0]] = exc
+        outcomes.update(_claim_tasks(args, tasks, claims))
     finally:
         hold()
         try:
@@ -567,26 +390,8 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-QSERIES_NAMES = ("t3", "double_sum", "andrews", "for1_lhs", "for1_rhs", "for2_lhs", "for2_rhs")
-
-
-def _qseries_build(name: str, order: int) -> tuple[qexact.USeries, str]:
-    if name == "t3":
-        return qexact.triangular_gf(order + 1) ** 3, "q"
-    if name == "double_sum":
-        return qexact.as_q_series(qexact.double_sum_series(2 * order + 2)), "q"
-    if name == "andrews":
-        return qexact.as_q_series(qexact.andrews_series(2 * order + 2)), "q"
-    trunc = 2 * order + 2
-    if name.startswith("for1"):
-        lhs, rhs = qexact.for1_sides(trunc)
-    else:
-        lhs, rhs = qexact.for2_sides(trunc)
-    return (lhs if name.endswith("lhs") else rhs), "u"
-
-
 def _cmd_qseries(args: argparse.Namespace) -> int:
-    series, variable = _qseries_build(args.name, args.order)
+    series, variable = qexact.named_series(args.name, args.order)
     if args.format == "csv":
         _emit("\n".join(qexact.to_csv_rows(series)), args.out)
         return 0
@@ -658,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--v", type=parse_complex, default=None)
 
     p_qseries = sub.add_parser("qseries", help="emit exact series coefficients")
-    p_qseries.add_argument("name", choices=QSERIES_NAMES)
+    p_qseries.add_argument("name", choices=qexact.QSERIES_NAMES)
     p_qseries.add_argument("--order", type=non_negative_int, default=40)
     p_qseries.add_argument("--format", choices=("json", "csv"), default="json")
     p_qseries.add_argument("--out", default=None)

@@ -14,6 +14,8 @@ GUARD_TOL of a kappa pole orbit (+u**even) or a theta zero orbit (-u**odd)
 relevant to the identity.  Identities built on the square roots
 s = a**(1/2) and v = u**(1/2) derive them from the principal branch; the
 SQRT entry checks both signs of s at every sample.
+
+``suite_outcomes`` is the verify report's numeric suite: one record per identity.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 # kappa0 stays bound here, unused: perfbench/tracer.py patches identities.kappa0.
 from appell_kit.modular import kappa0, kappa0_sweep  # noqa: F401
@@ -33,6 +35,7 @@ from appell_kit.numeric import (
     EvalPoint,
     Nome,
     NonconvergenceError,
+    Outcome,
     ResidualReport,
     annulus_point,
     dtheta_dz,
@@ -656,6 +659,15 @@ def max_residual_over_samples(
     assert worst is not None
     bindings, u, pair = worst
     return ResidualReport(ident.identity_id, EvalPoint(bindings), Nome(u), *pair)
+
+
+def suite_outcomes(ids: Sequence[str], samples: int, seed: int) -> list[Outcome]:
+    """The numeric records among ``ids``, in the order given."""
+    return [
+        Outcome(identity_id, max_residual_over_samples(identity_id, samples, seed).rel_residual,
+                REGISTRY[identity_id].description)
+        for identity_id in ids
+    ]
 
 
 def verify_registry(count: int = 100, seed: int = 0) -> dict[str, ResidualReport]:

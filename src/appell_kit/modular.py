@@ -25,15 +25,18 @@ vanishes at every zero x = (tau+1)/2 + m + n*tau of theta(x, tau), which is
 the finite-order obstruction to D being a holomorphic multiple of theta.
 The log of the law's two sides differs by an affine function of (m, n), so
 it is checked at the three zeros ``GENERATING_ZEROS``.
+
+``suite_outcomes`` is the verify report's modular suite: these laws on sampled elements.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from appell_kit.numeric import DomainError, PoleProximityError, kappa_sweep, theta
+from appell_kit.numeric import DomainError, Outcome, PoleProximityError, kappa_sweep, theta
 
 #: Convergence guard for divisibility checks: both tau and gamma.tau must
 #: satisfy Im tau >= MIN_IM_TAU, i.e. |u| <= exp(-0.1*pi) ~ 0.73, which keeps
@@ -74,9 +77,6 @@ class GammaElement(NamedTuple("GammaElement", [("a", int), ("b", int), ("c", int
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inverse(self) -> "GammaElement":
-        return GammaElement(self.d, -self.b, -self.c, self.a)
 
 
 GAMMA_IDENTITY = GammaElement(1, 0, 0, 1)
@@ -277,3 +277,65 @@ def divisibility_residual(gamma: GammaElement, tau: complex) -> float:
     zero checks the law's constant term and the unit steps its slopes in m
     and n, so the law holds at every theta zero when all three pass."""
     return max(residual for _, residual in zero_residuals(gamma, tau, GENERATING_ZEROS))
+
+
+#: tau values swept by the divisibility records.
+MODULAR_TAUS = (1.2j, 2.0j, 0.5 + 1.5j)
+
+RECORD_IDS = ("K_GAMMA_IDENTITY", "ZETA_SQ_COCYCLE", "CHI_MULTIPLICATIVITY", "DIVISIBILITY_GENERATORS",
+              "DIVISIBILITY_WORDS")
+
+
+def _random_word(rng: random.Random, alphabet: Sequence[GammaElement], max_len: int) -> GammaElement:
+    g = GAMMA_IDENTITY
+    for _ in range(rng.randint(1, max_len)):
+        g = g @ rng.choice(alphabet)
+    return g
+
+
+def suite_outcomes(samples: int, seed: int) -> list[Outcome]:
+    """Every modular record, in ``RECORD_IDS`` order.  CHI_MULTIPLICATIVITY
+    checks max(1, samples // 2) pairs of random words."""
+    rng = random.Random(seed)
+
+    # theta-null cocycle: theta(0, g.tau)**2 / theta(0, tau)**2 = zeta_sq * (c tau + d).
+    t2, v_elt, s_elt = GammaElement(1, 2, 0, 1), GammaElement(1, 0, 2, 1), GammaElement(0, -1, 1, 0)
+    cocycle_worst = 0.0
+    for g in (t2, v_elt, s_elt, t2 @ v_elt, v_elt @ v_elt @ t2, s_elt @ t2):
+        for tau in (0.3 + 1.1j, 1.7j):
+            lhs = theta_additive(0, act_tau(g, tau)) ** 2 / theta_additive(0, tau) ** 2
+            rhs = zeta_sq(g) * (g.c * tau + g.d)
+            cocycle_worst = max(cocycle_worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+
+    # chi is multiplicative on words in the parabolic generators.
+    parabolic = GAMMA_GENERATORS[:4]
+    chi_worst = 0.0
+    for _ in range(max(1, samples // 2)):
+        g1 = _random_word(rng, parabolic, 4)
+        g2 = _random_word(rng, parabolic, 4)
+        chi_worst = max(chi_worst, abs(chi(g1 @ g2) - chi(g1) * chi(g2)))
+
+    # Divisibility of the modular defect by theta, generators then random
+    # words; an element the domain guards refuse at some tau is skipped.
+    def divisibility(record_id: str, elements: Sequence[GammaElement]) -> Outcome:
+        worst, valid, skipped = 0.0, 0, 0
+        for g in elements:
+            for tau in MODULAR_TAUS:
+                try:
+                    worst = max(worst, divisibility_residual(g, tau))
+                    valid += 1
+                except DomainError:
+                    skipped += 1
+        return Outcome(record_id, worst if valid else math.inf, f"valid={valid} skipped={skipped}")
+
+    words = [_random_word(rng, GAMMA_GENERATORS, 3) for _ in range(10)]
+    return [
+        # k_gamma at the identity is exactly 1.
+        Outcome("K_GAMMA_IDENTITY", abs(k_gamma(GAMMA_IDENTITY, 1.3j) - 1.0),
+                "scalar cocycle equals 1 at the identity element"),
+        Outcome("ZETA_SQ_COCYCLE", cocycle_worst,
+                "squared theta-null transformation matches zeta_sq * (c tau + d)"),
+        Outcome("CHI_MULTIPLICATIVITY", chi_worst, "character of a product equals the product of characters"),
+        divisibility("DIVISIBILITY_GENERATORS", (t2, v_elt)),
+        divisibility("DIVISIBILITY_WORDS", words),
+    ]

@@ -107,6 +107,17 @@ class ResidualReport(NamedTuple):
         return cls(identity_id, point, nome, *worst_pair(pairs))
 
 
+class Outcome(NamedTuple):
+    """One verify record as its suite measured it: the worst residual
+    (None for an exact record) and, for an exact record that fails, the
+    first mismatching exponent.  The report's tolerance judges it."""
+
+    record_id: str
+    worst: float | None
+    detail: str
+    mismatch: int | None = None
+
+
 def worst_pair(
     pairs: list[tuple[complex, complex]],
 ) -> tuple[complex, complex, float, float, float]:

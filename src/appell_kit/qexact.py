@@ -30,6 +30,8 @@ Series in u, the half-nome (q = u**2), hold theta and 2 kappa at the
 2-torsion points +-1 and +-u, kappa doubled as kappa(-1, u) has the constant
 term 1/2; series in q, from even u-series via :func:`as_q_series`, the
 triangular-number generating function psi(q).
+
+``suite_outcomes`` is the verify report's exact suite: FOR1, FOR2 and psi(q)**3.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import struct
 from itertools import accumulate, compress, repeat
 from operator import add, index, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from appell_kit.numeric import Outcome
 
 
 class TruncationMismatchError(ValueError):
@@ -450,3 +454,48 @@ def to_csv_rows(series: USeries) -> list[str]:
     """Render a series as CSV rows 'exponent,numerator,denominator', one row
     per retained exponent, header first; every denominator is 1."""
     return ["exponent,numerator,denominator", *[f"{k},{c},1" for k, c in enumerate(series._coeffs)]]
+
+
+# ---------------------------------------------------------------------------
+# The named series of the qseries command, and the exact verify suite.
+# ---------------------------------------------------------------------------
+
+QSERIES_NAMES = ("t3", "double_sum", "andrews", "for1_lhs", "for1_rhs", "for2_lhs", "for2_rhs")
+
+RECORD_IDS = ("FOR1_EXACT", "FOR2_EXACT", "TRIANGULAR_DOUBLE_SUM", "TRIANGULAR_ANDREWS", "TRIANGULAR_COUNTS")
+
+
+def named_series(name: str, order: int) -> tuple[USeries, str]:
+    """The series ``name`` of ``QSERIES_NAMES`` through q**order (u**(2 order + 1)
+    for a FOR side), with its variable, "q" or "u"."""
+    trunc = 2 * order + 2
+    if name == "t3":
+        return triangular_gf(order + 1) ** 3, "q"
+    if name in ("double_sum", "andrews"):
+        return as_q_series((double_sum_series if name == "double_sum" else andrews_series)(trunc)), "q"
+    lhs, rhs = (for1_sides if name.startswith("for1") else for2_sides)(trunc)
+    return (lhs if name.endswith("lhs") else rhs), "u"
+
+
+def suite_outcomes(exact_order: int, ids: Sequence[str] = RECORD_IDS) -> list[Outcome]:
+    """The exact records among ``ids``: FOR1_EXACT and FOR2_EXACT are each
+    built only when wanted, the three triangular records together when any
+    of them is."""
+    built: dict = {}  # the series FOR1 and FOR2 share, built once per call
+    outcomes = [
+        Outcome(f"{relation}_EXACT", None, f"coefficients through u**{exact_order - 1} agree",
+                check(exact_order, built))
+        for relation, check in (("FOR1", check_for1_exact), ("FOR2", check_for2_exact))
+        if f"{relation}_EXACT" in ids
+    ]
+    if not any(record_id.startswith("TRIANGULAR_") for record_id in ids):
+        return outcomes
+    q_order = exact_order // 2
+    cube, _ = named_series("t3", q_order)
+    detail = f"matches the cubed generating function through q**{q_order}"
+    for record_id, route in (("TRIANGULAR_DOUBLE_SUM", "double_sum"), ("TRIANGULAR_ANDREWS", "andrews")):
+        outcomes.append(Outcome(record_id, None, detail, cube.agrees_with(named_series(route, q_order)[0])))
+    counts = triangular_counts_bruteforce(q_order)
+    detail = f"series coefficients equal brute-force triple counts through {q_order}"
+    outcomes.append(Outcome("TRIANGULAR_COUNTS", None, detail, cube.agrees_with(USeries(len(counts), counts))))
+    return outcomes

@@ -44,7 +44,7 @@ from appell_kit.bundles import (
     theta_section,
 )
 from appell_kit import identities
-from appell_kit.cli import BUNDLE_NOMES
+from appell_kit.bundles import BUNDLE_NOMES
 from appell_kit.numeric import (
     GUARD_TOL,
     DomainError,
@@ -327,9 +327,9 @@ def test_sample_z_points_deterministic_and_guarded():
 def test_mu_expansion_runs_on_a_z_prefix(monkeypatch, samples, z_points):
     """The bundle suite checks every MU_EXPANSION pair on the first
     min(z_count, MU_Z_POINTS) of its z-points, with thetas over that prefix."""
-    from appell_kit import bundles, cli
+    from appell_kit import bundles
 
-    assert cli.MU_Z_POINTS == 50
+    assert bundles.MU_Z_POINTS == 50
     seen = []
     original = bundles.mu_expansion_residual
 
@@ -338,7 +338,7 @@ def test_mu_expansion_runs_on_a_z_prefix(monkeypatch, samples, z_points):
         return original(a, b, u, zs, thetas)
 
     monkeypatch.setattr(bundles, "mu_expansion_residual", record)
-    cli._bundle_records(samples, 0, 1e-9)
+    bundles.suite_outcomes(samples, 0)
     z_count = max(8, samples // 10)
     prefixes = {u: sample_z_points(u, z_count, 0)[:z_points] for u in BUNDLE_NOMES}
     assert len(seen) == len(BUNDLE_NOMES) * max(4, samples // 20)

