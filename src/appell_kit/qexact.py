@@ -29,7 +29,10 @@ ones, and flipping the top bits reads each slot as c.
 Series in u, the half-nome (q = u**2), hold theta and 2 kappa at the
 2-torsion points +-1 and +-u, kappa doubled as kappa(-1, u) has the constant
 term 1/2; series in q, from even u-series via :func:`as_q_series`, the
-triangular-number generating function psi(q).
+triangular-number generating function psi(q).  FOR1 and FOR2 are checked in
+q: u -> -u swaps the two terms of one side of each, so once the u-series are
+checked to have that symmetry only the even part of that side carries the
+relation, half the coefficients.
 
 ``suite_outcomes`` is the verify report's exact suite: FOR1, FOR2 and psi(q)**3.
 """
@@ -301,21 +304,57 @@ def twice_kappa_at(a_sign: int, a_exp: int, z_sign: int, z_exp: int, trunc: int)
 # ---------------------------------------------------------------------------
 
 
-def _for_series(trunc: int, built: dict | None) -> list[USeries]:
-    """theta(1), theta(-1), theta(u), 2 kappa(u, -1) and 2 kappa(-u, 1):
-    the series both relations use.  A caller that passes one dict to both
-    checks has them built once; the dict keeps them under trunc."""
+def _first(*exponents: int | None) -> int | None:
+    """The least of the exponents that are not None, or None."""
+    return min(filter(lambda e: e is not None, exponents), default=None)
+
+
+def _first_odd_exponent(series: USeries) -> int | None:
+    """The first odd exponent with a nonzero coefficient, or None."""
+    return next(compress(range(1, series.trunc, 2), series._coeffs[1::2]), None)
+
+
+def _first_asymmetry(series: USeries, image: USeries) -> int | None:
+    """The first exponent k where image's coefficient is not (-1)**k times
+    series', or None if image is series at -u."""
+    a, b = series._coeffs, image._coeffs
+    return _first(next(compress(range(0, len(a), 2), map(ne, a[0::2], b[0::2])), None),
+                  next(compress(range(1, len(a), 2), map(add, a[1::2], b[1::2])), None))
+
+
+def _even_part(x: USeries, y: USeries) -> USeries:
+    """(x(u) y(u) + x(-u) y(-u)) / 2 as a q-series, x0 y0 + q x1 y1, where
+    s0 = s[0::2] and s1 = s[1::2] split a u-series s as s0(q) + u s1(q)."""
+    t = (x.trunc + 1) // 2  # q-exponents below t; q x1 y1 needs x1, y1 below t - 1
+    even = USeries._make(t, x._coeffs[0::2]) * USeries._make(t, y._coeffs[0::2])
+    if t == 1:
+        return even
+    odd = USeries._make(t - 1, x._coeffs[1 : 2 * t - 1 : 2]) * USeries._make(t - 1, y._coeffs[1 : 2 * t - 1 : 2])
+    return USeries._make(t, [even._coeffs[0], *map(add, even._coeffs[1:], odd._coeffs)])
+
+
+def _for_series(trunc: int, built: dict | None) -> list:
+    """theta(1), theta(-1), theta(u), 2 kappa(u, -1) and 2 kappa(-u, 1), the
+    series both relations use, then theta(u) as a q-series and the first
+    exponent where theta(-1) is not theta(1) at -u, 2 kappa(-u, 1) is not
+    2 kappa(u, -1) at -u, or theta(u) is not even.  A caller that passes
+    one dict to both checks has them built once; the dict keeps them under
+    trunc."""
     built = {} if built is None else built
     if trunc not in built:
-        built[trunc] = [theta_at(1, 0, trunc), theta_at(-1, 0, trunc), theta_at(1, 1, trunc),
-                        twice_kappa_at(1, 1, -1, 0, trunc), twice_kappa_at(-1, 1, 1, 0, trunc)]
+        plus, minus, half = theta_at(1, 0, trunc), theta_at(-1, 0, trunc), theta_at(1, 1, trunc)
+        k_plus, k_minus = twice_kappa_at(1, 1, -1, 0, trunc), twice_kappa_at(-1, 1, 1, 0, trunc)
+        mismatch = _first(_first_asymmetry(plus, minus), _first_asymmetry(k_plus, k_minus),
+                          _first_odd_exponent(half))
+        built[trunc] = [plus, minus, half, k_plus, k_minus,
+                        USeries._make((trunc + 1) // 2, half._coeffs[0::2]), mismatch]
     return built[trunc]
 
 
 def for1_sides(trunc: int, built: dict | None = None) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(1) 2kappa(u,-1) + theta(-1) 2kappa(-u,1)
     = theta(u)**3 as exact u-series."""
-    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)
+    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)[:5]
     return plus * k_plus + minus * k_minus, half * half * half
 
 
@@ -326,24 +365,43 @@ def for2_sides(trunc: int, built: dict | None = None) -> tuple[USeries, USeries]
     Each dense kappa series is multiplied by its sparse theta nulls three
     times over rather than by the dense cube; truncated products are
     associative, so the coefficients are the same."""
-    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)
+    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)[:5]
     lhs = twice_kappa_at(-1, 0, 1, 1, trunc) * half * half * half
     rhs = k_plus * minus * minus * minus + k_minus * plus * plus * plus
     return lhs, rhs
 
 
+def _u_exponent(q_exponent: int | None) -> int | None:
+    return None if q_exponent is None else 2 * q_exponent
+
+
 def check_for1_exact(trunc: int, built: dict | None = None) -> int | None:
     """None if the first relation holds through u**(trunc-1); otherwise the
-    first failing exponent.  Checks passed one ``built`` dict share series."""
-    lhs, rhs = for1_sides(trunc, built)
-    return lhs.agrees_with(rhs)
+    first failing exponent.  Checks passed one ``built`` dict share series.
+
+    u -> -u (tau -> tau + 1) swaps the two terms on the left and fixes
+    theta(u), so, once theta(-1) and 2 kappa(-u, 1) are checked to be the
+    images of theta(1) and 2 kappa(u, -1) and theta(u) to be even, the
+    relation is its even part in q = u**2, of half the length:
+    2 (theta(1)0 K0 + q theta(1)1 K1) = theta(u)0**3 with K = 2 kappa(u, -1).
+    A q-mismatch at m is the u-exponent 2m."""
+    plus, _, _, k_plus, _, half_q, mismatch = _for_series(trunc, built)
+    lhs = _even_part(plus, k_plus)
+    return _first(mismatch, _u_exponent((lhs + lhs).agrees_with(half_q * half_q * half_q)))
 
 
 def check_for2_exact(trunc: int, built: dict | None = None) -> int | None:
     """None if the second relation holds through u**(trunc-1); otherwise the
-    first failing exponent.  Checks passed one ``built`` dict share series."""
-    lhs, rhs = for2_sides(trunc, built)
-    return lhs.agrees_with(rhs)
+    first failing exponent.  Checks passed one ``built`` dict share series.
+
+    As for the first relation, u -> -u swaps the two terms on the right, so
+    with R = 2 kappa(u, -1) theta(-1)**2, and 2 kappa(-1, u) checked even,
+    the relation is 2kappa(-1,u)0 theta(u)0**3 = 2 (R0 theta(-1)0 + q R1 theta(-1)1)."""
+    _, minus, _, k_plus, _, half_q, mismatch = _for_series(trunc, built)
+    a = twice_kappa_at(-1, 0, 1, 1, trunc)
+    lhs = USeries._make(half_q.trunc, a._coeffs[0::2]) * half_q * half_q * half_q
+    rhs = _even_part(k_plus * minus * minus, minus)
+    return _first(mismatch, _first_odd_exponent(a), _u_exponent(lhs.agrees_with(rhs + rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +421,7 @@ def as_q_series(series: USeries) -> USeries:
 
     Raises ValueError if any odd-exponent coefficient is nonzero, since such
     a series has no expression in q."""
-    odd = next(compress(range(1, series.trunc, 2), series._coeffs[1::2]), None)
+    odd = _first_odd_exponent(series)
     if odd is not None:
         raise ValueError(
             f"series has nonzero coefficient at odd exponent {odd}; not a q-series"

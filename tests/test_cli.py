@@ -473,6 +473,39 @@ def test_triangular_records_fail_at_the_perturbed_exponent(capsys, monkeypatch, 
     assert [i for i, r in records.items() if not r["passed"]] == [record_id]
 
 
+def _perturbed_at(original, point, m):
+    def perturbed(*args):
+        series = original(*args)
+        return series + qexact.USeries.monomial(m, args[-1]) if args[:-1] == point else series  # u**m
+
+    return perturbed
+
+
+@pytest.mark.parametrize("m", (0, 1, 17, 40))
+@pytest.mark.parametrize(
+    "name, point, failing",
+    [
+        ("theta_at", (1, 0), ["FOR1_EXACT", "FOR2_EXACT"]),
+        ("theta_at", (-1, 0), ["FOR1_EXACT", "FOR2_EXACT"]),
+        ("theta_at", (1, 1), ["FOR1_EXACT", "FOR2_EXACT"]),
+        ("twice_kappa_at", (1, 1, -1, 0), ["FOR1_EXACT", "FOR2_EXACT"]),
+        ("twice_kappa_at", (-1, 1, 1, 0), ["FOR1_EXACT", "FOR2_EXACT"]),
+        ("twice_kappa_at", (-1, 0, 1, 1), ["FOR2_EXACT"]),
+    ],
+)
+def test_for_records_fail_at_the_perturbed_exponent(capsys, monkeypatch, name, point, failing, m):
+    """One coefficient of theta(1), theta(-1), theta(u), 2 kappa(u, -1),
+    2 kappa(-u, 1) or 2 kappa(-1, u) off by one at u**m fails each FOR
+    record that reads that series, at exponent m, odd or even, and exits 1."""
+    monkeypatch.setattr(qexact, name, _perturbed_at(getattr(qexact, name), point, m))
+    code, out, _ = run_cli(capsys, "verify", "exact", "--exact-order", "82")
+    assert code == 1
+    records = {r["record_id"]: r for r in json.loads(out)["records"]}
+    assert [i for i, r in records.items() if not r["passed"]] == failing
+    for record_id in failing:
+        assert records[record_id]["detail"] == f"first mismatch at exponent {m}"
+
+
 def test_eval_kappa(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "kappa", "--a", "0.7+0.4i", "--z", "1.3-0.2j", "--u", "0.35"

@@ -690,14 +690,39 @@ def test_exact_records_build_each_shared_series_once(monkeypatch):
         assert calls == expected
 
 
-def test_exact_records_take_15_products(monkeypatch):
-    """verify exact at order 800 forms 15 series products: 4 for FOR1, 9
-    for FOR2 and 2 for the cubed triangular-number generating function."""
+def test_exact_records_take_13_products(monkeypatch):
+    """verify exact at order 800 forms 13 series products: 4 for FOR1 (the
+    even and odd halves of theta(1) 2kappa(u,-1), and theta(u)**3, all in
+    q), 7 for FOR2 (2kappa(-1,u) theta(u)**3 in q; R = 2kappa(u,-1)
+    theta(-1)**2 in u; R theta(-1)'s two halves in q) and 2 for the cubed
+    triangular-number generating function."""
     calls = []
     original = USeries.__mul__
     monkeypatch.setattr(USeries, "__mul__", lambda x, y: calls.append(1) or original(x, y))
     assert all(cli._record(o, 1e-9)["passed"] for o in qexact.suite_outcomes(800))
-    assert len(calls) == 15
+    assert len(calls) == 13
+
+
+@pytest.mark.parametrize("trunc", range(1, 13))
+def test_half_length_checks_match_the_u_series_sides(monkeypatch, trunc):
+    """With any one coefficient of any of the six series FOR1 and FOR2 read
+    changed, in either direction, each check returns the first exponent where
+    its u-series sides differ: the symmetry and parity checks and the
+    relations in q see what the full u-series relations see."""
+    points = [("theta_at", (1, 0)), ("theta_at", (-1, 0)), ("theta_at", (1, 1)),
+              ("twice_kappa_at", (1, 1, -1, 0)), ("twice_kappa_at", (-1, 1, 1, 0)),
+              ("twice_kappa_at", (-1, 0, 1, 1))]
+    originals = {name: getattr(qexact, name) for name in ("theta_at", "twice_kappa_at")}
+    for (name, point), m, delta in product(points, range(trunc), (1, -2)):
+        def perturbed(*args, original=originals[name]):
+            series = original(*args)
+            return series + USeries.monomial(m, trunc, delta) if args[:-1] == point else series
+
+        monkeypatch.setattr(qexact, name, perturbed)
+        for check, sides in ((check_for1_exact, for1_sides), (check_for2_exact, for2_sides)):
+            lhs, rhs = sides(trunc)
+            assert check(trunc) == lhs.agrees_with(rhs), (name, point, m, delta)
+        monkeypatch.setattr(qexact, name, originals[name])
 
 
 @pytest.mark.parametrize("order", (*range(13), 100, 400, 405, 406, 407))
