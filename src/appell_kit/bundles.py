@@ -19,15 +19,23 @@ The mu-expansion utilities express a b-translated section of the
 tensor(F_{ab}, L) factor in the explicit three-element section basis
 (v0, v1, v-1), with coefficients that are pure theta quotients.
 
-``suite_outcomes`` is the verify report's bundle suite: these checks at two nomes.
+``suite_outcomes`` is the verify report's bundle suite: these checks at two
+nomes.  At each nome it builds every series its section, gauge and
+determinant records read once, as one sweep over the z-points and their
+q-translates together: theta at z, -z, z/a and the two theta2 arguments,
+kappa(a, z), kappa(1/a, z), kappa(-a, -z) and kappa(-1, -z).  The public
+sections and gauge matrices are built as usual, and each one's evaluator
+is swapped for a lookup of those values by point, so every record runs its
+arithmetic unchanged on values bit for bit the scalar evaluators'.  The
+Bezout record sweeps its own w-points, and MU_EXPANSION reads theta(1),
+theta(u) and the theta(z), theta(-z) columns of the same sweeps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from appell_kit.numeric import (
     GUARD_TOL,
@@ -210,18 +218,26 @@ def basis_sections(
         return (theta(z / a, u), 0.0j)
 
     def v1(z: complex) -> tuple[complex, ...]:
-        th = theta(z, u)
-        return (th * kappa(a, z, u), th * th)
+        return _v1_entries(theta(z, u), kappa(a, z, u))
 
     def vm1(z: complex) -> tuple[complex, ...]:
-        th = theta(-z, u)
-        return (th * kappa(-a, -z, u), -th * th)
+        return _vm1_entries(theta(-z, u), kappa(-a, -z, u))
 
     return (
         SectionCandidate(2, f"v0[{a}]", v0),
         SectionCandidate(2, f"v1[{a}]", v1),
         SectionCandidate(2, f"v-1[{a}]", vm1),
     )
+
+
+def _v1_entries(th: complex, k: complex) -> tuple[complex, ...]:
+    """v1 from th = theta(z) and k = kappa(a, z)."""
+    return (th * k, th * th)
+
+
+def _vm1_entries(th: complex, k: complex) -> tuple[complex, ...]:
+    """v-1 from th = theta(-z) and k = kappa(-a, -z)."""
+    return (th * k, -th * th)
 
 
 def check_section(
@@ -298,10 +314,7 @@ def build_B(a: complex, u: complex) -> GaugeMatrix:
     ca = c_a_theta(a, u)
 
     def ev(z: complex) -> Matrix:
-        ka = kappa(a, z, u)
-        ki = kappa(1 / a, z, u)
-        th = theta(z, u)
-        return ((ka, (ca - ka * ki / a) / th), (th, -ki / a))
+        return _b_matrix(a, ca, kappa(a, z, u), kappa(1 / a, z, u), theta(z, u))
 
     return GaugeMatrix(
         f"B[{a}]", Nome(u), make_Fpa(a, u), make_Fa(a, u), ca, ev
@@ -316,20 +329,28 @@ def build_C(u: complex) -> GaugeMatrix:
              [theta2(-z/u), -theta2(-u z)]]
 
     with det C = -c identically; both ratio entries are holomorphic."""
-    lam = lambda_constant(u)
-    half = 0.5 * theta(1, u) * theta(-1, u)
-    c = c_constant_theta(u)
+    lam, half, c = _c_constants(u)
 
     def ev(z: complex) -> Matrix:
-        k = kappa(-1, -z, u)
-        t_up = theta2(-u * z, u)
-        t_dn = theta2(-z / u, u)
-        return (
-            (lam * (half - k) / t_up, lam * (half + k) / t_dn),
-            (t_dn, -t_up),
-        )
+        return _c_matrix(lam, half, kappa(-1, -z, u), theta2(-u * z, u), theta2(-z / u, u))
 
     return GaugeMatrix("C", Nome(u), make_push(u), make_Fpa(1.0, u), c, ev)
+
+
+def _b_matrix(a: complex, ca: complex, ka: complex, ki: complex, th: complex) -> Matrix:
+    """B(z) from ka = kappa(a, z), ki = kappa(1/a, z) and th = theta(z)."""
+    return ((ka, (ca - ka * ki / a) / th), (th, -ki / a))
+
+
+def _c_constants(u: complex) -> tuple[complex, complex, complex]:
+    """The per-nome constants (lambda, theta(1) theta(-1) / 2, c) of the
+    gauge matrix C and the Bezout pair."""
+    return lambda_constant(u), 0.5 * theta(1, u) * theta(-1, u), c_constant_theta(u)
+
+
+def _c_matrix(lam: complex, half: complex, k: complex, t_up: complex, t_dn: complex) -> Matrix:
+    """C(z) from k = kappa(-1, -z), t_up = theta2(-u z) and t_dn = theta2(-z/u)."""
+    return ((lam * (half - k) / t_up, lam * (half + k) / t_dn), (t_dn, -t_up))
 
 
 def gauge_residual(gauge: GaugeMatrix, points: Sequence[complex]) -> float:
@@ -375,7 +396,7 @@ def bezout_pair(
 
     Both are rescaled entries of the gauge matrix C evaluated at z = -u w;
     the theta2 denominators cancel against zeros of the numerators."""
-    lam, half, c = _bezout_constants(u)
+    lam, half, c = _c_constants(u)
     q = u * u
 
     def phi1(w: complex) -> complex:
@@ -387,25 +408,24 @@ def bezout_pair(
     return phi1, phi2
 
 
-@functools.lru_cache(maxsize=8)
-def _bezout_constants(u: complex) -> tuple[complex, complex, complex]:
-    """The per-nome constants (lambda, theta(1) theta(-1) / 2, c) of the
-    Bezout pair, computed once per nome."""
-    return lambda_constant(u), 0.5 * theta(1, u) * theta(-1, u), c_constant_theta(u)
-
-
-def bezout_residual(u: complex, w: complex) -> float:
-    """|phi1(w) theta2(w) - phi2(w) theta2(q w) - 1| at one point: the
-    expression of ``bezout_pair`` with kappa(-1, u w) and each theta2
-    evaluated once."""
-    lam, half, c = _bezout_constants(u)
+def bezout_residual(u: complex, ws: Sequence[complex]) -> float:
+    """Worst |phi1(w) theta2(w) - phi2(w) theta2(q w) - 1| over the points:
+    the expression of ``bezout_pair`` with its constants computed once per
+    call, and kappa(-1, u w), theta2(w) and theta2(q w) one sweep each
+    (theta2 is theta at the nome u**2)."""
+    lam, half, c = _c_constants(u)
     q = u * u
-    k = kappa(-1, u * w, u)
-    t = theta2(w, u)
-    tq = theta2(q * w, u)
-    phi1 = lam * (half + k) / (c * t)
-    phi2 = -lam * (half - k) / (c * tq)
-    return abs(phi1 * t - phi2 * tq - 1.0)
+    columns = zip(
+        kappa_sweep(-1, [u * w for w in ws], u),
+        theta_sweep(ws, q),
+        theta_sweep([q * w for w in ws], q),
+    )
+    worst = []
+    for k, t, tq in columns:
+        phi1 = lam * (half + k) / (c * t)
+        phi2 = -lam * (half - k) / (c * tq)
+        worst.append(abs(phi1 * t - phi2 * tq - 1.0))
+    return max(worst, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +459,32 @@ def mu_nu(a: complex, b: complex, u: complex) -> complex:
     return num / den
 
 
+def _mu_coefficients(
+    a: complex, b: complex, u: complex, th_1: complex, th_u: complex
+) -> tuple[complex, complex, complex]:
+    """(lambda_b, lambda_{-b}, nu_{a,b} - nu_{a,-b}) as ``mu_lambda`` and
+    ``mu_nu`` compute them, bit for bit, from th_1 = theta(1), th_u = theta(u)
+    and 17 further thetas where those functions make 20: theta(u b) and
+    theta(u (-b)) each serve a lambda and a nu, and theta(-u/a) both nus.
+    Each argument is the literal expression of those functions; u / (-b),
+    say, is not the float -u / b in every zero sign."""
+    mb = -b
+    th_ub = theta(u * b, u)
+    th_umb = theta(u * mb, u)
+    th_mua = theta(-u / a, u)
+
+    def nu(b: complex, th_ub: complex) -> complex:
+        num = th_1 * th_ub * theta(-u * b, u) * theta(-u / b, u) * theta(b, u) * theta(a * b, u)
+        den = 2.0 * th_u * th_mua * theta(a * b / u, u) * theta(-a * b * b, u)
+        return num / den
+
+    return (
+        theta(u / b, u) * th_ub / th_u**2,
+        theta(u / mb, u) * th_umb / th_u**2,
+        nu(b, th_ub) - nu(mb, th_umb),
+    )
+
+
 def mu_sample_ok(a: complex, b: complex, u: complex) -> bool:
     """Guard for the mu-expansion: the kappa parameters a, ab, -ab must stay
     off the pole orbit +u**even, and the theta arguments -u/a, ab/u, -ab/u,
@@ -464,6 +510,7 @@ def mu_expansion_residual(
     u: complex,
     zs: Sequence[complex],
     thetas: Sequence[tuple[complex, complex]] | None = None,
+    nulls: tuple[complex, complex] | None = None,
 ) -> ResidualReport:
     """Check, componentwise at each z, that the b-translated section
 
@@ -475,18 +522,20 @@ def mu_expansion_residual(
 
     in the section basis (v0, v1, v-1) of ``basis_sections(a b, u)``,
     evaluated term by term as those sections do.  ``thetas`` is
-    ``mu_thetas(u, zs)``, computed here when not given, so a caller that
-    checks many (a, b) pairs over the same points computes it once.  Each of
-    the six series is one sweep over the points."""
+    ``mu_thetas(u, zs)`` and ``nulls`` is (theta(1), theta(u)), each
+    computed here when not given, so a caller that checks many (a, b) pairs
+    at one nome over the same points computes them once.  Each of the six
+    series is one sweep over the points, and each theta value the
+    coefficients read is evaluated once (``_mu_coefficients``)."""
     if not mu_sample_ok(a, b, u):
         raise DomainError(
             f"(a, b) = ({a}, {b}) violates the mu-expansion sampling guard"
         )
     if thetas is None:
         thetas = mu_thetas(u, zs)
-    lam_p = mu_lambda(b, u)
-    lam_m = mu_lambda(-b, u)
-    nu_diff = mu_nu(a, b, u) - mu_nu(a, -b, u)
+    if nulls is None:
+        nulls = (theta(1, u), theta(u, u))
+    lam_p, lam_m, nu_diff = _mu_coefficients(a, b, u, *nulls)
     ab = a * b
     bzs = [b * z for z in zs]
     columns = zip(
@@ -547,9 +596,20 @@ RECORD_IDS = ("SECTION_THETA", "SECTION_PUSH", "SECTION_KAPPA_THETA", "SECTION_B
               "BEZOUT_PAIR", "MU_EXPANSION")
 
 
+def _lookup(points: Sequence[complex], values: Iterable) -> Callable:
+    """An evaluator that returns the value paired with each point."""
+    return dict(zip(points, values)).__getitem__
+
+
 def suite_outcomes(samples: int, seed: int) -> list[Outcome]:
     """Every bundle record, sorted by id: each one's worst residual over
-    ``BUNDLE_NOMES``, on max(8, samples // 10) z-points per nome."""
+    ``BUNDLE_NOMES``, on max(8, samples // 10) z-points per nome.
+
+    The sections and gauge matrices are the public ones with each evaluator
+    swapped for a lookup in the nome's sweeps over the z-points and their
+    q-translates, the points ``check_section`` and ``gauge_residual``
+    evaluate at; ``determinant_spread`` reads the matrices ``gauge_residual``
+    read."""
     rng = random.Random(seed)
     z_count = max(8, samples // 10)
     worst = dict.fromkeys(RECORD_IDS, 0.0)
@@ -558,32 +618,60 @@ def suite_outcomes(samples: int, seed: int) -> list[Outcome]:
         worst[key] = max(worst[key], value)
 
     for u in BUNDLE_NOMES:
+        q = u * u
         zs = sample_z_points(u, z_count, seed)
-        bump("SECTION_THETA", check_section(make_L(u), theta_section(u), zs))
-        bump("SECTION_PUSH", check_section(make_push(u), push_section(u), zs))
+        points = zs + [q * z for z in zs]
+        negated = [-z for z in points]
+        th = theta_sweep(points, u)
+        th_neg = theta_sweep(negated, u)
+        # theta2(x, u) is theta(x, u * u).
+        t_up = theta_sweep([-u * z for z in points], q)
+        t_dn = theta_sweep([-z / u for z in points], q)
+        section = theta_section(u)._replace(evaluator=_lookup(points, ((t,) for t in th)))
+        bump("SECTION_THETA", check_section(make_L(u), section, zs))
+        push = ((-x, -y) for x, y in zip(t_up, t_dn))
+        section = push_section(u)._replace(evaluator=_lookup(points, push))
+        bump("SECTION_PUSH", check_section(make_push(u), section, zs))
         a_values = guarded_sample(lambda: annulus_point(rng),
                                   lambda a: not near_power_orbit(a, u, sign=1, parity=0, tol=GUARD_TOL), 2)
         for a in a_values:
-            bump("SECTION_KAPPA_THETA", check_section(make_Fa(a, u), kappa_theta_section(a, u), zs))
+            ka = kappa_sweep(a, points, u)
+            ki = kappa_sweep(1 / a, points, u)
+            section = kappa_theta_section(a, u)._replace(evaluator=_lookup(points, zip(ka, th)))
+            bump("SECTION_KAPPA_THETA", check_section(make_Fa(a, u), section, zs))
             factor = tensor(make_Fa(a, u), make_L(u))
-            for section in basis_sections(a, u):
+            basis_values = (
+                ((t, 0.0j) for t in theta_sweep([z / a for z in points], u)),
+                map(_v1_entries, th, ka),
+                map(_vm1_entries, th_neg, kappa_sweep(-a, negated, u)),
+            )
+            for section, values in zip(basis_sections(a, u), basis_values):
+                section = section._replace(evaluator=_lookup(points, values))
                 bump("SECTION_BASIS", check_section(factor, section, zs))
             gauge_b = build_B(a, u)
+            ca = gauge_b.constant
+            matrices = (_b_matrix(a, ca, *kernel) for kernel in zip(ka, ki, th))
+            gauge_b = gauge_b._replace(evaluator=_lookup(points, matrices))
             bump("GAUGE_B_CONJ", gauge_residual(gauge_b, zs))
             bump("DET_B_SPREAD", determinant_spread(gauge_b, zs))
             ca_t = c_a_theta(a, u)
             bump("CONST_CA_CROSS", abs(ca_t - c_a_kappa(a, u)) / max(1.0, abs(ca_t)))
-        gauge_c = build_C(u)
+        lam, half, _ = _c_constants(u)
+        k_neg = kappa_sweep(-1, negated, u)
+        matrices = (_c_matrix(lam, half, *kernel) for kernel in zip(k_neg, t_up, t_dn))
+        gauge_c = build_C(u)._replace(evaluator=_lookup(points, matrices))
         bump("GAUGE_C_CONJ", gauge_residual(gauge_c, zs))
         bump("DET_C_SPREAD", determinant_spread(gauge_c, zs))
         c_t = c_constant_theta(u)
         bump("CONST_C_CROSS", abs(c_t - c_constant_kappa(u)) / max(1.0, abs(c_t)))
         ws = sample_z_points(u, samples, seed + 1, radius_range=(0.3, 3.0))
-        bump("BEZOUT_PAIR", max(bezout_residual(u, w) for w in ws))
+        bump("BEZOUT_PAIR", bezout_residual(u, ws))
         mu_pairs = guarded_sample(lambda: (annulus_point(rng), annulus_point(rng)),
                                   lambda ab: mu_sample_ok(*ab, u), max(4, samples // 20))
         mu_zs = zs[:MU_Z_POINTS]
-        thetas = mu_thetas(u, mu_zs)
+        n = len(mu_zs)
+        thetas = list(zip(th[:n], th_neg[:n]))  # mu_thetas(u, mu_zs), as points start with zs
+        nulls = (theta(1, u), theta(u, u))
         for a, b in mu_pairs:
-            bump("MU_EXPANSION", mu_expansion_residual(a, b, u, mu_zs, thetas).rel_residual)
+            bump("MU_EXPANSION", mu_expansion_residual(a, b, u, mu_zs, thetas, nulls).rel_residual)
     return [Outcome(key, value, "") for key, value in sorted(worst.items())]

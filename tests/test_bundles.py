@@ -139,19 +139,54 @@ def test_bezout_identity_on_circles(u):
         for w in circle_points(radius):
             value = phi1(w) * theta2(w, u) - phi2(w) * theta2(q * w, u)
             assert abs(value - 1.0) < 1e-9
-    assert bezout_residual(u, 2.0) < 1e-9
+    assert bezout_residual(u, [2.0]) < 1e-9
 
 
 @pytest.mark.parametrize("u", BUNDLE_NOMES)
 def test_bezout_residual_is_bezout_pair_expression(u):
-    """The per-point residual, with its per-nome constants cached, is
-    bit-identical to the expression built from bezout_pair."""
+    """The residual at each point, from sweeps, is bit-identical to the
+    expression built from bezout_pair, and over many points it is their
+    worst; over no points it is 0."""
     phi1, phi2 = bezout_pair(u)
     q = u * u
     ws = [*sample_z_points(u, 12, seed=3, radius_range=(0.3, 3.0)), 2.0, -0.7 + 0.2j]
-    for w in ws:
-        expected = abs(phi1(w) * theta2(w, u) - phi2(w) * theta2(q * w, u) - 1.0)
-        assert bezout_residual(u, w) == expected
+    expected = [abs(phi1(w) * theta2(w, u) - phi2(w) * theta2(q * w, u) - 1.0) for w in ws]
+    for w, value in zip(ws, expected):
+        assert bezout_residual(u, [w]) == value
+    assert bezout_residual(u, ws) == max(expected)
+    assert bezout_residual(u, []) == 0.0
+
+
+@pytest.mark.parametrize("u", BUNDLE_NOMES)
+def test_bezout_residual_follows_a_patched_theta(monkeypatch, u):
+    """The Bezout constants are computed from the kernel bound at each call,
+    not kept from the first call at that nome: a patched bundles.theta moves
+    the residual, and removing the patch moves it back bit for bit."""
+    from appell_kit import bundles
+
+    w = 1.3 + 0.2j
+    before = bezout_residual(u, [w])
+
+    def by_hand(th):
+        q = u * u
+        lam = theta2(1, u) * theta2(q, u) / th(u, u)
+        half = 0.5 * th(1, u) * th(-1, u)
+        c = lam * th(1, u) * th(-1, u)
+        k, t, tq = kappa(-1, u * w, u), theta2(w, u), theta2(q * w, u)
+        phi1 = lam * (half + k) / (c * t)
+        phi2 = -lam * (half - k) / (c * tq)
+        return abs(phi1 * t - phi2 * tq - 1.0)
+
+    def shifted(z, v):
+        return theta(z, v) + 1e-10
+
+    assert before == by_hand(theta)
+    monkeypatch.setattr(bundles, "theta", shifted)
+    patched = bezout_residual(u, [w])
+    assert patched == by_hand(shifted)
+    assert patched != before
+    monkeypatch.undo()
+    assert bezout_residual(u, [w]) == before
 
 
 def test_bezout_pair_stays_bounded():
@@ -214,10 +249,12 @@ def _mu_expansion_reference(a, b, u, zs):
 def test_mu_expansion_precomputed_thetas_are_bit_identical(u):
     zs = sample_z_points(u, 20, seed=7)
     thetas = mu_thetas(u, zs)
+    nulls = (theta(1, u), theta(u, u))
     for a, b in ((1.3 - 0.7j, 0.8 + 0.5j), (0.6 + 0.9j, 1.4 - 0.2j), (-0.9 + 0.6j, -1.7 - 0.3j)):
         assert mu_sample_ok(a, b, u)
         report = mu_expansion_residual(a, b, u, zs)
         assert mu_expansion_residual(a, b, u, zs, thetas) == report
+        assert repr(mu_expansion_residual(a, b, u, zs, thetas, nulls)) == repr(report)
         assert report == _mu_expansion_reference(a, b, u, zs)
 
 
@@ -333,9 +370,9 @@ def test_mu_expansion_runs_on_a_z_prefix(monkeypatch, samples, z_points):
     seen = []
     original = bundles.mu_expansion_residual
 
-    def record(a, b, u, zs, thetas):
+    def record(a, b, u, zs, thetas, nulls):
         seen.append((u, list(zs), len(thetas)))
-        return original(a, b, u, zs, thetas)
+        return original(a, b, u, zs, thetas, nulls)
 
     monkeypatch.setattr(bundles, "mu_expansion_residual", record)
     bundles.suite_outcomes(samples, 0)
@@ -345,3 +382,108 @@ def test_mu_expansion_runs_on_a_z_prefix(monkeypatch, samples, z_points):
     for u, zs, theta_count in seen:
         assert len(zs) == theta_count == z_points
         assert zs == prefixes[u]
+
+
+def _bezout_residual_per_point(u, w):
+    """|phi1(w) theta2(w) - phi2(w) theta2(q w) - 1| from scalar calls."""
+    lam, half, c = lambda_constant(u), 0.5 * theta(1, u) * theta(-1, u), c_constant_theta(u)
+    q = u * u
+    k = kappa(-1, u * w, u)
+    t = theta2(w, u)
+    tq = theta2(q * w, u)
+    phi1 = lam * (half + k) / (c * t)
+    phi2 = -lam * (half - k) / (c * tq)
+    return abs(phi1 * t - phi2 * tq - 1.0)
+
+
+def _suite_outcomes_per_point(samples, seed):
+    """The bundle suite as a per-point loop over the scalar evaluators: every
+    section, gauge matrix, Bezout residual and MU_EXPANSION pair evaluated
+    point by point with scalar kernel calls."""
+    from appell_kit import bundles
+
+    rng = random.Random(seed)
+    z_count = max(8, samples // 10)
+    worst = dict.fromkeys(bundles.RECORD_IDS, 0.0)
+
+    def bump(key, value):
+        worst[key] = max(worst[key], value)
+
+    for u in BUNDLE_NOMES:
+        zs = sample_z_points(u, z_count, seed)
+        bump("SECTION_THETA", check_section(make_L(u), theta_section(u), zs))
+        bump("SECTION_PUSH", check_section(make_push(u), push_section(u), zs))
+        a_values = guarded_sample(
+            lambda: annulus_point(rng),
+            lambda a: not bundles.near_power_orbit(a, u, sign=1, parity=0, tol=GUARD_TOL),
+            2,
+        )
+        for a in a_values:
+            bump("SECTION_KAPPA_THETA", check_section(make_Fa(a, u), kappa_theta_section(a, u), zs))
+            factor = tensor(make_Fa(a, u), make_L(u))
+            for section in basis_sections(a, u):
+                bump("SECTION_BASIS", check_section(factor, section, zs))
+            gauge_b = build_B(a, u)
+            bump("GAUGE_B_CONJ", gauge_residual(gauge_b, zs))
+            bump("DET_B_SPREAD", determinant_spread(gauge_b, zs))
+            ca_t = c_a_theta(a, u)
+            bump("CONST_CA_CROSS", abs(ca_t - c_a_kappa(a, u)) / max(1.0, abs(ca_t)))
+        gauge_c = build_C(u)
+        bump("GAUGE_C_CONJ", gauge_residual(gauge_c, zs))
+        bump("DET_C_SPREAD", determinant_spread(gauge_c, zs))
+        c_t = c_constant_theta(u)
+        bump("CONST_C_CROSS", abs(c_t - c_constant_kappa(u)) / max(1.0, abs(c_t)))
+        ws = sample_z_points(u, samples, seed + 1, radius_range=(0.3, 3.0))
+        bump("BEZOUT_PAIR", max(_bezout_residual_per_point(u, w) for w in ws))
+        mu_pairs = guarded_sample(
+            lambda: (annulus_point(rng), annulus_point(rng)),
+            lambda ab: mu_sample_ok(*ab, u),
+            max(4, samples // 20),
+        )
+        mu_zs = zs[: bundles.MU_Z_POINTS]
+        for a, b in mu_pairs:
+            pairs = _mu_expansion_pairs_per_point(a, b, u, mu_zs)
+            report = ResidualReport.from_pairs("MU_EXPANSION", EvalPoint({"a": a, "b": b}), Nome(u), pairs)
+            bump("MU_EXPANSION", report.rel_residual)
+    return [(key, value, "") for key, value in sorted(worst.items())]
+
+
+@pytest.mark.parametrize("samples, seeds", ((1, (0, 1)), (7, (0, 1)), (100, (0, 1)), (2000, (0,))))
+def test_suite_outcomes_match_per_point_loop(samples, seeds):
+    """The suite on per-nome sweep columns gives the per-point loop's
+    outcomes bit for bit (compared by repr, so signed zeros count)."""
+    from appell_kit import bundles
+
+    for seed in seeds:
+        outcomes = bundles.suite_outcomes(samples, seed)
+        assert repr([tuple(o[:3]) for o in outcomes]) == repr(_suite_outcomes_per_point(samples, seed))
+        assert all(o.mismatch is None for o in outcomes)
+
+
+@pytest.mark.parametrize("u", BUNDLE_NOMES)
+def test_suite_scalar_kernel_calls_do_not_grow_with_points(monkeypatch, u):
+    """Outside MU_EXPANSION's 17 coefficient thetas per (a, b) pair, the
+    suite's scalar theta, theta2 and kappa calls are per-nome constants: no
+    z-point or w-point costs a scalar call."""
+    from appell_kit import bundles
+
+    monkeypatch.setattr(bundles, "BUNDLE_NOMES", (u,))
+    counts = {}
+
+    def counting(name):
+        original = getattr(bundles, name)
+
+        def call(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+
+        return call
+
+    for name in ("theta", "theta2", "kappa"):
+        monkeypatch.setattr(bundles, name, counting(name))
+    per_run = []
+    for samples in (100, 2000):
+        counts.clear()
+        bundles.suite_outcomes(samples, 0)
+        per_run.append(sum(counts.values()) - 17 * max(4, samples // 20))
+    assert per_run[0] == per_run[1] < 100
