@@ -27,8 +27,9 @@ kappa(a, z), kappa(1/a, z), kappa(-a, -z) and kappa(-1, -z).  The public
 sections and gauge matrices are built as usual, and each one's evaluator
 is swapped for a lookup of those values by point, so every record runs its
 arithmetic unchanged on values bit for bit the scalar evaluators'.  The
-Bezout record sweeps its own w-points, and MU_EXPANSION reads theta(1),
-theta(u) and the theta(z), theta(-z) columns of the same sweeps.
+Bezout record sweeps its own w-points.  MU_EXPANSION sweeps theta(z) and
+theta(-z) over its prefix of the z-points once per nome (``mu_thetas``),
+and takes each (a, b) pair's coefficients from ``mu_lambda`` and ``mu_nu``.
 """
 
 from __future__ import annotations
@@ -459,32 +460,6 @@ def mu_nu(a: complex, b: complex, u: complex) -> complex:
     return num / den
 
 
-def _mu_coefficients(
-    a: complex, b: complex, u: complex, th_1: complex, th_u: complex
-) -> tuple[complex, complex, complex]:
-    """(lambda_b, lambda_{-b}, nu_{a,b} - nu_{a,-b}) as ``mu_lambda`` and
-    ``mu_nu`` compute them, bit for bit, from th_1 = theta(1), th_u = theta(u)
-    and 17 further thetas where those functions make 20: theta(u b) and
-    theta(u (-b)) each serve a lambda and a nu, and theta(-u/a) both nus.
-    Each argument is the literal expression of those functions; u / (-b),
-    say, is not the float -u / b in every zero sign."""
-    mb = -b
-    th_ub = theta(u * b, u)
-    th_umb = theta(u * mb, u)
-    th_mua = theta(-u / a, u)
-
-    def nu(b: complex, th_ub: complex) -> complex:
-        num = th_1 * th_ub * theta(-u * b, u) * theta(-u / b, u) * theta(b, u) * theta(a * b, u)
-        den = 2.0 * th_u * th_mua * theta(a * b / u, u) * theta(-a * b * b, u)
-        return num / den
-
-    return (
-        theta(u / b, u) * th_ub / th_u**2,
-        theta(u / mb, u) * th_umb / th_u**2,
-        nu(b, th_ub) - nu(mb, th_umb),
-    )
-
-
 def mu_sample_ok(a: complex, b: complex, u: complex) -> bool:
     """Guard for the mu-expansion: the kappa parameters a, ab, -ab must stay
     off the pole orbit +u**even, and the theta arguments -u/a, ab/u, -ab/u,
@@ -510,7 +485,6 @@ def mu_expansion_residual(
     u: complex,
     zs: Sequence[complex],
     thetas: Sequence[tuple[complex, complex]] | None = None,
-    nulls: tuple[complex, complex] | None = None,
 ) -> ResidualReport:
     """Check, componentwise at each z, that the b-translated section
 
@@ -522,20 +496,18 @@ def mu_expansion_residual(
 
     in the section basis (v0, v1, v-1) of ``basis_sections(a b, u)``,
     evaluated term by term as those sections do.  ``thetas`` is
-    ``mu_thetas(u, zs)`` and ``nulls`` is (theta(1), theta(u)), each
-    computed here when not given, so a caller that checks many (a, b) pairs
-    at one nome over the same points computes them once.  Each of the six
-    series is one sweep over the points, and each theta value the
-    coefficients read is evaluated once (``_mu_coefficients``)."""
+    ``mu_thetas(u, zs)``, computed here when not given, so a caller that
+    checks many (a, b) pairs at one nome over the same points computes it
+    once.  Each of the six series is one sweep over the points."""
     if not mu_sample_ok(a, b, u):
         raise DomainError(
             f"(a, b) = ({a}, {b}) violates the mu-expansion sampling guard"
         )
     if thetas is None:
         thetas = mu_thetas(u, zs)
-    if nulls is None:
-        nulls = (theta(1, u), theta(u, u))
-    lam_p, lam_m, nu_diff = _mu_coefficients(a, b, u, *nulls)
+    lam_p = mu_lambda(b, u)
+    lam_m = mu_lambda(-b, u)
+    nu_diff = mu_nu(a, b, u) - mu_nu(a, -b, u)
     ab = a * b
     bzs = [b * z for z in zs]
     columns = zip(
@@ -649,29 +621,26 @@ def suite_outcomes(samples: int, seed: int) -> list[Outcome]:
                 section = section._replace(evaluator=_lookup(points, values))
                 bump("SECTION_BASIS", check_section(factor, section, zs))
             gauge_b = build_B(a, u)
-            ca = gauge_b.constant
+            ca = gauge_b.constant  # c_a_theta(a, u)
             matrices = (_b_matrix(a, ca, *kernel) for kernel in zip(ka, ki, th))
             gauge_b = gauge_b._replace(evaluator=_lookup(points, matrices))
             bump("GAUGE_B_CONJ", gauge_residual(gauge_b, zs))
             bump("DET_B_SPREAD", determinant_spread(gauge_b, zs))
-            ca_t = c_a_theta(a, u)
-            bump("CONST_CA_CROSS", abs(ca_t - c_a_kappa(a, u)) / max(1.0, abs(ca_t)))
+            bump("CONST_CA_CROSS", abs(ca - c_a_kappa(a, u)) / max(1.0, abs(ca)))
         lam, half, _ = _c_constants(u)
         k_neg = kappa_sweep(-1, negated, u)
         matrices = (_c_matrix(lam, half, *kernel) for kernel in zip(k_neg, t_up, t_dn))
         gauge_c = build_C(u)._replace(evaluator=_lookup(points, matrices))
         bump("GAUGE_C_CONJ", gauge_residual(gauge_c, zs))
         bump("DET_C_SPREAD", determinant_spread(gauge_c, zs))
-        c_t = c_constant_theta(u)
-        bump("CONST_C_CROSS", abs(c_t - c_constant_kappa(u)) / max(1.0, abs(c_t)))
+        c = gauge_c.constant  # c_constant_theta(u)
+        bump("CONST_C_CROSS", abs(c - c_constant_kappa(u)) / max(1.0, abs(c)))
         ws = sample_z_points(u, samples, seed + 1, radius_range=(0.3, 3.0))
         bump("BEZOUT_PAIR", bezout_residual(u, ws))
         mu_pairs = guarded_sample(lambda: (annulus_point(rng), annulus_point(rng)),
                                   lambda ab: mu_sample_ok(*ab, u), max(4, samples // 20))
         mu_zs = zs[:MU_Z_POINTS]
-        n = len(mu_zs)
-        thetas = list(zip(th[:n], th_neg[:n]))  # mu_thetas(u, mu_zs), as points start with zs
-        nulls = (theta(1, u), theta(u, u))
+        thetas = mu_thetas(u, mu_zs)
         for a, b in mu_pairs:
-            bump("MU_EXPANSION", mu_expansion_residual(a, b, u, mu_zs, thetas, nulls).rel_residual)
+            bump("MU_EXPANSION", mu_expansion_residual(a, b, u, mu_zs, thetas).rel_residual)
     return [Outcome(key, value, "") for key, value in sorted(worst.items())]

@@ -191,9 +191,7 @@ def theta(z: complex, u: complex) -> complex:
             if a < lim and n >= 3:
                 return total if _isfinite(total) else _check_finite(total, "theta")
             total += pw + pw
-            if a > scale:
-                scale = a
-                lim = eps * scale
+            # scale stays 1: |pw| can round past 1 only for |u| within ulps of 1, which never stop.
         raise NonconvergenceError(f"theta did not converge within {MAX_TERMS} terms")
     zp = 1.0 + 0.0j
     zm = 1.0 + 0.0j

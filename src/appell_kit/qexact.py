@@ -351,21 +351,21 @@ def _for_series(trunc: int, built: dict | None) -> list:
     return built[trunc]
 
 
-def for1_sides(trunc: int, built: dict | None = None) -> tuple[USeries, USeries]:
+def for1_sides(trunc: int) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(1) 2kappa(u,-1) + theta(-1) 2kappa(-u,1)
     = theta(u)**3 as exact u-series."""
-    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)[:5]
+    plus, minus, half, k_plus, k_minus = _for_series(trunc, None)[:5]
     return plus * k_plus + minus * k_minus, half * half * half
 
 
-def for2_sides(trunc: int, built: dict | None = None) -> tuple[USeries, USeries]:
+def for2_sides(trunc: int) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(u)**3 2kappa(-1,u) = theta(-1)**3 2kappa(u,-1)
     + theta(1)**3 2kappa(-u,1) as exact u-series.
 
     Each dense kappa series is multiplied by its sparse theta nulls three
     times over rather than by the dense cube; truncated products are
     associative, so the coefficients are the same."""
-    plus, minus, half, k_plus, k_minus = _for_series(trunc, built)[:5]
+    plus, minus, half, k_plus, k_minus = _for_series(trunc, None)[:5]
     lhs = twice_kappa_at(-1, 0, 1, 1, trunc) * half * half * half
     rhs = k_plus * minus * minus * minus + k_minus * plus * plus * plus
     return lhs, rhs

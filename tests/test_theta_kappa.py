@@ -1195,11 +1195,13 @@ def test_theta2_and_vartheta0_reach_the_unit_path_bit_for_bit():
 @pytest.mark.parametrize("z", (1, -1, -1.0, complex(1, -0.0)))
 @pytest.mark.parametrize(
     "u",
-    (0, 0.0j, 1, -1.0, 1j, complex(0.6, 0.8), float("nan"), complex(0.3, float("nan")), 0.9999),
+    (0, 0.0j, 1, -1.0, 1j, complex(0.6, 0.8), float("nan"), complex(0.3, float("nan")), 0.9999,
+     math.nextafter(1.0, 0.0), math.nextafter(1.0, 0.0) * complex(0.6, 0.8)),
 )
 def test_theta_at_plus_minus_one_refuses_as_the_general_loop(z, u):
     """u = 0, |u| = 1 and NaN are refused with the same message, and a nome
-    too close to the unit circle exhausts MAX_TERMS with the same error."""
+    too close to the unit circle, down to |u| one ulp below 1, exhausts
+    MAX_TERMS with the same error."""
     expected = _outcome(lambda: _theta_general_loop(z, u))
     assert expected[0] in (DomainError, NonconvergenceError)
     assert _outcome(lambda: theta(z, u)) == expected

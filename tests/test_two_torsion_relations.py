@@ -12,6 +12,9 @@ u theta(u)**4 in this normalization."""
 from __future__ import annotations
 
 import random
+from functools import reduce
+from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 
@@ -102,3 +105,65 @@ def test_for2_is_b_c2_plus_c_c1_minus_a_for1(trunc):
     lhs1, rhs1 = for1_sides(trunc)
     lhs2, rhs2 = for2_sides(trunc)
     assert (lhs1 - rhs1, lhs2 - rhs2) == (zero, zero)
+
+
+P = 2**61 - 1
+T = 200
+
+
+def nullity_mod_p(vectors: list[list[int]]) -> int:
+    """len(vectors) minus their rank over the integers mod P, by elimination:
+    each vector is reduced by the echelon rows kept so far, in the order they
+    were kept, and a remainder that is not zero is kept, scaled to a leading 1."""
+    echelon: list[tuple[int, list[int]]] = []
+    for vector in vectors:
+        v = [c % P for c in vector]
+        for pivot, row in echelon:
+            factor = v[pivot]
+            if factor:
+                v = [(x - factor * y) % P for x, y in zip(v, row)]
+        pivot = next((k for k, x in enumerate(v) if x), None)
+        if pivot is not None:
+            inverse = pow(v[pivot], -1, P)
+            echelon.append((pivot, [x * inverse % P for x in v]))
+    return len(vectors) - len(echelon)
+
+
+def candidates(weight: int, shifts: int, with_kappas: bool = True) -> list[list[int]]:
+    """The coefficients below u**T of u**s times each monomial of the given
+    weight, s < shifts: theta null monomials in theta(1), theta(-1) and theta(u)
+    (weight 1 each), alone and, with_kappas, times one of A, B and C (weight 2)."""
+    thetas = (theta_at(1, 0, T), theta_at(-1, 0, T), theta_at(1, 1, T))
+    kappas = (twice_kappa_at(-1, 0, 1, 1, T), twice_kappa_at(1, 1, -1, 0, T), twice_kappa_at(-1, 1, 1, 0, T))
+
+    def monomials(degree: int) -> list[USeries]:
+        return [reduce(mul, factors) for factors in combinations_with_replacement(thetas, degree)]
+
+    series = monomials(weight)
+    if with_kappas:
+        series += [k * m for k in kappas for m in monomials(weight - 2)]
+    shifted = []
+    for s in series:
+        for _ in range(shifts):
+            shifted.append(s.coeffs)
+            s = times_u(s)
+    return shifted
+
+
+@pytest.mark.parametrize(
+    "weight, shifts, with_kappas, count, nullity",
+    (
+        (3, 1, True, 19, 1),  # FOR1
+        (5, 1, True, 51, 7),  # FOR2, and FOR1 times each theta**2 monomial
+        (3, 2, True, 38, 4),  # FOR1, u FOR1, C1 and C2
+        (4, 2, False, 30, 1),  # Jacobi's identity
+    ),
+)
+def test_relation_space_nullities(weight, shifts, with_kappas, count, nullity):
+    """The relations among the candidates below u**T, mod P, are exactly as
+    many as those exhibited.  Rank mod P is at most the rank over Q, and a
+    relation among full series holds at every truncation, so each nullity is
+    an upper bound on the dimension of the true relation space."""
+    vectors = candidates(weight, shifts, with_kappas)
+    assert len(vectors) == count
+    assert nullity_mod_p(vectors) == nullity
