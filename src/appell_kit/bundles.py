@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from appell_kit.numeric import (
@@ -94,15 +95,12 @@ class GaugeMatrix(NamedTuple):
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, mid, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(m))
-        for i in range(n)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def _mat_vec(a: Matrix, v: tuple[complex, ...]) -> tuple[complex, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def _mat_det(a: Matrix) -> complex:
@@ -256,10 +254,8 @@ def check_section(
     for z in points:
         shifted = section.evaluator(q * z)
         mapped = _mat_vec(factor.evaluator(z), section.evaluator(z))
-        scale = max(1.0, *(abs(c) for c in shifted), *(abs(c) for c in mapped))
-        worst = max(
-            worst, max(abs(x - y) for x, y in zip(shifted, mapped)) / scale
-        )
+        scale = max(1.0, *map(abs, shifted), *map(abs, mapped))
+        worst = max(worst, max(map(abs, map(sub, shifted, mapped))) / scale)
     return worst
 
 
@@ -563,9 +559,23 @@ BUNDLE_NOMES = (0.2 + 0.0j, 0.4 + 0.1j)
 #: a prefix of the same list, so the record's cost grows linearly in samples.
 MU_Z_POINTS = 50
 
-RECORD_IDS = ("SECTION_THETA", "SECTION_PUSH", "SECTION_KAPPA_THETA", "SECTION_BASIS", "GAUGE_B_CONJ",
-              "DET_B_SPREAD", "CONST_CA_CROSS", "GAUGE_C_CONJ", "DET_C_SPREAD", "CONST_C_CROSS",
-              "BEZOUT_PAIR", "MU_EXPANSION")
+#: Each bundle record and the law it checks, its report detail.
+RECORD_LAWS = {
+    "SECTION_THETA": "theta(q z) = theta(z) / (u z)",
+    "SECTION_PUSH": "(-theta2(-u z), -theta2(-z/u)) is a section of P = [[0, -1/(u z)], [1, 0]]",
+    "SECTION_KAPPA_THETA": "(kappa(a, z), theta(z)) is a section of F_a = [[a, 1], [0, 1/(u z)]]",
+    "SECTION_BASIS": "v0, v1 and v-1 are sections of tensor(F_a, L)",
+    "GAUGE_B_CONJ": "B(q z) F'_a(z) = F_a(z) B(z)",
+    "DET_B_SPREAD": "det B(z) = -c_a",
+    "CONST_CA_CROSS": "theta(1)**2 theta(-1)**2 theta(u)**2 / (4 a theta(-a/u) theta(-u a)) "
+                      "= kappa(a, -u) kappa(1/a, -u) / a",
+    "GAUGE_C_CONJ": "C(q z) P(z) = F'_1(z) C(z)",
+    "DET_C_SPREAD": "det C(z) = -c",
+    "CONST_C_CROSS": "c = lambda theta(1) theta(-1) = -2 lambda kappa(-1, -1/u)",
+    "BEZOUT_PAIR": "phi1(w) theta2(w) - phi2(w) theta2(q w) = 1",
+    "MU_EXPANSION": "w = lambda_b v1 - lambda_{-b} v-1 + (nu_{a,b} - nu_{a,-b}) v0",
+}
+RECORD_IDS = tuple(RECORD_LAWS)
 
 
 def _lookup(points: Sequence[complex], values: Iterable) -> Callable:
@@ -643,4 +653,4 @@ def suite_outcomes(samples: int, seed: int) -> list[Outcome]:
         thetas = mu_thetas(u, mu_zs)
         for a, b in mu_pairs:
             bump("MU_EXPANSION", mu_expansion_residual(a, b, u, mu_zs, thetas).rel_residual)
-    return [Outcome(key, value, "") for key, value in sorted(worst.items())]
+    return [Outcome(key, value, RECORD_LAWS[key]) for key, value in sorted(worst.items())]

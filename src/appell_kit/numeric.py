@@ -623,14 +623,14 @@ def qpochhammer(x: complex, q: complex) -> complex:
             f"qpochhammer needs {budget} factors at |q| = {rq}, "
             f"more than {MAX_TERMS * MAX_TERMS}"
         )
-    prod = 1.0 + 0.0j
+    prod = one = 1.0 + 0.0j  # complex - complex: no float-to-complex step per factor
     for _ in range(live):
-        prod *= 1.0 - f
+        prod *= one - f
         f *= q
     for _ in range(budget + 1 - live):
         if abs(f) < eps:
             return prod if _isfinite(prod) else _check_finite(prod, "qpochhammer")
-        prod *= 1.0 - f
+        prod *= one - f
         f *= q
     raise NonconvergenceError(
         f"qpochhammer did not converge within {budget} factors"

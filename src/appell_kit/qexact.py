@@ -7,10 +7,13 @@ agreement of two degree-(T-1) truncations is a finite, exact statement.
 
 A sum of rows c * x**e / (1 - s * x**k), as in theta and 2 kappa at the
 2-torsion points and both double-sum forms, is built in one list of ints,
-each row added as one strided slice (two interleaved ones when s = -1); the
-s = +1 rows of one step k, when they outnumber k, are k running sums
-instead, one per residue class mod k.  The double sums are even in u, so
-they are summed in q and spread to u once; Andrews' monomials are one list.
+each row added as one strided slice (two interleaved ones when s = -1, two
+list updates when it has two terms); the s = +1 rows of one step k, when
+they outnumber k, are k running sums instead, one per residue class mod k.
+Rows are grouped by step, for each n of the double sums (step 2n + 1) where
+it is built.  The double sums are even in u, so they are summed in q and
+spread to u once; Andrews' terms for n > order // 3 are q**n alone, one
+slice of ones.
 
 A product is term-wise and packed, and reads its operands in place.  The
 denser operand's coefficients fill w-byte slots of one int, with 8w >=
@@ -206,13 +209,9 @@ def _geometric_sum(trunc: int, rows: Iterable[tuple[int, int, int, int]]) -> USe
     """sum of c * x**e / (1 - s * x**k) over the rows (e, c, s, k), with
     e >= 0, integer c, s = +1 or -1 and k >= 1, truncated below x**trunc.
 
-    A row adds c at exponents e, e + k, e + 2k, ... as one strided slice;
-    for s = -1 the signs alternate, so it is a slice of stride 2k adding c
-    and one from e + k subtracting it.  A row whose step reaches past the
-    truncation adds c at e alone (a monomial); a row that starts there adds
-    nothing.  Rows are grouped by (s, k); when an s = +1 group has more rows
-    than k, its coefficients go into one list by exponent and each residue
-    class mod k is one running sum, k slices in place of one per row."""
+    A row whose step reaches past the truncation adds c at e alone (a
+    monomial); a row that starts there adds nothing.  The others are grouped
+    by (s, k) and summed by :func:`_sum_groups`."""
     acc = [0] * trunc
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (s, k) -> its rows (e, c)
     for e, c, s, k in rows:
@@ -220,7 +219,22 @@ def _geometric_sum(trunc: int, rows: Iterable[tuple[int, int, int, int]]) -> USe
             groups.setdefault((s, k), []).append((e, c))
         elif e < trunc:
             acc[e] += c
-    for (s, k), group in groups.items():
+    return _sum_groups(acc, groups.items())
+
+
+def _sum_groups(acc: list[int], groups: Iterable[tuple[tuple[int, int], list[tuple[int, int]]]]) -> USeries:
+    """acc plus c * x**e / (1 - s * x**k) for the rows (e, c) of each group
+    ((s, k), rows), every row with e + k < len(acc), as a series below
+    x**len(acc).  A caller that knows its rows' steps hands them over grouped.
+
+    A row adds c at exponents e, e + k, e + 2k, ... as one strided slice, or,
+    when e + 2k passes the truncation, as two list updates; for s = -1 the
+    signs alternate, so it is a slice of stride 2k adding c and one from
+    e + k subtracting it.  When an s = +1 group has more rows than k, its
+    coefficients go into one list by exponent and each residue class mod k
+    is one running sum, k slices in place of one per row."""
+    trunc = len(acc)
+    for (s, k), group in groups:
         if s == 1 and len(group) > k:
             starts = [0] * trunc
             for e, c in group:
@@ -229,7 +243,11 @@ def _geometric_sum(trunc: int, rows: Iterable[tuple[int, int, int, int]]) -> USe
                 acc[r::k] = map(add, acc[r::k], accumulate(starts[r::k]))
         elif s == 1:
             for e, c in group:
-                acc[e::k] = map(add, acc[e::k], repeat(c))
+                if e + 2 * k < trunc:
+                    acc[e::k] = map(add, acc[e::k], repeat(c))
+                else:
+                    acc[e] += c
+                    acc[e + k] += c
         else:
             k2 = 2 * k
             for e, c in group:
@@ -441,20 +459,23 @@ def double_sum_series(trunc: int) -> USeries:
     takes m >= 0 of the parity of n (m' >= 0 of the other), twice when
     nonzero, and stops at the first exponent beyond the retained q-order.
     Row n's smallest q-exponent is at least n**2/2 + n, so the rows stop
-    once n**2//2 + n passes that order."""
+    once n**2//2 + n passes that order.  Each n is one group of step 2n + 1;
+    its rows whose step passes the order are monomials."""
     order = (trunc - 1) // 2  # largest retained q-exponent
-
-    def rows() -> Iterator[tuple[int, int, int, int]]:
-        n = 0
-        while n * n // 2 + n <= order:
-            sign = -1 if n % 2 else 1
-            for m, rest in ((n % 2, n * n + 2 * n), (1 - n % 2, n * n + 4 * n + 1)):
-                while (q_exp := (m * m + rest) // 2) <= order:
-                    yield q_exp, sign * (2 if m else 1), 1, 2 * n + 1
-                    m += 2
-            n += 1
-
-    return _spread_to_u(_geometric_sum(order + 1, rows()), trunc)
+    acc, groups, n = [0] * (order + 1), [], 0
+    while n * n // 2 + n <= order:
+        sign, k, group = -1 if n % 2 else 1, 2 * n + 1, []
+        for m, rest in ((n % 2, n * n + 2 * n), (1 - n % 2, n * n + 4 * n + 1)):
+            while (q_exp := (m * m + rest) // 2) <= order:
+                c = sign * (2 if m else 1)
+                if q_exp + k <= order:
+                    group.append((q_exp, c))
+                else:
+                    acc[q_exp] += c
+                m += 2
+        groups.append(((1, k), group))
+        n += 1
+    return _spread_to_u(_sum_groups(acc, groups), trunc)
 
 
 def andrews_series(trunc: int) -> USeries:
@@ -464,24 +485,28 @@ def andrews_series(trunc: int) -> USeries:
         sum_{n>=0} 1 / (1 - q**(2n+1)) *
             sum_{j=0}^{2n} [ q**E + q**(E + 2n+1) ],  E = 2n**2 + 2n - j(j+1)/2.
 
-    E decreases from 2n**2 + 2n (j = 0) to n (j = 2n), so rows n past the
-    retained q-order are dropped and j runs down from 2n to the first E
-    past it.  With k = 2n + 1 each pair is a row and a monomial,
-    (q**E + q**(E+k)) / (1 - q**k) = 2 q**E / (1 - q**k) - q**E, or q**E
-    alone when E + k passes the order; the monomials are added as one list."""
+    E decreases from 2n**2 + 2n (j = 0) to n (j = 2n), so j runs down from
+    2n to the first E past the retained q-order.  With k = 2n + 1 each pair
+    is a row and a monomial, (q**E + q**(E+k)) / (1 - q**k) = 2 q**E / (1 - q**k)
+    - q**E, or q**E alone when E + k passes the order; each n is one group,
+    its monomials added to the same list.  E at j = 2n - 1 is 3n, so each n
+    past order // 3 adds q**n alone: that tail is one slice of ones."""
     order = (trunc - 1) // 2
-    monomials, rows = [0] * (order + 1), []
-    for n in range(0, order + 1):
+    third = order // 3
+    acc, groups = [0] * (third + 1) + [1] * (order - third), []
+    for n in range(third + 1):
+        k, group = 2 * n + 1, []
         for j in range(2 * n, -1, -1):
             e = 2 * n * n + 2 * n - j * (j + 1) // 2
             if e > order:
                 break
-            if e + 2 * n + 1 > order:
-                monomials[e] += 1
+            if e + k > order:
+                acc[e] += 1
             else:
-                monomials[e] -= 1
-                rows.append((e, 2, 1, 2 * n + 1))
-    return _spread_to_u(_geometric_sum(order + 1, rows) + USeries._make(order + 1, monomials), trunc)
+                acc[e] -= 1
+                group.append((e, 2))
+        groups.append(((1, k), group))
+    return _spread_to_u(_sum_groups(acc, groups), trunc)
 
 
 # ---------------------------------------------------------------------------

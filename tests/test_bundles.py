@@ -443,7 +443,7 @@ def _suite_outcomes_per_point(samples, seed):
             pairs = _mu_expansion_pairs_per_point(a, b, u, mu_zs)
             report = ResidualReport.from_pairs("MU_EXPANSION", EvalPoint({"a": a, "b": b}), Nome(u), pairs)
             bump("MU_EXPANSION", report.rel_residual)
-    return [(key, value, "") for key, value in sorted(worst.items())]
+    return [(key, value, bundles.RECORD_LAWS[key]) for key, value in sorted(worst.items())]
 
 
 @pytest.mark.parametrize("samples, seeds", ((1, (0, 1)), (7, (0, 1)), (100, (0, 1)), (2000, (0,))))

@@ -135,6 +135,12 @@ def all_records() -> dict:
     return {r["record_id"]: r for r in report["records"]}
 
 
+def test_every_record_of_verify_all_has_a_detail(all_records):
+    """Each of the 47 records of verify all says what it checks."""
+    assert len(all_records) == 47
+    assert [r for r, record in all_records.items() if not record["detail"]] == []
+
+
 @pytest.mark.parametrize("record_id", tuple(cli.RECORD_KINDS))
 def test_verify_record_id_reports_its_record_from_all(all_records, record_id):
     """verify <ID> reports that record, plus FOR1_EXACT or FOR2_EXACT for

@@ -381,6 +381,64 @@ def test_geometric_sum_matches_per_row_reference(case):
     assert qexact._geometric_sum(trunc, rows) == total
 
 
+def _per_term(trunc, rows, start=()):
+    """start plus c * s**j at e + j k for each row (e, c, s, k) and each j
+    while e + j k < trunc, one coefficient at a time."""
+    coeffs = [*start] or [0] * trunc
+    for e, c, s, k in rows:
+        for j, exponent in enumerate(range(e, trunc, k)):
+            coeffs[exponent] += c * s**j
+    return USeries(trunc, coeffs)
+
+
+@st.composite
+def row_groups(draw):
+    """(trunc, start, groups): a start list and groups ((s, k), rows (e, c))
+    with e + k < trunc, as the double sums hand them over.  Steps of 1 to 3
+    with up to 12 rows give groups with more rows than their step, and each
+    row may sit where it has exactly two terms, e + 2k = trunc - 1 or trunc."""
+    trunc = draw(st.integers(2, 120))
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**72), 2**72))
+    start = draw(st.lists(coeff, min_size=trunc, max_size=trunc))
+    groups = []
+    for _ in range(draw(st.integers(0, 6))):
+        s = draw(st.sampled_from((1, -1)))
+        k = draw(st.one_of(st.integers(1, 3), st.integers(1, trunc - 1)))
+        edge = [e for e in (trunc - 2 * k - 1, trunc - 2 * k) if e >= 0]
+        exponent = st.integers(0, trunc - k - 1)
+        exponent = st.one_of(exponent, st.sampled_from(edge)) if edge else exponent
+        groups.append(((s, k), draw(st.lists(st.tuples(exponent, coeff), max_size=12))))
+    return trunc, start, groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=row_groups())
+@example(case=(9, [0] * 9, [((1, 3), [(2, 1), (3, 5)]), ((1, 4), [(0, -2), (1, 7)]),
+                            ((1, 1), [(0, 1), (4, 2)]), ((-1, 4), [(1, 3), (0, 1)])]))
+@example(case=(10, [1] * 10, [((1, 2), [(0, 1), (1, 2), (5, 3)]), ((-1, 1), [(e, 2) for e in range(9)])]))
+def test_grouped_rows_match_per_term_reference(case):
+    """The grouped entry of the double sums, and _geometric_sum on the same
+    rows, add each row's terms as the per-term reference does: two-term rows
+    (e + 2k = trunc - 1 or trunc), groups with more rows than their step,
+    and s = -1 rows, next to the monomials already in the list."""
+    trunc, start, groups = case
+    rows = [(e, c, s, k) for (s, k), group in groups for e, c in group]
+    expected = _per_term(trunc, rows, start)
+    assert qexact._sum_groups(list(start), groups) == expected
+    assert qexact._geometric_sum(trunc, rows) + USeries(trunc, start) == expected
+
+
+@pytest.mark.parametrize("order", (*range(13), *range(298, 303)))
+def test_double_sums_equal_cube_and_counts_around_andrews_tail(order):
+    """Both double-sum forms equal psi(q)**3 and the brute-force counts at
+    q-orders where Andrews' q**n tail starts at n = order // 3 + 1, for
+    both u-truncations that reach q**order."""
+    cube = triangular_gf(order + 1) ** 3
+    assert cube.coeffs == triangular_counts_bruteforce(order)
+    for series, trunc in product((andrews_series, double_sum_series), (2 * order + 1, 2 * order + 2)):
+        assert as_q_series(series(trunc)) == cube
+
+
 # Reference constructions of the five row sums: each row its own series,
 # times the dense geometric series, summed with +.
 
