@@ -403,7 +403,7 @@ def row_groups(draw):
     groups = []
     for _ in range(draw(st.integers(0, 6))):
         s = draw(st.sampled_from((1, -1)))
-        k = draw(st.one_of(st.integers(1, 3), st.integers(1, trunc - 1)))
+        k = draw(st.one_of(st.integers(1, min(3, trunc - 1)), st.integers(1, trunc - 1)))
         edge = [e for e in (trunc - 2 * k - 1, trunc - 2 * k) if e >= 0]
         exponent = st.integers(0, trunc - k - 1)
         exponent = st.one_of(exponent, st.sampled_from(edge)) if edge else exponent
