@@ -147,6 +147,10 @@ def _modular_records(args: argparse.Namespace, ids: Sequence[str]) -> list[Outco
     return modular.suite_outcomes(args.samples, args.seed)
 
 
+#: A report row's fields, in the order of the CSV columns.
+RECORD_FIELDS = ("record_id", "kind", "worst", "tolerance", "passed", "detail")
+
+
 def _record(outcome: Outcome, tolerance: float) -> dict:
     """The report row of ``outcome``, its kind read from SUITE_TABLE; the
     only place where a tolerance decides ``passed``.  A measured record
@@ -162,14 +166,7 @@ def _record(outcome: Outcome, tolerance: float) -> dict:
         passed = worst < tolerance
     else:
         worst, passed = None, False
-    return {
-        "record_id": record_id,
-        "kind": RECORD_KINDS[record_id],
-        "worst": worst,
-        "tolerance": tolerance,
-        "passed": passed,
-        "detail": detail,
-    }
+    return dict(zip(RECORD_FIELDS, (record_id, RECORD_KINDS[record_id], worst, tolerance, passed, detail)))
 
 
 #: A verify task: a suite and the record ids it reports.
@@ -352,15 +349,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(report, args.out)
     else:
-        rows = ["record_id,kind,worst,tolerance,passed,detail"]
-        for r in records:
-            worst = "" if r["worst"] is None else repr(r["worst"])
-            tol = "" if r["tolerance"] is None else repr(r["tolerance"])
-            detail = r["detail"].replace(",", ";")
-            rows.append(
-                f"{r['record_id']},{r['kind']},{worst},{tol},{r['passed']},{detail}"
-            )
-        _emit("\n".join(rows), args.out)
+        import csv  # only on this path, so a JSON report does not import it
+        import io
+
+        # The writer quotes a detail that holds a comma, writes None as an
+        # empty field, and a float as its repr.
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(RECORD_FIELDS)
+        writer.writerows([r[field] for field in RECORD_FIELDS] for r in records)
+        _emit(text.getvalue().removesuffix("\n"), args.out)
     return 0 if passed else 1
 
 

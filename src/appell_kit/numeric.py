@@ -374,28 +374,26 @@ def kappa(a: complex, z: complex, u: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps: one theta or kappa series summed at many points.
+# Sweeps: one theta or kappa series summed at many points, each value
+# bit-identical to the scalar call at that point, with the same first error.
 #
-# A sweep validates its nome and parameter once and each point before its
-# sum, in the order the scalar calls would, builds the rows of
-# point-independent factors once with the scalar loop's own recurrences, and
-# sums every point over those rows with the scalar stopping rule, so each
-# value is bit-identical to the scalar call at that point.  The scalar theta
-# and kappa keep their inline loops: summed over these row generators
-# instead, they slowed the one-point path by about 12% and gave back what
-# the sweeps save on the sampled suite.
+# theta has one summation loop: theta_sweep calls theta at each point.  A
+# theta row sweep saved about 25 ms (9%) of the serial bundle suite at 2000
+# samples, which no end-to-end run resolves, and cost a second loop to keep
+# bit-identical.  kappa_sweep keeps its rows, because they pay end to end:
+# through the scalar kappa, the 2000-sample report ran 13% slower on 2 CPUs.
+# It validates its nome and parameter once and each point before its sum,
+# in the order the scalar calls would, builds the powers and pole-guarded
+# denominators once with kappa's own recurrences, and sums every point over
+# those rows with kappa's stopping rule.  The scalar kappa keeps its inline
+# loop: summed over these rows instead, the one-point path slowed by about 12%.
 # ---------------------------------------------------------------------------
 
 
-def _theta_rows(u: complex) -> Iterator[tuple[int, complex]]:
-    """Rows (n, u**(n*n)) of the theta series, by theta's recurrence."""
-    u_sq = u * u
-    pw = 1.0 + 0.0j
-    odd = u
-    for n in range(1, MAX_TERMS + 1):
-        pw *= odd
-        odd *= u_sq
-        yield n, pw
+def theta_sweep(zs: Sequence[complex], u: complex) -> list[complex]:
+    """[theta(z, u) for z in zs]: the scalar theta at each point, called
+    through this module's ``theta`` binding."""
+    return [theta(z, u) for z in zs]
 
 
 def _kappa_rows(
@@ -421,73 +419,6 @@ def _kappa_rows(
         if abs(dm) < guard:
             raise PoleProximityError(f"parameter a = {a} within {guard} of the pole q**{-n}")
         yield n, pw, dp, dm
-
-
-#: Rows a sweep draws first; it doubles them whenever a point runs past.
-SWEEP_FIRST_ROWS = 8
-
-
-def _sweep(
-    name: str,
-    source: Iterator[tuple],
-    zs: Sequence[complex],
-    sum_over: Callable[[complex, list[tuple]], complex | None],
-) -> list[complex]:
-    """``sum_over(z, rows)`` at each z, in order, each z validated just before
-    its sum.  The rows are drawn from ``source`` as the points need them:
-    SWEEP_FIRST_ROWS, then twice as many whenever a point runs past them, and
-    that point's sum restarts.  A pole raised by ``source`` ends the rows; a
-    point that needs the row past them raises it, as its scalar call would,
-    and a point still unsettled after MAX_TERMS rows raises
-    NonconvergenceError."""
-    rows: list[tuple] = []
-    pole: PoleProximityError | None = None
-    out = []
-    for z in zs:
-        if z == 0 or not _isfinite(z):
-            _require_nonzero(z, "z")
-        value = sum_over(z, rows)
-        while value is None:
-            drawn = len(rows)
-            try:
-                rows.extend(itertools.islice(source, max(drawn, SWEEP_FIRST_ROWS)))
-            except PoleProximityError as exc:
-                pole = exc
-            if len(rows) == drawn:
-                if pole is not None:
-                    raise PoleProximityError(str(pole))
-                raise NonconvergenceError(f"{name} did not converge within {MAX_TERMS} terms")
-            value = sum_over(z, rows)
-        out.append(value)
-    return out
-
-
-def _theta_over_rows(z: complex, rows: list[tuple[int, complex]]) -> complex | None:
-    """theta(z) summed over the rows with theta's stopping rule, or None if
-    the rows run out first."""
-    eps = TERM_EPS
-    total = 1.0 + 0.0j
-    scale = 1.0
-    lim = eps * scale
-    zp = 1.0 + 0.0j
-    zm = 1.0 + 0.0j
-    for n, pw in rows:
-        zp *= z
-        zm /= z
-        tp = pw * zp
-        tm = pw * zm
-        ap = abs(tp)
-        am = abs(tm)
-        if ap < lim and am < lim and n >= 3:
-            return total if _isfinite(total) else _check_finite(total, "theta")
-        total += tp + tm
-        if ap > scale:
-            scale = ap
-            lim = eps * scale
-        if am > scale:
-            scale = am
-            lim = eps * scale
-    return None
 
 
 def _kappa_over_rows(
@@ -522,20 +453,18 @@ def _kappa_over_rows(
     return None
 
 
-def theta_sweep(zs: Sequence[complex], u: complex) -> list[complex]:
-    """[theta(z, u) for z in zs], bit for bit and with the same first error,
-    with the powers u**(n*n) built once for all points."""
-    if not zs:
-        return []
-    _require_nome(u)
-    return _sweep("theta", _theta_rows(u), zs, _theta_over_rows)
+#: Rows kappa_sweep draws first; it doubles them whenever a point runs past.
+SWEEP_FIRST_ROWS = 8
 
 
 def kappa_sweep(a: complex, zs: Sequence[complex], u: complex) -> list[complex]:
     """[kappa(a, z, u) for z in zs], bit for bit and with the same first
-    error, with the powers and denominators built and pole-guarded once for
-    all points.  A point whose sum reads a denominator inside the guard
-    raises kappa's PoleProximityError for that pole."""
+    error, over rows of powers and denominators built and pole-guarded once
+    for all points.  The rows are drawn as the points need them:
+    SWEEP_FIRST_ROWS, then twice as many whenever a point runs past them,
+    and that point's sum restarts.  A pole ends the rows; a point that needs
+    the row past them raises kappa's PoleProximityError for that pole, and a
+    point still unsettled after MAX_TERMS rows raises NonconvergenceError."""
     if not zs:
         return []
     # The scalar order at the first point: u, z, a, then the n = 0 pole.
@@ -549,12 +478,27 @@ def kappa_sweep(a: complex, zs: Sequence[complex], u: complex) -> list[complex]:
     head = 1.0 / d0
     if u * u == 0:  # where the scalar call meets it, before the first row
         raise DomainError(f"u**2 underflows to 0 at u = {u}")
-    return _sweep(
-        "kappa",
-        _kappa_rows(a, u, guard),
-        zs,
-        lambda z, rows: _kappa_over_rows(z, head, rows),
-    )
+    source = _kappa_rows(a, u, guard)
+    rows: list[tuple[int, complex, complex, complex]] = []
+    pole: PoleProximityError | None = None
+    out = []
+    for z in zs:
+        if z == 0 or not _isfinite(z):
+            _require_nonzero(z, "z")
+        value = _kappa_over_rows(z, head, rows)
+        while value is None:
+            drawn = len(rows)
+            try:
+                rows.extend(itertools.islice(source, max(drawn, SWEEP_FIRST_ROWS)))
+            except PoleProximityError as exc:
+                pole = exc
+            if len(rows) == drawn:
+                if pole is not None:
+                    raise PoleProximityError(str(pole))
+                raise NonconvergenceError(f"kappa did not converge within {MAX_TERMS} terms")
+            value = _kappa_over_rows(z, head, rows)
+        out.append(value)
+    return out
 
 
 def kappa_bar(a: complex, z: complex, u: complex) -> complex:

@@ -486,3 +486,19 @@ def test_suite_scalar_kernel_calls_do_not_grow_with_points(monkeypatch, u):
         bundles.suite_outcomes(samples, 0)
         per_run.append(sum(counts.values()) - 26 * max(4, samples // 20))
     assert per_run[0] == per_run[1] < 100
+
+
+def test_a_theta_error_on_numeric_reaches_the_theta_columns(monkeypatch):
+    """theta_sweep calls numeric's own theta at each point, so an error of
+    1e-10 * z patched on numeric.theta alone lifts each bundle record that
+    reads a theta column past 16 times its unpatched worst."""
+    from appell_kit import bundles, numeric
+
+    clean = {o.record_id: o.worst for o in bundles.suite_outcomes(100, 0)}
+    original = numeric.theta
+    monkeypatch.setattr(numeric, "theta", lambda z, u: original(z, u) + 1e-10 * z)
+    patched = {o.record_id: o.worst for o in bundles.suite_outcomes(100, 0)}
+    lifted = {record_id for record_id, worst in clean.items() if patched[record_id] > 16 * worst}
+    assert lifted >= {
+        "SECTION_THETA", "SECTION_PUSH", "SECTION_KAPPA_THETA", "SECTION_BASIS", "GAUGE_B_CONJ", "MU_EXPANSION"
+    }, sorted(lifted)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import csv
 import io
 import json
 import math
@@ -386,8 +387,12 @@ def test_verify_csv_format(capsys):
     assert lines[0] == "record_id,kind,worst,tolerance,passed,detail"
     assert lines[1].startswith("FOR2,numeric-sampled,")
     assert lines[2].startswith("FOR2_EXACT,exact-coefficients,,,True,")
-    for line in lines[1:]:
-        assert len(line.split(",")) == 6  # commas in detail are sanitized
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    # FOR2's law holds commas, quoted in its field; FOR2_EXACT's holds none.
+    _, report, _ = run_cli(capsys, "verify", "FOR2", "--samples", "3")
+    assert [row[5] for row in rows[1:]] == [r["detail"] for r in json.loads(report)["records"]]
+    assert "," in rows[1][5] and lines[2].endswith(f",{rows[2][5]}")
 
 
 def test_verify_exact_suite(capsys):
