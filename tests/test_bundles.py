@@ -461,9 +461,10 @@ def test_suite_outcomes_match_per_point_loop(samples, seeds):
 @pytest.mark.parametrize("u", BUNDLE_NOMES)
 def test_suite_scalar_kernel_calls_do_not_grow_with_points(monkeypatch, u):
     """Outside MU_EXPANSION's 26 coefficient thetas per (a, b) pair (3 per
-    mu_lambda and 10 per mu_nu, each called twice), the suite's scalar
-    theta, theta2 and kappa calls are per-nome constants: no z-point or
-    w-point costs a scalar call."""
+    mu_lambda and 10 per mu_nu, each called twice), the scalar theta,
+    theta2 and kappa calls the suite makes through bundles' own bindings
+    are per-nome constants: every z-point and w-point goes through a
+    sweep."""
     from appell_kit import bundles
 
     monkeypatch.setattr(bundles, "BUNDLE_NOMES", (u,))
