@@ -6,10 +6,11 @@ both sides as truncated power series with exact integer coefficients:
 agreement of two degree-(T-1) truncations is a finite, exact statement.
 
 A sum of rows c * x**e / (1 - s * x**k), as in theta and 2 kappa at the
-2-torsion points and both double-sum forms, is built in one list of ints,
-each row added as one strided slice (two interleaved ones when s = -1, two
-list updates when it has two terms); the s = +1 rows of one step k, when
-they outnumber k, are k running sums instead, one per residue class mod k.
+2-torsion points and both double-sum forms, is built in one list of ints.
+An s = +1 row is one strided slice, or, with at most SHORT_ROW terms, that
+many index updates; an s = -1 row is one strided slice of c, -c, c, ...;
+the s = +1 rows of one step k, when they outnumber k, are k running sums
+instead, one per residue class mod k.
 Rows are grouped by step, for each n of the double sums (step 2n + 1) where
 it is built.  The double sums are even in u, so they are summed in q and
 spread to u once; Andrews' terms for n > order // 3 are q**n alone, one
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, cycle, repeat
 from operator import add, index, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -222,17 +223,21 @@ def _geometric_sum(trunc: int, rows: Iterable[tuple[int, int, int, int]]) -> USe
     return _sum_groups(acc, groups.items())
 
 
+SHORT_ROW = 16  # one strided slice costs about as much as 16 index updates
+
+
 def _sum_groups(acc: list[int], groups: Iterable[tuple[tuple[int, int], list[tuple[int, int]]]]) -> USeries:
     """acc plus c * x**e / (1 - s * x**k) for the rows (e, c) of each group
-    ((s, k), rows), every row with e + k < len(acc), as a series below
+    ((s, k), rows), every row with e < len(acc), as a series below
     x**len(acc).  A caller that knows its rows' steps hands them over grouped.
 
-    A row adds c at exponents e, e + k, e + 2k, ... as one strided slice, or,
-    when e + 2k passes the truncation, as two list updates; for s = -1 the
-    signs alternate, so it is a slice of stride 2k adding c and one from
-    e + k subtracting it.  When an s = +1 group has more rows than k, its
-    coefficients go into one list by exponent and each residue class mod k
-    is one running sum, k slices in place of one per row."""
+    An s = +1 row adds c at exponents e, e + k, e + 2k, ... as one strided
+    slice, or, when it has at most SHORT_ROW terms (e >= len(acc) -
+    SHORT_ROW * k), one index at a time; an s = -1 row adds c, -c, c, ...
+    as one strided slice over cycle((c, -c)).  When an s = +1 group has
+    more rows than k, its coefficients go into one list by exponent and
+    each residue class mod k is one running sum, k slices in place of one
+    per row."""
     trunc = len(acc)
     for (s, k), group in groups:
         if s == 1 and len(group) > k:
@@ -242,17 +247,16 @@ def _sum_groups(acc: list[int], groups: Iterable[tuple[tuple[int, int], list[tup
             for r in range(k):
                 acc[r::k] = map(add, acc[r::k], accumulate(starts[r::k]))
         elif s == 1:
+            short = trunc - SHORT_ROW * k
             for e, c in group:
-                if e + 2 * k < trunc:
+                if e < short:
                     acc[e::k] = map(add, acc[e::k], repeat(c))
                 else:
-                    acc[e] += c
-                    acc[e + k] += c
+                    for i in range(e, trunc, k):
+                        acc[i] += c
         else:
-            k2 = 2 * k
             for e, c in group:
-                acc[e::k2] = map(add, acc[e::k2], repeat(c))
-                acc[e + k :: k2] = map(sub, acc[e + k :: k2], repeat(c))
+                acc[e::k] = map(add, acc[e::k], cycle((c, -c)))
     return USeries._make(trunc, acc)
 
 

@@ -126,6 +126,64 @@ def test_k_gamma_identity_is_exactly_one():
     assert k_gamma(GAMMA_IDENTITY, 0.4 + 2.1j) == 1.0
 
 
+def _chi_mutant(table=(1, 1j, -1, -1j), shift=0):
+    """chi with its phase table and phase index shift as given; the defaults
+    give chi itself."""
+
+    def mutant(g: GammaElement) -> complex:
+        phase = table[((g.a * g.b + g.c * g.d) // 2 + shift) % 4]
+        return (1, -1)[((g.a if g.a % 2 == 0 else g.c) // 2) % 2] * phase
+
+    return mutant
+
+
+def _zeta_sq_mutant(odd_d_shift=0, odd_c_table=(1, -1j, -1, 1j)):
+    """zeta_sq with its odd-d exponent shifted and its odd-c table as given;
+    the defaults give zeta_sq itself."""
+
+    def mutant(g: GammaElement) -> complex:
+        if g.d % 2:
+            return complex((-1) ** (((g.d - 1) // 2 + odd_d_shift) % 2))
+        return complex(odd_c_table[g.c % 4])
+
+    return mutant
+
+
+def test_character_mutant_factories_default_to_the_characters():
+    """Each mutant below differs from chi or zeta_sq in its one argument."""
+    rng = random.Random(0)
+    words = [GAMMA_IDENTITY, *GAMMA_GENERATORS, *(modular._random_word(rng, GAMMA_GENERATORS, 6) for _ in range(300))]
+    for g in words:
+        assert _chi_mutant()(g) == chi(g)
+        assert _zeta_sq_mutant()(g) == zeta_sq(g)
+
+
+DIVISIBILITY = {"DIVISIBILITY_GENERATORS", "DIVISIBILITY_WORDS"}
+
+
+@pytest.mark.parametrize(
+    "name, mutant, failing",
+    (
+        ("chi", _chi_mutant(shift=1), {"K_GAMMA_IDENTITY", "CHI_MULTIPLICATIVITY", *DIVISIBILITY}),
+        ("chi", _chi_mutant(table=(1, -1j, -1, 1j)), DIVISIBILITY),
+        ("zeta_sq", _zeta_sq_mutant(odd_d_shift=1), {"K_GAMMA_IDENTITY", "ZETA_SQ_COCYCLE", *DIVISIBILITY}),
+        ("zeta_sq", _zeta_sq_mutant(odd_c_table=(1, 1j, -1, -1j)), {"ZETA_SQ_COCYCLE", "DIVISIBILITY_WORDS"}),
+    ),
+    ids=("chi-phase-index-plus-one", "chi-phase-table-conjugated", "zeta-sq-odd-d-exponent-plus-one",
+         "zeta-sq-odd-c-table-conjugated"),
+)
+def test_character_mutants_fail_a_modular_record(monkeypatch, name, mutant, failing):
+    """A wrong phase in chi or zeta_sq, patched on modular, fails these
+    records of suite_outcomes(100, 0) at tolerance 1e-9 and no others.
+
+    No mutant swaps chi's a-even and c-even branches: det = 1 rules out a
+    and c both even, and Gamma_{1,2} rules out both odd, so exactly one of
+    them is even and the swapped function is chi itself on every element."""
+    monkeypatch.setattr(modular, name, mutant)
+    records = [cli._record(o, 1e-9) for o in modular.suite_outcomes(100, 0)]
+    assert {r["record_id"] for r in records if not r["passed"]} == failing
+
+
 def test_kappa0_large_imaginary_tau_asymptotics():
     """For Im tau large the nome is tiny and kappa0(x, tau) approaches
     exp(3 pi i tau / 4) * (1 + exp(2 pi i x))."""
