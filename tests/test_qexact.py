@@ -284,7 +284,7 @@ def test_kernel_matches_exact_series_by_horner():
     """numeric.theta and 2 numeric.kappa at the 2-torsion points agree with
     their exact u-series through u**399, summed at 50 digits, within 1e-13
     of sum |c_k| |u|**k at 40 seeded nomes with 0.05 <= |u| <= 0.75, where
-    u**400 is below 1e-49; the worst measured is about 3e-16 of that sum.
+    u**400 is below 1e-49; the worst measured is 3.5e-16 of that sum.
     A kappa off by a relative 1e-10, which every report record still
     passes, fails here."""
     pairs = [
@@ -439,7 +439,8 @@ def _edge_exponents(trunc, s, k):
 @st.composite
 def row_groups(draw):
     """(trunc, start, groups): a start list and groups ((s, k), rows (e, c))
-    with e < trunc, as the double sums hand them over.  Steps of 1 to 3
+    with e < trunc (the double sums hand over rows with e + k < trunc; an
+    s = -1 row of one term has e + k >= trunc).  Steps of 1 to 3
     with up to 12 rows give groups with more rows than their step, and each
     row may sit where it has SHORT_ROW - 1, SHORT_ROW or SHORT_ROW + 1
     terms (s = +1) or one to three (s = -1)."""
