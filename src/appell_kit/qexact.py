@@ -8,9 +8,12 @@ agreement of two degree-(T-1) truncations is a finite, exact statement.
 A sum of rows c * x**e / (1 - s * x**k), as in theta and 2 kappa at the
 2-torsion points and both double-sum forms, is built in one list of ints.
 An s = +1 row is one strided slice, or, with at most SHORT_ROW terms, that
-many index updates; an s = -1 row is one strided slice of c, -c, c, ...;
-the s = +1 rows of one step k, when they outnumber k, are k running sums
-instead, one per residue class mod k.
+many index updates; an s = -1 row is one strided slice of c, -c, c, ...
+The s = +1 rows of one step k, when there are more than k / 2 of them, are
+packed instead: each adds c shifted by e slots to one int of signed slots,
+as a product packs its operand (below), and the doublings (1 + x**k),
+(1 + x**2k), (1 + x**4k), ... below the truncation make it the sum over
+1 / (1 - x**k).  All packed groups add into one int, unpacked once.
 Rows are grouped by step, for each n of the double sums (step 2n + 1) where
 it is built.  The double sums are even in u, so they are summed in q and
 spread to u once; Andrews' terms for n > order // 3 are q**n alone, one
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import accumulate, compress, cycle, repeat
+from itertools import compress, cycle, repeat
 from operator import add, index, ne, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -54,6 +57,28 @@ from appell_kit.numeric import Outcome
 
 class TruncationMismatchError(ValueError):
     """Requested a coefficient beyond the retained truncation order."""
+
+
+_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct's signed w-byte ints
+
+
+def _slots(bits: int, t: int) -> tuple[int, int]:
+    """(w, signs): the slot width in bytes for signed values of ``bits``
+    bits, sign included (1, 2, 4 or 8 when that suffices), and the int that
+    holds the offset h = 2**(8w - 1) in each of t slots."""
+    w = next((n for n in (1, 2, 4, 8) if 8 * n >= bits), -(-bits // 8))
+    return w, int.from_bytes((bytes(w - 1) + b"\x80") * t, "little")
+
+
+def _unpack(acc: int, w: int, t: int, signs: int) -> list[int]:
+    """The t signed w-byte slots of acc, whose sum started at signs: the mask
+    to t slots drops the higher ones and flipping each top bit reads the
+    slot as c, as struct's signed ints or, past 8 bytes, by int.from_bytes."""
+    data = ((acc & ((1 << 8 * w * t) - 1)) ^ signs).to_bytes(w * t, "little")
+    code = _CODES.get(w)
+    if code:
+        return list(struct.unpack(f"<{t}{code}", data))
+    return [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, w * t, w)]
 
 
 class USeries:
@@ -146,9 +171,8 @@ class USeries:
             terms.setdefault(c, []).append(j)
         bits = (max(map(abs, terms), default=0).bit_length() + max(max(b), -min(b)).bit_length()
                 + nnz.bit_length() + 1)
-        w = next((n for n in (1, 2, 4, 8) if 8 * n >= bits), -(-bits // 8))
-        code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(w)  # struct's signed w-byte ints
-        signs = int.from_bytes((bytes(w - 1) + b"\x80") * t, "little")  # h in every slot
+        w, signs = _slots(bits, t)
+        code = _CODES.get(w)
         data = (struct.pack(f"<{t}{code}", *b) if code
                 else b"".join([c.to_bytes(w, "little", signed=True) for c in b]))
         packed = (int.from_bytes(data, "little") ^ signs) - signs
@@ -157,12 +181,7 @@ class USeries:
             term = c * packed  # once per distinct coefficient
             for j in exponents:
                 acc += term << 8 * w * j
-        data = ((acc & ((1 << 8 * w * t) - 1)) ^ signs).to_bytes(w * t, "little")
-        if code:
-            acc = list(struct.unpack(f"<{t}{code}", data))
-        else:
-            acc = [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(0, w * t, w)]
-        return USeries._make(t, acc)
+        return USeries._make(t, _unpack(acc, w, t, signs))
 
     def __pow__(self, exponent: int) -> "USeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -190,9 +209,11 @@ class USeries:
 
     def agrees_with(self, other: "USeries") -> int | None:
         """First exponent (below the shorter truncation) where the two series
-        differ, or None if they agree on the full shared range."""
+        differ, or None if they agree on the full shared range; equal lists,
+        compared first, need no scan."""
         t = self._aligned(other)
-        return next(compress(range(t), map(ne, self._coeffs, other._coeffs)), None)
+        a, b = (x._coeffs if x.trunc == t else x._coeffs[:t] for x in (self, other))
+        return None if a == b else next(compress(range(t), map(ne, a, b)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, USeries):
@@ -234,18 +255,18 @@ def _sum_groups(acc: list[int], groups: Iterable[tuple[tuple[int, int], list[tup
     An s = +1 row adds c at exponents e, e + k, e + 2k, ... as one strided
     slice, or, when it has at most SHORT_ROW terms (e >= len(acc) -
     SHORT_ROW * k), one index at a time; an s = -1 row adds c, -c, c, ...
-    as one strided slice over cycle((c, -c)).  When an s = +1 group has
-    more rows than k, its coefficients go into one list by exponent and
-    each residue class mod k is one running sum, k slices in place of one
-    per row."""
+    as one strided slice over cycle((c, -c)).  An s = +1 group with more
+    than k / 2 rows is packed instead: each row adds c << slot * e to one
+    int, and the doublings p + (p << slot * k), k, 2k, 4k, ... below the
+    truncation, masked to its slots, multiply it by 1 / (1 - x**k).  The
+    packed groups share one total, unpacked once and added to acc; its
+    slots are signed and hold the sum of |c| over those rows, which bounds
+    every coefficient they add."""
     trunc = len(acc)
+    packed = []
     for (s, k), group in groups:
-        if s == 1 and len(group) > k:
-            starts = [0] * trunc
-            for e, c in group:
-                starts[e] += c
-            for r in range(k):
-                acc[r::k] = map(add, acc[r::k], accumulate(starts[r::k]))
+        if s == 1 and 2 * len(group) > k:
+            packed.append((k, group))
         elif s == 1:
             short = trunc - SHORT_ROW * k
             for e, c in group:
@@ -257,7 +278,19 @@ def _sum_groups(acc: list[int], groups: Iterable[tuple[tuple[int, int], list[tup
         else:
             for e, c in group:
                 acc[e::k] = map(add, acc[e::k], cycle((c, -c)))
-    return USeries._make(trunc, acc)
+    if not packed:
+        return USeries._make(trunc, acc)
+    w, signs = _slots(sum(abs(c) for _, group in packed for _, c in group).bit_length() + 1, trunc)
+    slot, mask, total = 8 * w, (1 << 8 * w * trunc) - 1, signs
+    for k, group in packed:
+        p = 0
+        for e, c in group:
+            p += c << slot * e
+        while k < trunc:
+            p = (p + (p << slot * k)) & mask
+            k += k
+        total += p
+    return USeries._make(trunc, list(map(add, acc, _unpack(total, w, trunc, signs))))
 
 
 def _spread_to_u(series: USeries, trunc: int) -> USeries:
@@ -338,8 +371,11 @@ def _first_odd_exponent(series: USeries) -> int | None:
 
 def _first_asymmetry(series: USeries, image: USeries) -> int | None:
     """The first exponent k where image's coefficient is not (-1)**k times
-    series', or None if image is series at -u."""
+    series', or None if image is series at -u, as the two halves compare
+    equal before any scan."""
     a, b = series._coeffs, image._coeffs
+    if a[0::2] == b[0::2] and a[1::2] == [-c for c in b[1::2]]:
+        return None
     return _first(next(compress(range(0, len(a), 2), map(ne, a[0::2], b[0::2])), None),
                   next(compress(range(1, len(a), 2), map(add, a[1::2], b[1::2])), None))
 

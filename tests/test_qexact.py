@@ -441,9 +441,11 @@ def row_groups(draw):
     """(trunc, start, groups): a start list and groups ((s, k), rows (e, c))
     with e < trunc (the double sums hand over rows with e + k < trunc; an
     s = -1 row of one term has e + k >= trunc).  Steps of 1 to 3
-    with up to 12 rows give groups with more rows than their step, and each
-    row may sit where it has SHORT_ROW - 1, SHORT_ROW or SHORT_ROW + 1
-    terms (s = +1) or one to three (s = -1)."""
+    with up to 12 rows give groups with more than k / 2 rows, and an s = +1
+    group may have k // 2 or k // 2 + 1 rows, the most that are summed row
+    by row and the fewest that are packed (2 * len equal to k or k + 1,
+    for even and odd k).  Each row may sit where it has SHORT_ROW - 1,
+    SHORT_ROW or SHORT_ROW + 1 terms (s = +1) or one to three (s = -1)."""
     trunc = draw(st.integers(2, 120))
     coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**72), 2**72))
     start = draw(st.lists(coeff, min_size=trunc, max_size=trunc))
@@ -454,7 +456,9 @@ def row_groups(draw):
         edge = _edge_exponents(trunc, s, k)
         exponent = st.integers(0, trunc - k - 1)
         exponent = st.one_of(exponent, st.sampled_from(edge)) if edge else exponent
-        groups.append(((s, k), draw(st.lists(st.tuples(exponent, coeff), max_size=12))))
+        size = st.integers(0, 12)
+        size = draw(st.one_of(size, st.sampled_from((k // 2, k // 2 + 1))) if s == 1 else size)
+        groups.append(((s, k), draw(st.lists(st.tuples(exponent, coeff), min_size=size, max_size=size))))
     return trunc, start, groups
 
 
@@ -469,14 +473,14 @@ class _SliceCountingList(list):
 
 
 def _slice_count(trunc, groups):
-    """The slice assignments of _sum_groups' rules: k running sums for an
-    s = +1 group with more rows than k, else one per s = +1 row of more than
-    SHORT_ROW terms, and one per s = -1 row."""
+    """The slice assignments of _sum_groups' rules: none for an s = +1 group
+    with more than k / 2 rows, which is packed, else one per s = +1 row of
+    more than SHORT_ROW terms, and one per s = -1 row."""
     count = 0
     for (s, k), group in groups:
-        if s == 1 and len(group) > k:
-            count += k
-        elif s == 1:
+        if s == 1 and 2 * len(group) > k:
+            continue
+        if s == 1:
             count += sum(-(-(trunc - e) // k) > qexact.SHORT_ROW for e, _ in group)
         else:
             count += len(group)
@@ -492,15 +496,19 @@ def _slice_count(trunc, groups):
                               ((1, 3), [(62 - 3 * n, -n) for n in (15, 16, 17)]),
                               ((-1, 7), [(59, 1), (53, -2), (52, 3), (46, 4), (45, 5), (39, 6)])]))
 @example(case=(17, [0] * 17, [((1, 1), [(0, 1)]), ((-1, 16), [(0, 5), (16, -1)])]))
+@example(case=(120, [3] * 120, [((1, 4), [(0, 2), (1, -3)]), ((1, 5), [(2, 7), (30, 1)])]))
+@example(case=(120, [3] * 120, [((1, 4), [(0, 2), (1, -3), (5, 4)]), ((1, 5), [(2, 7), (30, 1), (34, -6)])]))
 def test_grouped_rows_match_per_term_reference(case):
     """The grouped entry of the double sums, and _geometric_sum on the same
     rows, add each row's terms as the per-term reference does: s = +1 rows
     of SHORT_ROW - 1, SHORT_ROW and SHORT_ROW + 1 terms, s = -1 rows of one
-    to three, and groups with more rows than their step, next to the
+    to three, and packed groups of more than k / 2 rows, next to the
     monomials already in the list.  The slices written are the ones the
     rules name, so a row of SHORT_ROW terms is never a slice, one of
-    SHORT_ROW + 1 always is, and an s = -1 row is one slice.  The third
-    example has those term counts at both ends of each range."""
+    SHORT_ROW + 1 always is, an s = -1 row is one slice and a packed group
+    none.  The third example has those term counts at both ends of each
+    range; the last two have s = +1 groups of k // 2 rows, each row a
+    slice, and of k // 2 + 1, packed, for an even and an odd k."""
     trunc, start, groups = case
     rows = [(e, c, s, k) for (s, k), group in groups for e, c in group]
     expected = _per_term(trunc, rows, start)
@@ -508,6 +516,60 @@ def test_grouped_rows_match_per_term_reference(case):
     assert qexact._sum_groups(acc, groups) == expected
     assert acc.slices == _slice_count(trunc, groups)
     assert qexact._geometric_sum(trunc, rows) + USeries(trunc, start) == expected
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize(
+    "bound, code",
+    [(2**7 - 1, "b"), (2**7, "h"), (2**15 - 1, "h"), (2**15, "i"),
+     (2**31 - 1, "i"), (2**31, "q"), (2**63 - 1, "q"), (2**63, None)],
+)
+def test_packed_groups_at_slot_boundaries(monkeypatch, bound, code, sign):
+    """Packed groups whose sum of |c| is the largest a slot holds, or one
+    more, match the per-term reference; each of those sums is a coefficient
+    (two packed groups, of steps 1 and 2, reach it at every even exponent
+    from x**4), and the total is unpacked once, through the width's struct
+    code or, past 8 bytes, by int.from_bytes."""
+    codes = []
+
+    def unpack(fmt, data):
+        codes.append(fmt[-1])
+        return struct.unpack(fmt, data)
+
+    monkeypatch.setattr(qexact, "struct", SimpleNamespace(pack=struct.pack, unpack=unpack))
+    a, b = bound // 3, bound // 3
+    groups = [((1, 1), [(2, sign * a)]), ((1, 2), [(0, sign * b), (4, sign * (bound - a - b))])]
+    rows = [(e, c, s, k) for (s, k), group in groups for e, c in group]
+    result = qexact._sum_groups([0] * 12, groups)
+    assert result == _per_term(12, rows)
+    assert max(map(abs, result.coeffs)) == bound
+    assert codes == ([code] if code else [])
+
+
+def _plain_asymmetry(a, b):
+    """The first k where b[k] is not (-1)**k a[k], over the shorter list."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if y != (-1) ** k * x), None)
+
+
+@pytest.mark.parametrize("trunc", (1, 2, 7, 800))
+def test_equality_fast_paths_match_plain_scan(trunc):
+    """agrees_with and _first_asymmetry, which compare whole lists before
+    they scan, give the plain scan's first mismatch on equal series (their
+    ints shared or not), on a difference at the first or last exponent, and
+    on unequal truncations."""
+    base = twice_kappa_at(1, 1, -1, 0, trunc) * theta_at(1, 1, trunc)
+    coeffs = list(base.coeffs)
+    cases = [(coeffs, list(coeffs)), (coeffs, [c + 2**70 - 2**70 for c in coeffs])]
+    for exponent in {0, trunc - 1}:
+        changed = list(coeffs)
+        changed[exponent] += 1
+        cases += [(coeffs, changed), (changed, coeffs)]
+    cases += [(coeffs, coeffs[: trunc // 2] or coeffs), (coeffs + [5], coeffs), (coeffs, coeffs + [-5])]
+    for a, b in cases:
+        sa, sb = USeries(len(a), a), USeries(len(b), b)
+        assert sa.agrees_with(sb) == reference_agrees(a, b)
+        flipped = [(-1) ** k * c for k, c in enumerate(b)]
+        assert qexact._first_asymmetry(sa, USeries(len(b), flipped)) == _plain_asymmetry(a, flipped)
 
 
 @pytest.mark.parametrize("order", (*range(13), *range(298, 303)))
