@@ -19,19 +19,22 @@ it is built.  The double sums are even in u, so they are summed in q and
 spread to u once; Andrews' terms for n > order // 3 are q**n alone, one
 slice of ones.
 
-A product is term-wise and packed, and reads its operands in place.  The
-denser operand's coefficients fill w-byte slots of one int, with 8w >=
-bitlen(max|a|) + bitlen(max|b|) + bitlen(min(nnz_a, nnz_b)) + 1 (1, 2, 4
-or 8 bytes when that suffices), so every product coefficient c has
-|c| < h = 2**(8w-1); each nonzero term c * x**j of the sparser operand
-(here a theta series or psi(q), O(sqrt(t)) terms) adds c times that int
-shifted by j slots; those nonzeros, listed once, give that operand's bound,
-and c times the int is formed once per distinct c (a theta null has only
-+-1 and +-2).  A signed slot with its top bit flipped holds c + h;
-subtracting h from each slot gives the operand.  With h added to every
-slot of the sum, each kept slot is c + h, in [0, 2h); the mask to t slots
-drops the higher slots, however negative, without a borrow from the kept
-ones, and flipping the top bits reads each slot as c.
+A product is term-wise and packed, reads its operands in place, and takes
+any number of factors in one pass (``USeries.times``).  The operand with the
+fewest zeros fills w-byte slots of one int, 8w >= bitlen(max|b|) + 1 + the
+sum of bitlen(l1) over the other factors, l1 a factor's sum of |c| (1, 2, 4
+or 8 bytes when that suffices), so every coefficient c of every partial
+product, at most max|b| times the product of those l1, has |c| < h =
+2**(8w-1).  Each nonzero term c * x**j of the next factor (here a theta
+series or psi(q), O(sqrt(t)) terms) adds c times that int shifted by j
+slots; those nonzeros, listed once, give the factor's l1, and c times the
+int is formed once per distinct c (a theta null has only +-1 and +-2).  A
+signed slot with its top bit flipped holds c + h; subtracting h from each
+slot gives the operand.  With h added to every slot of the sum, each kept
+slot is c + h, in [0, 2h); the mask to t slots drops the higher slots,
+however negative, without a borrow from the kept ones.  Between factors,
+subtracting h from each masked slot packs the partial product; after the
+last, flipping the top bits reads each slot.
 
 Series in u, the half-nome (q = u**2), hold theta and 2 kappa at the
 2-torsion points +-1 and +-u, kappa doubled as kappa(-1, u) has the constant
@@ -39,7 +42,7 @@ term 1/2; series in q, from even u-series via :func:`as_q_series`, the
 triangular-number generating function psi(q).  FOR1 and FOR2 are checked in
 q: u -> -u swaps the two terms of one side of each, so once the u-series are
 checked to have that symmetry only the even part of that side carries the
-relation, half the coefficients.
+relation, half the coefficients: the even slots of one pass in u.
 
 ``suite_outcomes`` is the verify report's exact suite: FOR1, FOR2 and psi(q)**3.
 """
@@ -158,29 +161,33 @@ class USeries:
         return USeries._make(self.trunc, [-c for c in self._coeffs])
 
     def __mul__(self, other: "USeries") -> "USeries":
-        """Term-wise packed product, exact for coefficients of any size (see
-        the module docstring for the slot width, the offset and the mask)."""
-        t = self._aligned(other)
-        a, b = (x._coeffs if x.trunc == t else x._coeffs[:t] for x in (self, other))  # read only
-        zeros_a, zeros_b = a.count(0), b.count(0)
-        if zeros_a < zeros_b:
-            a, b = b, a  # a is the sparser operand, b the packed one
-        nnz = t - max(zeros_a, zeros_b)
-        terms: dict[int, list[int]] = {}  # each nonzero coefficient of a -> its exponents
-        for j, c in zip(compress(range(t), a), filter(None, a)):
-            terms.setdefault(c, []).append(j)
-        bits = (max(map(abs, terms), default=0).bit_length() + max(max(b), -min(b)).bit_length()
-                + nnz.bit_length() + 1)
+        return self.times(other)
+
+    def times(self, *factors: "USeries") -> "USeries":
+        """self times every factor in one packed pass, exact for coefficients
+        of any size (see the module docstring for the width and the masks)."""
+        t = min([self.trunc, *(self._aligned(f) for f in factors)])
+        lists = [x._coeffs if x.trunc == t else x._coeffs[:t] for x in (self, *factors)]  # read only
+        zeros = [coeffs.count(0) for coeffs in lists]
+        b = lists.pop(zeros.index(min(zeros)))  # the packed operand; the others are factors
+        rounds, bits = [], max(max(b), -min(b)).bit_length() + 1
+        for a in lists:
+            terms: dict[int, list[int]] = {}  # each nonzero coefficient of a -> its exponents
+            for j, c in zip(compress(range(t), a), filter(None, a)):
+                terms.setdefault(c, []).append(j)
+            rounds.append(terms)
+            bits += sum(abs(c) * len(exponents) for c, exponents in terms.items()).bit_length()
         w, signs = _slots(bits, t)
         code = _CODES.get(w)
         data = (struct.pack(f"<{t}{code}", *b) if code
                 else b"".join([c.to_bytes(w, "little", signed=True) for c in b]))
-        packed = (int.from_bytes(data, "little") ^ signs) - signs
-        acc = signs
-        for c, exponents in terms.items():
-            term = c * packed  # once per distinct coefficient
-            for j in exponents:
-                acc += term << 8 * w * j
+        slot, mask, acc = 8 * w, (1 << 8 * w * t) - 1, int.from_bytes(data, "little") ^ signs
+        for terms in rounds:
+            packed, acc = (acc & mask) - signs, signs  # each kept slot held c + h
+            for c, exponents in terms.items():
+                term = c * packed  # once per distinct coefficient
+                for j in exponents:
+                    acc += term << slot * j
         return USeries._make(t, _unpack(acc, w, t, signs))
 
     def __pow__(self, exponent: int) -> "USeries":
@@ -380,15 +387,9 @@ def _first_asymmetry(series: USeries, image: USeries) -> int | None:
                   next(compress(range(1, len(a), 2), map(add, a[1::2], b[1::2])), None))
 
 
-def _even_part(x: USeries, y: USeries) -> USeries:
-    """(x(u) y(u) + x(-u) y(-u)) / 2 as a q-series, x0 y0 + q x1 y1, where
-    s0 = s[0::2] and s1 = s[1::2] split a u-series s as s0(q) + u s1(q)."""
-    t = (x.trunc + 1) // 2  # q-exponents below t; q x1 y1 needs x1, y1 below t - 1
-    even = USeries._make(t, x._coeffs[0::2]) * USeries._make(t, y._coeffs[0::2])
-    if t == 1:
-        return even
-    odd = USeries._make(t - 1, x._coeffs[1 : 2 * t - 1 : 2]) * USeries._make(t - 1, y._coeffs[1 : 2 * t - 1 : 2])
-    return USeries._make(t, [even._coeffs[0], *map(add, even._coeffs[1:], odd._coeffs)])
+def _even_slots(series: USeries) -> USeries:
+    """The even-exponent coefficients of a u-series, as a q-series."""
+    return USeries._make((series.trunc + 1) // 2, series._coeffs[0::2])
 
 
 def _for_series(trunc: int, built: dict | None) -> list:
@@ -404,8 +405,7 @@ def _for_series(trunc: int, built: dict | None) -> list:
         k_plus, k_minus = twice_kappa_at(1, 1, -1, 0, trunc), twice_kappa_at(-1, 1, 1, 0, trunc)
         mismatch = _first(_first_asymmetry(plus, minus), _first_asymmetry(k_plus, k_minus),
                           _first_odd_exponent(half))
-        built[trunc] = [plus, minus, half, k_plus, k_minus,
-                        USeries._make((trunc + 1) // 2, half._coeffs[0::2]), mismatch]
+        built[trunc] = [plus, minus, half, k_plus, k_minus, _even_slots(half), mismatch]
     return built[trunc]
 
 
@@ -413,7 +413,7 @@ def for1_sides(trunc: int) -> tuple[USeries, USeries]:
     """(lhs, rhs) of theta(1) 2kappa(u,-1) + theta(-1) 2kappa(-u,1)
     = theta(u)**3 as exact u-series."""
     plus, minus, half, k_plus, k_minus = _for_series(trunc, None)[:5]
-    return plus * k_plus + minus * k_minus, half * half * half
+    return k_plus.times(plus) + k_minus.times(minus), half.times(half, half)
 
 
 def for2_sides(trunc: int) -> tuple[USeries, USeries]:
@@ -421,12 +421,11 @@ def for2_sides(trunc: int) -> tuple[USeries, USeries]:
     + theta(1)**3 2kappa(-u,1) as exact u-series.
 
     Each dense kappa series is multiplied by its sparse theta nulls three
-    times over rather than by the dense cube; truncated products are
-    associative, so the coefficients are the same."""
+    times over, in one pass, rather than by the dense cube; truncated
+    products are associative, so the coefficients are the same."""
     plus, minus, half, k_plus, k_minus = _for_series(trunc, None)[:5]
-    lhs = twice_kappa_at(-1, 0, 1, 1, trunc) * half * half * half
-    rhs = k_plus * minus * minus * minus + k_minus * plus * plus * plus
-    return lhs, rhs
+    lhs = twice_kappa_at(-1, 0, 1, 1, trunc).times(half, half, half)
+    return lhs, k_plus.times(minus, minus, minus) + k_minus.times(plus, plus, plus)
 
 
 def _u_exponent(q_exponent: int | None) -> int | None:
@@ -441,11 +440,11 @@ def check_for1_exact(trunc: int, built: dict | None = None) -> int | None:
     theta(u), so, once theta(-1) and 2 kappa(-u, 1) are checked to be the
     images of theta(1) and 2 kappa(u, -1) and theta(u) to be even, the
     relation is its even part in q = u**2, of half the length:
-    2 (theta(1)0 K0 + q theta(1)1 K1) = theta(u)0**3 with K = 2 kappa(u, -1).
-    A q-mismatch at m is the u-exponent 2m."""
+    2 (K theta(1))0 = theta(u)0**3, K = 2 kappa(u, -1) and s0 the even slots
+    of s, each side one pass.  A q-mismatch at m is the u-exponent 2m."""
     plus, _, _, k_plus, _, half_q, mismatch = _for_series(trunc, built)
-    lhs = _even_part(plus, k_plus)
-    return _first(mismatch, _u_exponent((lhs + lhs).agrees_with(half_q * half_q * half_q)))
+    lhs = _even_slots(k_plus.times(plus))
+    return _first(mismatch, _u_exponent((lhs + lhs).agrees_with(half_q.times(half_q, half_q))))
 
 
 def check_for2_exact(trunc: int, built: dict | None = None) -> int | None:
@@ -453,12 +452,12 @@ def check_for2_exact(trunc: int, built: dict | None = None) -> int | None:
     first failing exponent.  Checks passed one ``built`` dict share series.
 
     As for the first relation, u -> -u swaps the two terms on the right, so
-    with R = 2 kappa(u, -1) theta(-1)**2, and 2 kappa(-1, u) checked even,
-    the relation is 2kappa(-1,u)0 theta(u)0**3 = 2 (R0 theta(-1)0 + q R1 theta(-1)1)."""
+    with 2 kappa(-1, u) checked even the relation is
+    2kappa(-1,u)0 theta(u)0**3 = 2 (K theta(-1)**3)0, each side one pass."""
     _, minus, _, k_plus, _, half_q, mismatch = _for_series(trunc, built)
     a = twice_kappa_at(-1, 0, 1, 1, trunc)
-    lhs = USeries._make(half_q.trunc, a._coeffs[0::2]) * half_q * half_q * half_q
-    rhs = _even_part(k_plus * minus * minus, minus)
+    lhs = _even_slots(a).times(half_q, half_q, half_q)
+    rhs = _even_slots(k_plus.times(minus, minus, minus))
     return _first(mismatch, _first_odd_exponent(a), _u_exponent(lhs.agrees_with(rhs + rhs)))
 
 
@@ -484,7 +483,7 @@ def as_q_series(series: USeries) -> USeries:
         raise ValueError(
             f"series has nonzero coefficient at odd exponent {odd}; not a q-series"
         )
-    return USeries._make((series.trunc + 1) // 2, series._coeffs[0::2])
+    return _even_slots(series)
 
 
 def double_sum_series(trunc: int) -> USeries:
@@ -593,7 +592,8 @@ def named_series(name: str, order: int) -> tuple[USeries, str]:
     for a FOR side), with its variable, "q" or "u"."""
     trunc = 2 * order + 2
     if name == "t3":
-        return triangular_gf(order + 1) ** 3, "q"
+        gf = triangular_gf(order + 1)
+        return gf.times(gf, gf), "q"
     if name in ("double_sum", "andrews"):
         return as_q_series((double_sum_series if name == "double_sum" else andrews_series)(trunc)), "q"
     lhs, rhs = (for1_sides if name.startswith("for1") else for2_sides)(trunc)

@@ -10,7 +10,7 @@ import random
 import struct
 from fractions import Fraction
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from itertools import compress, product, repeat
 from operator import add, mul
 from types import SimpleNamespace
@@ -831,9 +831,103 @@ def test_product_fixed_cases(trunc):
     assert (zero * dense) == USeries.zero(trunc)
 
 
+def shift_and_add_times(x: USeries, *factors: USeries) -> USeries:
+    """x times every factor, as a left fold of shift_and_add_mul."""
+    return reduce(shift_and_add_mul, factors, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=wide_series(), factors=st.lists(wide_series(), max_size=3))
+def test_times_matches_a_fold_of_shift_and_add(x, factors):
+    """One packed pass over 0 to 3 factors equals the products taken one at
+    a time, by shift-and-add and by the int-list reference, and leaves its
+    operands as they were."""
+    before = [f.coeffs for f in (x, *factors)]
+    result = x.times(*factors)
+    assert result == shift_and_add_times(x, *factors)
+    assert list(result.coeffs) == reduce(reference_mul, [list(f.coeffs) for f in factors], list(x.coeffs))
+    assert [f.coeffs for f in (x, *factors)] == before
+
+
+def _flat_factor(l1, n):
+    """n positive terms at x**0 .. x**(n-1) that sum to l1, within one of each other."""
+    return [l1 // n + (i < l1 % n) for i in range(n)]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize(
+    "bound, top, factors",
+    [
+        (2**7 - 1, 1, ((127, 64), (1, 1))),
+        (2**7, 2, ((8, 8), (8, 8))),
+        (2**15 - 1, 7, ((31, 31), (151, 151))),
+        (2**15, 8, ((64, 64), (64, 64))),
+        (2**31 - 1, 1, ((2**31 - 1, 64), (1, 1))),
+        (2**31, 2**11, ((2**10, 64), (2**10, 64))),
+        (2**63 - 1, 7 * 7 * 73, ((127 * 337, 127), (92737 * 649657, 2))),
+        (2**63, 2**21, ((2**21, 64), (2**21, 64))),
+    ],
+)
+def test_chains_whose_l1_bound_tops_a_slot_width(monkeypatch, bound, top, factors, sign):
+    """A constant series of max|b| = top times flat factors of l1 = L_i reaches
+    the bound top * prod L_i at its last exponent, which is each slot
+    width's largest magnitude or one more.  The pass packs through the
+    struct code that bitlen(top) + 1 + sum bitlen(L_i) bits give, and the
+    chain equals the fold of shift-and-add.  The factors have many terms, so
+    a width from max|c| in place of l1, or from the packed operand alone,
+    overflows a slot in most of these chains."""
+    codes = []
+
+    def pack(fmt, *values):
+        codes.append(fmt[-1])
+        return struct.pack(fmt, *values)
+
+    monkeypatch.setattr(qexact, "struct", SimpleNamespace(pack=pack, unpack=struct.unpack))
+    assert top * math.prod(l1 for l1, _ in factors) == bound
+    trunc = sum(n - 1 for _, n in factors) + 1
+    x = USeries(trunc, [sign * top] * trunc)
+    series = [USeries(trunc, _flat_factor(l1, n) + [0] * (trunc - n)) for l1, n in factors]
+    result = x.times(*series)
+    assert result == shift_and_add_times(x, *series)
+    assert result.coefficient(trunc - 1) == sign * bound
+    bits = top.bit_length() + 1 + sum(l1.bit_length() for l1, _ in factors)
+    expected = {1: "b", 2: "h", 4: "i", 8: "q"}.get(next((w for w in (1, 2, 4, 8) if 8 * w >= bits), None))
+    assert codes == ([expected] if expected else [])
+
+
+def test_chain_keeps_t_slots_between_factors(monkeypatch):
+    """A chain whose partial product has nonzero slots past t, of either
+    sign, and whose next factor has a term at x**(t-1), equals the fold of
+    shift-and-add; the mask between factors keeps the partial product to t
+    slots, so the int the pass unpacks holds under 2t of them (without the
+    mask it would reach 3t - 2)."""
+    sizes = []
+    original = qexact._unpack
+
+    def unpack(acc, w, t, signs):
+        sizes.append(acc.bit_length() <= 8 * w * 2 * t)
+        return original(acc, w, t, signs)
+
+    monkeypatch.setattr(qexact, "_unpack", unpack)
+    trunc = 8
+    x = USeries(trunc, [-5, 3, 0, -7, 2, -1, 4, -9])
+    first = USeries(trunc, [1, 0, -2, 0, 0, 3, 0, -6])
+    second = USeries(trunc, [0, 0, 0, 0, 0, 0, 0, -4])
+    third = USeries(trunc, [2, -1, 0, 0, 0, 0, 0, 5])
+    for factors in ((first, second), (first, third, second), (third, first, third)):
+        sizes.clear()
+        assert x.times(*factors) == shift_and_add_times(x, *factors)
+        assert (-x).times(*factors) == shift_and_add_times(-x, *factors)
+        assert sizes == [True, True]
+
+
 def _sides_by_shift_and_add(monkeypatch, build, trunc):
+    """build(trunc) with every product taken one factor at a time by
+    shift-and-add, ``times`` included, so the packed pass is not its own
+    reference."""
     with monkeypatch.context() as patched:
         patched.setattr(USeries, "__mul__", shift_and_add_mul)
+        patched.setattr(USeries, "times", shift_and_add_times)
         return build(trunc)
 
 
@@ -892,17 +986,17 @@ def test_exact_records_build_each_shared_series_once(monkeypatch):
         assert calls == expected
 
 
-def test_exact_records_take_13_products(monkeypatch):
-    """verify exact at order 800 forms 13 series products: 4 for FOR1 (the
-    even and odd halves of theta(1) 2kappa(u,-1), and theta(u)**3, all in
-    q), 7 for FOR2 (2kappa(-1,u) theta(u)**3 in q; R = 2kappa(u,-1)
-    theta(-1)**2 in u; R theta(-1)'s two halves in q) and 2 for the cubed
-    triangular-number generating function."""
+def test_exact_records_take_5_packed_passes(monkeypatch):
+    """verify exact at order 800 forms 5 packed passes over 11 factors: for
+    FOR1, 2kappa(u,-1) theta(1) in u (1 factor) and theta(u)**3 in q (2);
+    for FOR2, 2kappa(-1,u) theta(u)**3 in q (3) and 2kappa(u,-1)
+    theta(-1)**3 in u (3); and the cubed triangular-number generating
+    function (2).  Every product goes through ``times``."""
     calls = []
-    original = USeries.__mul__
-    monkeypatch.setattr(USeries, "__mul__", lambda x, y: calls.append(1) or original(x, y))
+    original = USeries.times
+    monkeypatch.setattr(USeries, "times", lambda x, *fs: calls.append(len(fs)) or original(x, *fs))
     assert all(cli._record(o, 1e-9)["passed"] for o in qexact.suite_outcomes(800))
-    assert len(calls) == 13
+    assert calls == [1, 2, 3, 3, 2]
 
 
 @pytest.mark.parametrize("trunc", range(1, 13))
