@@ -16,7 +16,6 @@ with NonconvergenceError after MAX_TERMS terms.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -382,11 +381,12 @@ def kappa(a: complex, z: complex, u: complex) -> complex:
 # samples, which no end-to-end run resolves, and cost a second loop to keep
 # bit-identical.  kappa_sweep keeps its rows, because they pay end to end:
 # through the scalar kappa, the 2000-sample report ran 13% slower on 2 CPUs.
-# It validates its nome and parameter once and each point before its sum,
-# in the order the scalar calls would, builds the powers and pole-guarded
-# denominators once with kappa's own recurrences, and sums every point over
-# those rows with kappa's stopping rule.  The scalar kappa keeps its inline
-# loop: summed over these rows instead, the one-point path slowed by about 12%.
+# Its first point is the scalar call, the one place kappa's arguments are
+# checked.  Each later point is checked before its sum and summed with
+# kappa's stopping rule over rows of powers and pole-guarded denominators,
+# built by kappa's own recurrences when a point first reads them and kept
+# for the points after it.  The scalar kappa keeps its inline loop: summed
+# over these rows instead, the one-point path slowed by about 12%.
 # ---------------------------------------------------------------------------
 
 
@@ -397,11 +397,12 @@ def theta_sweep(zs: Sequence[complex], u: complex) -> list[complex]:
 
 
 def _kappa_rows(
-    a: complex, u: complex, guard: float
+    a: complex, u: complex, guard: float, kept: list[tuple[int, complex, complex, complex]]
 ) -> Iterator[tuple[int, complex, complex, complex]]:
     """Rows (n, u**(n*n), u**(2n) - a, u**(-2n) - a) of the kappa series, by
-    kappa's recurrences; raises kappa's PoleProximityError at the first row
-    whose denominator falls inside the guard."""
+    kappa's recurrences, each appended to ``kept`` before it is yielded;
+    raises kappa's PoleProximityError at the first row whose denominator
+    falls inside the guard."""
     u_sq = u * u
     pw = 1.0 + 0.0j
     odd = u
@@ -418,14 +419,20 @@ def _kappa_rows(
             raise PoleProximityError(f"parameter a = {a} within {guard} of the pole q**{n}")
         if abs(dm) < guard:
             raise PoleProximityError(f"parameter a = {a} within {guard} of the pole q**{-n}")
-        yield n, pw, dp, dm
+        row = (n, pw, dp, dm)
+        kept.append(row)
+        yield row
 
 
 def _kappa_over_rows(
-    z: complex, head: complex, rows: list[tuple[int, complex, complex, complex]]
-) -> complex | None:
-    """kappa(a, z) summed over the rows with kappa's stopping rule from the
-    n = 0 term ``head`` = 1 / (1 - a), or None if the rows run out first."""
+    z: complex,
+    head: complex,
+    rows: list[tuple[int, complex, complex, complex]],
+    source: Iterator[tuple[int, complex, complex, complex]],
+) -> complex:
+    """kappa(a, z) summed with kappa's stopping rule from the n = 0 term
+    ``head`` = 1 / (1 - a): over the rows built so far, then on over the
+    rows ``source`` builds, until it runs out at MAX_TERMS rows."""
     eps = TERM_EPS
     total = head
     scale = abs(total)
@@ -434,70 +441,44 @@ def _kappa_over_rows(
     lim = eps * scale
     zp = 1.0 + 0.0j
     zm = 1.0 + 0.0j
-    for n, pw, dp, dm in rows:
-        zp *= z
-        zm /= z
-        tp = pw * zp / dp
-        tm = pw * zm / dm
-        ap = abs(tp)
-        am = abs(tm)
-        if ap < lim and am < lim and n >= 3:
-            return total if _isfinite(total) else _check_finite(total, "kappa")
-        total += tp + tm
-        if ap > scale:
-            scale = ap
-            lim = eps * scale
-        if am > scale:
-            scale = am
-            lim = eps * scale
-    return None
-
-
-#: Rows kappa_sweep draws first; it doubles them whenever a point runs past.
-SWEEP_FIRST_ROWS = 8
+    for part in (rows, source):
+        for n, pw, dp, dm in part:
+            zp *= z
+            zm /= z
+            tp = pw * zp / dp
+            tm = pw * zm / dm
+            ap = abs(tp)
+            am = abs(tm)
+            if ap < lim and am < lim and n >= 3:
+                return total if _isfinite(total) else _check_finite(total, "kappa")
+            total += tp + tm
+            if ap > scale:
+                scale = ap
+                lim = eps * scale
+            if am > scale:
+                scale = am
+                lim = eps * scale
+    raise NonconvergenceError(f"kappa did not converge within {MAX_TERMS} terms")
 
 
 def kappa_sweep(a: complex, zs: Sequence[complex], u: complex) -> list[complex]:
     """[kappa(a, z, u) for z in zs], bit for bit and with the same first
-    error, over rows of powers and denominators built and pole-guarded once
-    for all points.  The rows are drawn as the points need them:
-    SWEEP_FIRST_ROWS, then twice as many whenever a point runs past them,
-    and that point's sum restarts.  A pole ends the rows; a point that needs
-    the row past them raises kappa's PoleProximityError for that pole, and a
-    point still unsettled after MAX_TERMS rows raises NonconvergenceError."""
+    error.  The first point is the scalar call, through this module's
+    ``kappa`` binding.  Each later point is summed over rows of powers and
+    denominators shared by all points and built as they are first read, so
+    a pole raises kappa's PoleProximityError at the first point that reads
+    its row."""
     if not zs:
         return []
-    # The scalar order at the first point: u, z, a, then the n = 0 pole.
-    _require_nome(u)
-    _require_nonzero(zs[0], "z")
-    _require_nonzero(a, "a")
+    out = [kappa(a, zs[0], u)]
     guard = POLE_GUARD * max(1.0, abs(a))
-    d0 = 1.0 - a
-    if abs(d0) < guard:
-        raise PoleProximityError(f"parameter a = {a} within {guard} of the pole q**0 = 1")
-    head = 1.0 / d0
-    if u * u == 0:  # where the scalar call meets it, before the first row
-        raise DomainError(f"u**2 underflows to 0 at u = {u}")
-    source = _kappa_rows(a, u, guard)
+    head = 1.0 / (1.0 - a)
     rows: list[tuple[int, complex, complex, complex]] = []
-    pole: PoleProximityError | None = None
-    out = []
-    for z in zs:
+    source = _kappa_rows(a, u, guard, rows)
+    for z in zs[1:]:
         if z == 0 or not _isfinite(z):
             _require_nonzero(z, "z")
-        value = _kappa_over_rows(z, head, rows)
-        while value is None:
-            drawn = len(rows)
-            try:
-                rows.extend(itertools.islice(source, max(drawn, SWEEP_FIRST_ROWS)))
-            except PoleProximityError as exc:
-                pole = exc
-            if len(rows) == drawn:
-                if pole is not None:
-                    raise PoleProximityError(str(pole))
-                raise NonconvergenceError(f"kappa did not converge within {MAX_TERMS} terms")
-            value = _kappa_over_rows(z, head, rows)
-        out.append(value)
+        out.append(_kappa_over_rows(z, head, rows, source))
     return out
 
 

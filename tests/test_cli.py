@@ -834,13 +834,42 @@ def test_qseries_triangular_counts(capsys):
     ]
 
 
-def test_qseries_routes_agree(capsys):
-    _, t3_out, _ = run_cli(capsys, "qseries", "t3", "--order", "7")
-    _, andrews_out, _ = run_cli(capsys, "qseries", "andrews", "--order", "7")
-    _, double_out, _ = run_cli(capsys, "qseries", "double_sum", "--order", "7")
-    t3 = json.loads(t3_out)["coefficients"]
-    assert json.loads(andrews_out)["coefficients"] == t3
-    assert json.loads(double_out)["coefficients"] == t3
+def _csv_series(capsys, name, order):
+    code, out, _ = run_cli(capsys, "qseries", name, "--order", str(order), "--format", "csv")
+    assert code == 0
+    return out
+
+
+# Andrews' q**n tail starts at n = order // 3 + 1: these orders take it
+# empty, of one term, and across each residue of order mod 3.  40 and 400
+# are the q-orders verify exact proves at --exact-order 80 (the default) and
+# 800 (the exact benchmark).  CI compares order 4000 in its large-order step.
+@pytest.mark.parametrize("order", (0, 1, 2, 3, 4, 5, 7, 40, 299, 300, 301, 400, 3000))
+def test_qseries_routes_agree(capsys, order):
+    t3 = _csv_series(capsys, "t3", order)
+    assert _csv_series(capsys, "double_sum", order) == t3
+    assert _csv_series(capsys, "andrews", order) == t3
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 400, 2000))
+def test_for_sides_agree_as_full_u_series(capsys, order):
+    """The FOR records check half-length q-series; this compares the
+    full-length u-series sides that qseries prints, each 2 * order + 2
+    coefficients under a header.  CI compares order 4000."""
+    for relation in ("for1", "for2"):
+        lhs = _csv_series(capsys, f"{relation}_lhs", order)
+        assert len(lhs.splitlines()) == 2 * order + 3
+        assert _csv_series(capsys, f"{relation}_rhs", order) == lhs
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 5, 81, 800, 801, 2000))
+def test_verify_exact_passes_at_small_and_benchmark_orders(capsys, order):
+    """The smallest proofs, the exact benchmark's order and its odd
+    neighbours; CI proves orders 4000, 8000 and 8001."""
+    code, out, _ = run_cli(capsys, "verify", "exact", "--exact-order", str(order))
+    records = json.loads(out)["records"]
+    assert code == 0
+    assert len(records) == 5 and all(r["passed"] is True for r in records)
 
 
 def test_qseries_csv(capsys):

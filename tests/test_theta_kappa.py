@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from appell_kit import cli
+from appell_kit import cli, numeric
 from appell_kit.numeric import (
     MAX_TERMS,
     POLE_GUARD,
@@ -649,8 +649,8 @@ wide_points = st.builds(
 @example(zs=[1.5 - 0.5j, 1e-3, 1e3], u=1e-9 + 0j, a=0.4 + 0.2j)  # tiny nome: sums stop at n = 3
 @example(zs=[1, -1, 0.5], u=0.3, a=-0.3)  # real nome, integer points
 def test_sweeps_match_scalar_calls_bit_for_bit(zs, u, a):
-    """Each sweep equals the scalar calls; the wide points run past the
-    first rows, so the growth path runs too."""
+    """Each sweep equals the scalar calls; the wide points read rows that
+    the points before them did not, so rows are built mid-sum too."""
     for sweep, scalar in _sweep_pairs(zs, u, a):
         assert _outcome(sweep) == _scalar_outcome(scalar, zs)
 
@@ -658,8 +658,8 @@ def test_sweeps_match_scalar_calls_bit_for_bit(zs, u, a):
 def test_sweep_pole_errors_match_scalar():
     """a at 1e-9..1e-7 relative to a pole u**(2k): the sweep raises kappa's
     message exactly when the scalar calls do, including for a pole past the
-    rows the nearer points read, and for one the rows reach only by
-    growing."""
+    rows the nearer points read, and for one that only a later point
+    reads."""
     u = 0.55 * cmath.exp(0.4j)
     point_sets = ([1.1 - 0.3j], [1.1 - 0.3j, 1e3], [1e-3, 0.7j], [])
     raised = quiet = 0
@@ -694,6 +694,72 @@ def test_sweep_edges():
         expected = _scalar_outcome(scalar, [1.0, 5.0])
         assert expected[0] is NonconvergenceError
         assert _outcome(sweep) == expected
+
+
+def _rows_read(monkeypatch, a, z, u):
+    """The rows kappa(a, z, u) reads: the fewest MAX_TERMS at which the
+    scalar call stops."""
+    for terms in range(1, MAX_TERMS + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(numeric, "MAX_TERMS", terms)
+            try:
+                kappa(a, z, u)
+            except NonconvergenceError:
+                continue
+        return terms
+    raise AssertionError(f"kappa({a}, {z}, {u}) does not stop")
+
+
+def _count_rows(monkeypatch):
+    """The index of every kappa row a sweep builds, from here on."""
+    built = []
+    rows = numeric._kappa_rows
+
+    def counted(*args):
+        for row in rows(*args):
+            built.append(row[0])
+            yield row
+
+    monkeypatch.setattr(numeric, "_kappa_rows", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "zs, u, a",
+    [
+        ([1.2, 0.8 - 0.3j, 1.5j], 0.3, 0.5 + 0.5j),  # every later point stops before row 8
+        ([1.2, 1e3, 0.5], 0.55 * cmath.exp(0.4j), 2.0),  # one point reads past row 8
+        ([1e3, 1.1, 0.9j], 0.3, -0.4),  # the first point reads the most rows
+    ],
+)
+def test_sweep_builds_the_rows_its_later_points_read(monkeypatch, zs, u, a):
+    """The first point is the scalar call; every other row is built once,
+    when a point first reads it, and no row past the last one read."""
+    reads = [_rows_read(monkeypatch, a, z, u) for z in zs[1:]]
+    built = _count_rows(monkeypatch)
+    assert _outcome(lambda: kappa_sweep(a, zs, u)) == _scalar_outcome(lambda z: kappa(a, z, u), zs)
+    assert built == list(range(1, max(reads) + 1))
+
+
+def test_one_point_sweep_is_the_scalar_call(monkeypatch):
+    """A one-point sweep builds no rows, and returns or raises what
+    kappa(a, z, u) does, bit for bit."""
+    built = _count_rows(monkeypatch)
+    cases = (
+        (1.2, 0.3, 0.5 + 0.5j),
+        (1e3, 0.55 * cmath.exp(0.4j), 2.0),
+        (1.2, 1.5, 0.5),  # a bad nome
+        (0, 0.3, 0.5),  # a zero point
+        (1.2, 0.3, math.inf),  # a non-finite parameter
+        (1.2, 0.3, 1.0),  # the pole q**0
+        (1.2, 0.3, 0.3**4 * (1 + 1e-9)),  # the pole q**2
+        (5.0, 0.999, 0.5),  # no convergence within MAX_TERMS
+        (1.2, 1e-200, 0.5),  # u**2 underflows
+    )
+    for z, u, a in cases:
+        expected = _scalar_outcome(lambda z: kappa(a, z, u), [z])
+        assert _outcome(lambda: kappa_sweep(a, [z], u)) == expected, (z, u, a)
+    assert built == []
 
 
 @pytest.mark.parametrize(
